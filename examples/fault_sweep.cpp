@@ -77,7 +77,8 @@ runPoint(double loss, Cycle cycles)
 int
 soak()
 {
-    FaultParams fp = EnvOverrides::ambient().faults;
+    FaultParams fp =
+        EnvOverrides::ambient().faults.value_or(FaultParams{});
     if (!fp.any()) {
         fp.lossPct = 0.01;
         fp.mcePeriod = 25000;
@@ -105,7 +106,7 @@ soak()
 
     ApacheWorkload w = buildApache(ApacheParams{});
     installApache(sys.kernel(), w);
-    Cosim cosim(sys.pipeline());
+    Cosim cosim(sys.pipes());
     sys.start();
     sys.runCycles(2'000'000);
 

@@ -57,10 +57,10 @@ enum class FetchStall : std::uint8_t
 struct Context
 {
     CtxId id = invalidCtx;
-    /** Owning core in a CMP (0 on a single-core machine). */
+    /** Owning core on the chip (0 on a one-core chip). */
     int core = 0;
     /** Global context id across the chip: core * contextsPerCore + id.
-     *  Equals @c id on a single-core machine. The kernel schedules by
+     *  Equals @c id on a one-core chip. The kernel schedules by
      *  gid; the pipeline indexes its own structures by @c id. */
     CtxId gid = invalidCtx;
     ThreadState *thread = nullptr;

@@ -51,19 +51,6 @@ Pipeline::setFidelity(Fidelity f)
 }
 
 void
-Pipeline::restoreFidelity(Fidelity f, std::uint64_t instrs, Cycle cycles,
-                          std::uint64_t switches)
-{
-    if (f == Fidelity::Functional)
-        for (const Context &c : ctxs_)
-            smtos_assert(c.inflight == 0);
-    fidelity_ = f;
-    funcInstrs_ = instrs;
-    funcCycles_ = cycles;
-    fidelitySwitches_ = switches;
-}
-
-void
 Pipeline::drainForFidelitySwitch()
 {
     auto any_inflight = [this]() {
@@ -360,7 +347,7 @@ Pipeline::funcStep(Context &c)
         obs_->onRetire(e);
     }
     if (probes_)
-        probes_->retire(c.id, t.id, stat_mode);
+        probes_->retire(c.gid, t.id, stat_mode);
 
     if (serializing) {
         os_->serializing(c, t, in);

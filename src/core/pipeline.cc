@@ -595,12 +595,15 @@ Pipeline::profileFetchSlots(
     }
 
     int tag = -1;
+    CtxId gid = invalidCtx;
     if (charged != invalidCtx) {
-        tag = currentServiceTag(ctxs_[static_cast<size_t>(charged)]);
+        const Context &c = ctxs_[static_cast<size_t>(charged)];
+        tag = currentServiceTag(c);
         if (tag == TagSpin)
             cause = SlotCause::KernelSync;
+        gid = c.gid;
     }
-    prof->fetchLost(cause, lost, charged, tag);
+    prof->fetchLost(cause, lost, gid, tag);
 }
 
 void
@@ -1132,70 +1135,98 @@ Pipeline::skipIdleCycles(Cycle k)
         }
     }
     int tag = -1;
+    CtxId gid = invalidCtx;
     if (charged != invalidCtx) {
-        tag = currentServiceTag(ctxs_[static_cast<size_t>(charged)]);
+        const Context &c = ctxs_[static_cast<size_t>(charged)];
+        tag = currentServiceTag(c);
         if (tag == TagSpin)
             cause = SlotCause::KernelSync;
+        gid = c.gid;
     }
     prof->fetchLost(cause,
-                    k * static_cast<Cycle>(params_.fetchWidth),
-                    charged, tag);
+                    k * static_cast<Cycle>(params_.fetchWidth), gid,
+                    tag);
     prof->issueLost(IssueLoss::FrontEnd,
                     k * static_cast<Cycle>(params_.intUnits +
                                            params_.fpUnits));
 }
 
 void
-Pipeline::maybeFastForward(Cycle limit)
+Pipeline::skipToHorizon(std::span<Pipeline *const> chip, Cycle limit)
 {
-    if (!quiescent())
-        return;
-    Cycle h = nextEventHorizon();
-    if (h > limit)
-        h = limit;
+    // Quiescence is a detailed-timing notion: functional cycles always
+    // make progress (or hit the no-progress panic).
+    for (const Pipeline *p : chip)
+        if (!p->fastForward_ || p->fidelity_ != Fidelity::Detailed ||
+            !p->quiescent())
+            return;
+    Cycle h = limit;
+    for (const Pipeline *p : chip)
+        h = std::min(h, p->nextEventHorizon());
     // Skip so the next cycle() lands exactly on the horizon. A
-    // horizon at now_+1 (or earlier) means the next tick may do real
-    // work — nothing to skip.
-    if (h <= now_ + 1)
+    // horizon at now+1 (or earlier) means the next tick may do real
+    // work — nothing to skip. The cores tick in lockstep, so core 0's
+    // clock is the chip's.
+    const Cycle now = chip.front()->now_;
+    if (h <= now + 1)
         return;
-    skipIdleCycles(h - now_ - 1);
+    for (Pipeline *p : chip)
+        p->skipIdleCycles(h - now - 1);
 }
 
 void
-Pipeline::runInstrs(std::uint64_t retired)
+Pipeline::stepInstrs(std::span<Pipeline *const> chip, std::uint64_t n)
 {
-    const std::uint64_t target = stats_.totalRetired() + retired;
-    std::uint64_t last = stats_.totalRetired();
-    Cycle last_progress = now_;
-    while (stats_.totalRetired() < target) {
-        if (fastForward_ && fidelity_ == Fidelity::Detailed) {
-            // Clamp at the no-progress panic boundary so a wedged
-            // machine aborts at the same cycle as the ticked loop.
-            // (Functional cycles always make progress or hit the
-            // panic below; quiescence is a detailed-timing notion.)
-            maybeFastForward(last_progress + 200001);
-        }
-        cycle();
-        if (stats_.totalRetired() != last) {
-            last = stats_.totalRetired();
-            last_progress = now_;
-        } else if (now_ - last_progress > 200000) {
+    auto retired = [chip]() {
+        std::uint64_t total = 0;
+        for (const Pipeline *p : chip)
+            total += p->stats_.totalRetired();
+        return total;
+    };
+    const Pipeline &clock = *chip.front();
+    const std::uint64_t target = retired() + n;
+    std::uint64_t last = retired();
+    Cycle last_progress = clock.now_;
+    while (last < target) {
+        skipToHorizon(chip, last_progress + 200001);
+        for (Pipeline *p : chip)
+            p->cycle();
+        const std::uint64_t now_retired = retired();
+        if (now_retired != last) {
+            last = now_retired;
+            last_progress = clock.now_;
+        } else if (clock.now_ - last_progress > 200000) {
             smtos_panic("pipeline made no progress for 200k cycles "
                         "(cycle %llu)",
-                        static_cast<unsigned long long>(now_));
+                        static_cast<unsigned long long>(clock.now_));
         }
     }
+}
+
+void
+Pipeline::stepCycles(std::span<Pipeline *const> chip, Cycle n)
+{
+    const Pipeline &clock = *chip.front();
+    const Cycle end = clock.now_ + n;
+    while (clock.now_ < end) {
+        skipToHorizon(chip, end);
+        for (Pipeline *p : chip)
+            p->cycle();
+    }
+}
+
+void
+Pipeline::runInstrs(std::uint64_t n)
+{
+    Pipeline *self = this;
+    stepInstrs({&self, 1}, n);
 }
 
 void
 Pipeline::runCycles(Cycle n)
 {
-    const Cycle end = now_ + n;
-    while (now_ < end) {
-        if (fastForward_ && fidelity_ == Fidelity::Detailed)
-            maybeFastForward(end);
-        cycle();
-    }
+    Pipeline *self = this;
+    stepCycles({&self, 1}, n);
 }
 
 std::string

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -166,21 +167,30 @@ class Pipeline
     Cycle funcCycles() const { return funcCycles_; }
     /** Fidelity switches performed (both directions). */
     std::uint64_t fidelitySwitches() const { return fidelitySwitches_; }
-    /** Snapshot-restore path: reinstate fidelity state without
-     *  draining (the restored machine is already consistent). */
-    void restoreFidelity(Fidelity f, std::uint64_t instrs, Cycle cycles,
-                         std::uint64_t switches);
 
-    /** Run until @p retired instructions have committed in total. */
-    void runInstrs(std::uint64_t retired);
+    /**
+     * The stepping loop. Advance every core of @p chip in lockstep,
+     * one chip cycle at a time, until @p n more instructions retire
+     * chip-wide. When every core is quiescent the clock jumps to the
+     * earliest event horizon, clamped at the 200k-cycle no-progress
+     * panic boundary so a wedged chip aborts at the same cycle as the
+     * ticked loop. A one-core chip is the same loop over one pipeline.
+     */
+    static void stepInstrs(std::span<Pipeline *const> chip,
+                           std::uint64_t n);
+    /** stepInstrs' cycle-bounded twin: run @p chip for @p n cycles. */
+    static void stepCycles(std::span<Pipeline *const> chip, Cycle n);
 
-    /** Run for @p n cycles. */
+    /** Run this pipeline alone until @p n more instructions commit. */
+    void runInstrs(std::uint64_t n);
+
+    /** Run this pipeline alone for @p n cycles. */
     void runCycles(Cycle n);
 
     /**
      * Enable/disable quiescence fast-forward (default on). When every
      * context is stalled and no pipeline event can fire before the
-     * next wakeup, runInstrs/runCycles jump the clock to the event
+     * next wakeup, the stepping loop jumps the clock to the event
      * horizon instead of ticking idle cycles, with every counter
      * (cycles, zero-fetch/issue, samplers, profiler slot attribution)
      * accounted exactly as the ticked loop would have.
@@ -196,9 +206,9 @@ class Pipeline
     int numContexts() const { return static_cast<int>(ctxs_.size()); }
 
     /**
-     * CMP identity: place this core at @p core with its contexts
+     * Chip identity: place this core at @p core with its contexts
      * occupying global ids [gid_base, gid_base + numContexts). The
-     * single-core default (core 0, base 0) makes gid == id.
+     * default (core 0, base 0) makes gid == id.
      */
     void
     setCoreId(int core, CtxId gid_base)
@@ -214,23 +224,9 @@ class Pipeline
     /**
      * Share one chip-wide uop sequence counter across cores so the
      * retired-stream contract (per-thread seq monotonicity) survives
-     * cross-core migration. Single-core pipelines keep their own
-     * counter; behavior and artifacts are identical either way.
+     * cross-core migration. A bare pipeline keeps its own counter.
      */
     void setSharedSeq(std::uint64_t *counter) { seqPtr_ = counter; }
-    bool fastForwardEnabled() const
-    {
-        return fastForward_ && fidelity_ == Fidelity::Detailed;
-    }
-
-    // --- chip-lockstep stepping (System drives these for cores > 1;
-    // --- thin public wrappers over the private fast-forward core) ---
-    /** True when no stage can do work until an external event. */
-    bool quiescentNow() const { return quiescent(); }
-    /** Earliest future cycle at which anything can happen here. */
-    Cycle eventHorizon() const { return nextEventHorizon(); }
-    /** Batch-account @p k skipped idle cycles (chip fast-forward). */
-    void skipIdle(Cycle k) { skipIdleCycles(k); }
 
     /** Raise a device interrupt on a context (delivered after drain). */
     void raiseInterrupt(CtxId id, std::uint16_t vector);
@@ -297,7 +293,7 @@ class Pipeline
     void dumpState(std::ostream &os) const;
 
     // --- snapshot/restore (src/snap) ---
-    static constexpr std::uint32_t snapVersion = 1;
+    static constexpr std::uint32_t snapVersion = 2;
     void save(Snapshotter &sp, const SnapImages &images) const;
     /**
      * Overwrite all mutable pipeline state from a snapshot.
@@ -366,11 +362,13 @@ class Pipeline
      */
     Cycle nextEventHorizon() const;
     /**
-     * When quiescent, jump the clock forward so the next cycle() lands
-     * on min(horizon, @p limit), batch-accounting the skipped idle
-     * cycles bit-identically to the ticked loop.
+     * When every core of @p chip is quiescent, jump the clock forward
+     * so the next cycle() lands on min(earliest horizon, @p limit),
+     * batch-accounting the skipped idle cycles bit-identically to the
+     * ticked loop.
      */
-    void maybeFastForward(Cycle limit);
+    static void skipToHorizon(std::span<Pipeline *const> chip,
+                              Cycle limit);
     /** Account @p k skipped idle cycles exactly as k ticks would. */
     void skipIdleCycles(Cycle k);
 
@@ -443,7 +441,8 @@ class Pipeline
 
     Cycle now_ = 0;
     std::uint64_t nextSeq_ = 1;
-    /** Points at nextSeq_ (single core) or the chip-wide counter. */
+    /** Points at nextSeq_ (a bare pipeline) or the chip-wide
+     *  counter (System). */
     std::uint64_t *seqPtr_ = &nextSeq_;
     int coreId_ = 0;
     int intRegsUsed_ = 0;

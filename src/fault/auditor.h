@@ -4,9 +4,11 @@
  *
  * Fault injection is only trustworthy if the simulator can prove it
  * stayed structurally sane while being perturbed. The auditor walks
- * the whole machine every N cycles — pipeline window/conservation
- * accounting, MSHR and store-buffer occupancy bounds, kernel queue and
- * scheduler consistency — and on any violation writes the
+ * the whole machine every N cycles — every core's pipeline
+ * window/conservation accounting and L1 MSHR and store-buffer
+ * occupancy bounds (reported with a "core N:" prefix), the uncore's
+ * L2 MSHRs, kernel queue and scheduler consistency — and on any
+ * violation writes the
  * crash-diagnostics bundle (via the panic crash hook) and aborts with
  * the full report instead of corrupting results silently.
  */

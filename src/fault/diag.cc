@@ -70,8 +70,11 @@ diagWriteBundle(const char *reason)
     }
     {
         std::ofstream os(dir + "/contexts.txt");
-        armedSys->pipeline().dumpState(os);
-        os << "\n";
+        for (int c = 0; c < armedSys->numCores(); ++c) {
+            os << "== core " << c << " ==\n";
+            armedSys->pipeline(c).dumpState(os);
+            os << "\n";
+        }
         armedSys->kernel().dumpState(os);
     }
     if (armedPlan) {

@@ -27,26 +27,18 @@ printEvent(std::ostream &os, const RetireEvent &e)
 
 } // namespace
 
-Cosim::Cosim(Pipeline &pipe)
-    : pipe_(&pipe), kernelImage_(pipe.kernelImage())
+Cosim::Cosim(const std::vector<Pipeline *> &chip)
+    : chip_(chip), kernelImage_(chip.front()->kernelImage())
 {
-    smtos_assert(pipe_->retireObserver() == nullptr);
-    pipe_->setRetireObserver(this);
-}
-
-void
-Cosim::observe(Pipeline &pipe)
-{
-    smtos_assert(pipe.retireObserver() == nullptr);
-    pipe.setRetireObserver(this);
-    extraPipes_.push_back(&pipe);
+    for (Pipeline *pl : chip_) {
+        smtos_assert(pl->retireObserver() == nullptr);
+        pl->setRetireObserver(this);
+    }
 }
 
 Cosim::~Cosim()
 {
-    if (pipe_->retireObserver() == this)
-        pipe_->setRetireObserver(nullptr);
-    for (Pipeline *pl : extraPipes_)
+    for (Pipeline *pl : chip_)
         if (pl->retireObserver() == this)
             pl->setRetireObserver(nullptr);
 }

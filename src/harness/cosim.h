@@ -3,8 +3,9 @@
  * Lockstep co-simulation of the timing pipeline against the
  * functional reference model.
  *
- * Cosim attaches to a Pipeline as its RetireObserver and replays every
- * architecturally committed instruction on a per-thread RefCore,
+ * Cosim attaches to every core of a chip as its RetireObserver and
+ * replays every architecturally committed instruction on a per-thread
+ * RefCore,
  * diffing (pc, instruction, mode, kernel tag, memory address, branch
  * direction, written-register value) at each retirement. The first
  * mismatch freezes a divergence report naming the context, thread,
@@ -39,20 +40,15 @@ class Cosim : public RetireObserver
 {
   public:
     /**
-     * Attach to @p pipe. Attach before System::start() so the
-     * observer sees the initial thread binds (and both value models
-     * start from all-zero register files).
+     * Attach to every pipeline of @p chip. Attach before
+     * System::start() so the observer sees the initial thread binds
+     * (and both value models start from all-zero register files). The
+     * checkers are per thread, and the chip-shared sequence counter
+     * keeps each thread's seqs monotone across migration, so one
+     * oracle covers every core's retired stream.
      */
-    explicit Cosim(Pipeline &pipe);
+    explicit Cosim(const std::vector<Pipeline *> &chip);
     ~Cosim() override;
-
-    /**
-     * Observe an additional pipeline (CMP cores 1..N-1). The checkers
-     * are per thread, and the chip-shared sequence counter keeps each
-     * thread's seqs monotone across migration, so one oracle covers
-     * every core's retired stream.
-     */
-    void observe(Pipeline &pipe);
 
     Cosim(const Cosim &) = delete;
     Cosim &operator=(const Cosim &) = delete;
@@ -106,8 +102,7 @@ class Cosim : public RetireObserver
     void diverge(const RetireEvent &e, const RefRetire *expect,
                  const std::string &what);
 
-    Pipeline *pipe_;
-    std::vector<Pipeline *> extraPipes_;
+    std::vector<Pipeline *> chip_;
     const CodeImage *kernelImage_;
     std::map<ThreadId, ThreadChecker> threads_;
     bool diverged_ = false;

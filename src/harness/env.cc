@@ -32,32 +32,22 @@ EnvOverrides
 EnvOverrides::fromLookup(const Lookup &get)
 {
     EnvOverrides ov;
-    if (const char *v = get("SMTOS_TRACE")) {
+    if (const char *v = get("SMTOS_TRACE"))
         ov.traceMask = Trace::parseCats(v);
-        ov.hasTraceMask = true;
-    }
     if (const char *v = get("SMTOS_TRACE_FILE"))
         ov.traceFile = v;
-    if (const char *v = get("SMTOS_DIAG_DIR")) {
+    if (const char *v = get("SMTOS_DIAG_DIR"))
         ov.diagDir = v;
-        ov.hasDiagDir = true;
-    }
     if (const char *v = get("SMTOS_JOBS")) {
         const long n = std::strtol(v, nullptr, 10);
         ov.jobs = n >= 1 ? static_cast<unsigned>(n) : 1;
     }
-    if (const char *v = get("SMTOS_FAULTS")) {
+    if (const char *v = get("SMTOS_FAULTS"))
         ov.faults = FaultParams::fromString(v);
-        ov.hasFaults = true;
-    }
-    if (const char *v = get("SMTOS_OPENLOOP")) {
+    if (const char *v = get("SMTOS_OPENLOOP"))
         ov.openLoop = OpenLoopParams::fromString(v);
-        ov.hasOpenLoop = true;
-    }
-    if (const char *v = get("SMTOS_ADMIT")) {
+    if (const char *v = get("SMTOS_ADMIT"))
         ov.admit = AdmitParams::fromString(v);
-        ov.hasAdmit = true;
-    }
     if (const char *v = get("SMTOS_FIDELITY")) {
         if (std::strcmp(v, "functional") == 0)
             ov.fidelity = Fidelity::Functional;
@@ -66,18 +56,14 @@ EnvOverrides::fromLookup(const Lookup &get)
         else
             smtos_fatal("SMTOS_FIDELITY: expected 'detailed' or "
                         "'functional', got '%s'", v);
-        ov.hasFidelity = true;
     }
-    if (const char *v = get("SMTOS_SAMPLE")) {
+    if (const char *v = get("SMTOS_SAMPLE"))
         ov.sample = SampleParams::fromString(v);
-        ov.hasSample = true;
-    }
     if (const char *v = get("SMTOS_CORES")) {
         const long n = std::strtol(v, nullptr, 10);
         if (n < 1 || n > 16)
             smtos_fatal("SMTOS_CORES: expected 1..16, got '%s'", v);
         ov.cores = static_cast<int>(n);
-        ov.hasCores = true;
     }
     if (const char *v = get("SMTOS_PROFILE"); truthy(v)) {
         ov.obs.profile = true;
@@ -115,12 +101,12 @@ EnvOverrides::fromEnvironment()
 void
 EnvOverrides::install() const
 {
-    if (hasTraceMask)
-        Trace::setMask(traceMask);
+    if (traceMask)
+        Trace::setMask(*traceMask);
     if (!traceFile.empty())
         Trace::setFileSink(traceFile);
-    if (hasDiagDir)
-        diagSetDir(diagDir);
+    if (diagDir)
+        diagSetDir(*diagDir);
     if (jobs > 0)
         setDefaultJobs(jobs);
     ambientSlot() = *this;

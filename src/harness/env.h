@@ -22,9 +22,9 @@
  *                                    ("detailed" | "functional")
  *   SMTOS_SAMPLE                     SMARTS sampled measurement
  *                                    (SampleParams syntax)
- *   SMTOS_CORES                      CMP width (TopologyConfig.cores;
+ *   SMTOS_CORES                      chip width (TopologyConfig.cores;
  *                                    applies when the config left it
- *                                    at the single-core default)
+ *                                    at its default of one core)
  *   SMTOS_PROFILE, SMTOS_INTERVAL, SMTOS_INTERVAL_JSONL,
  *   SMTOS_INTERVAL_CSV, SMTOS_TIMELINE, SMTOS_TIMELINE_DETAIL,
  *   SMTOS_REQTRACE, SMTOS_REQTRACE_FILE
@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "fault/fault.h"
@@ -46,27 +47,20 @@
 
 namespace smtos {
 
-/** Everything the SMTOS_* environment can override. */
+/** Everything the SMTOS_* environment can override (an empty
+ *  optional: the variable was not set). */
 struct EnvOverrides
 {
     ObsConfig obs;            ///< obs.any() == false when unset
-    FaultParams faults{};
-    bool hasFaults = false;   ///< SMTOS_FAULTS was present
-    OpenLoopParams openLoop{};
-    bool hasOpenLoop = false; ///< SMTOS_OPENLOOP was present
-    AdmitParams admit{};
-    bool hasAdmit = false;    ///< SMTOS_ADMIT was present
-    Fidelity fidelity = Fidelity::Detailed;
-    bool hasFidelity = false; ///< SMTOS_FIDELITY was present
-    SampleParams sample{};
-    bool hasSample = false;   ///< SMTOS_SAMPLE was present
-    int cores = 0;            ///< CMP width override
-    bool hasCores = false;    ///< SMTOS_CORES was present
+    std::optional<FaultParams> faults;
+    std::optional<OpenLoopParams> openLoop;
+    std::optional<AdmitParams> admit;
+    std::optional<Fidelity> fidelity;
+    std::optional<SampleParams> sample;
+    std::optional<int> cores; ///< chip width
     unsigned jobs = 0;        ///< 0: unset
-    std::string diagDir;
-    bool hasDiagDir = false;
-    std::uint32_t traceMask = 0;
-    bool hasTraceMask = false;
+    std::optional<std::string> diagDir;
+    std::optional<std::uint32_t> traceMask;
     std::string traceFile;
 
     /** Variable lookup: returns the value or nullptr (like getenv). */

@@ -1,6 +1,7 @@
 #include "harness/session.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "fault/auditor.h"
@@ -19,11 +20,8 @@ namespace smtos {
 namespace {
 
 /** Config-section layout version (independent of the machine
- *  sections' per-class versions). Version 2 is the single-core layout
- *  (unchanged bytes — the bit-identity contract for cores = 1
- *  artifacts); version 3 appends the CMP width for cores > 1. */
-constexpr std::uint32_t configSectionVersion = 2;
-constexpr std::uint32_t configSectionVersionCmp = 3;
+ *  sections' per-class versions). */
+constexpr std::uint32_t configSectionVersion = 4;
 
 /** Cosim-oracle section layout version. */
 constexpr std::uint32_t cosimSectionVersion = 1;
@@ -31,99 +29,133 @@ constexpr std::uint32_t cosimSectionVersion = 1;
 /** Optional trailing request-tracer section. */
 constexpr std::uint32_t reqtraceSectionVersion = 1;
 
-/** Optional trailing overload (open-loop + admission) section. */
-constexpr std::uint32_t overloadSectionVersion = 1;
+/** CFG field writer: one overload per field type in configFields. */
+struct ConfigOut
+{
+    Snapshotter &sp;
+    void operator()(bool v) { sp.b(v); }
+    void operator()(int v) { sp.i32(v); }
+    void operator()(std::uint32_t v) { sp.u32(v); }
+    void operator()(std::uint64_t v) { sp.u64(v); }
+    void operator()(double v) { sp.f64(v); }
+    template <typename E>
+        requires std::is_enum_v<E>
+    void operator()(E v)
+    {
+        sp.u8(static_cast<std::uint8_t>(v));
+    }
+};
 
-/** Optional trailing fidelity/sampling section. */
-constexpr std::uint32_t fidelitySectionVersion = 1;
+/** CFG field reader, the mirror of ConfigOut. */
+struct ConfigIn
+{
+    Restorer &rs;
+    void operator()(bool &v) { v = rs.b(); }
+    void operator()(int &v) { v = rs.i32(); }
+    void operator()(std::uint32_t &v) { v = rs.u32(); }
+    void operator()(std::uint64_t &v) { v = rs.u64(); }
+    void operator()(double &v) { v = rs.f64(); }
+    template <typename E>
+        requires std::is_enum_v<E>
+    void operator()(E &v)
+    {
+        v = static_cast<E>(rs.u8());
+    }
+};
 
 /**
- * OVLD section prologue: the overload params. They cannot ride the
- * CFG section (its byte layout is the bit-identity contract for
- * default artifacts), so the optional section carries its own config
- * ahead of the mutable state.
+ * The CFG section's field list, in artifact order: everything that
+ * rebuilds the machine, its workload, fault plan, overload knobs and
+ * fidelity. Both snapshot() and resume() walk this one list (@p C is
+ * const Session::Config when writing), so the two sides cannot drift.
  */
+template <typename C, typename F>
 void
-overloadParamsOut(Snapshotter &sp, const OpenLoopParams &ol,
-                  const AdmitParams &ap)
+configFields(C &cfg, F &&f)
 {
-    sp.b(ol.enabled);
-    sp.u8(static_cast<std::uint8_t>(ol.kind));
-    sp.f64(ol.ratePerMcycle);
-    sp.f64(ol.burstFactor);
-    sp.f64(ol.burstDuty);
-    sp.u64(ol.burstPeriod);
-    sp.f64(ol.rampStartFactor);
-    sp.u64(ol.rampCycles);
-    sp.f64(ol.slowPct);
-    sp.u64(ol.slowDrainPerKb);
-    sp.f64(ol.keepAlivePct);
-    sp.u64(ol.retryTimeout);
-    sp.i32(ol.maxRetries);
-    sp.u64(ol.seed);
+    auto &sc = cfg.system;
+    f(sc.smt);
+    f(sc.withOs);
+    f(sc.filterKernelRefs);
+    f(sc.topology.cores);
+    f(sc.topology.contextsPerCore);
+    f(sc.fetchContexts);
+    f(sc.roundRobinFetch);
+    f(sc.affinitySched);
+    f(sc.sharedTlbIpr);
+    f(sc.fastForward);
+    f(sc.memLatency);
+    auto &dp = sc.dram;
+    f(dp.banked);
+    f(dp.channels);
+    f(dp.ranks);
+    f(dp.banksPerRank);
+    f(dp.rowBytes);
+    f(dp.burstBytes);
+    f(dp.queueDepth);
+    f(dp.closedPage);
+    f(dp.tRcd);
+    f(dp.tRp);
+    f(dp.tCas);
+    f(dp.tBurst);
+    f(dp.tFaw);
+    auto &ap = sc.admit;
+    f(ap.policy);
+    f(ap.queueCap);
+    f(ap.redMinDepth);
+    f(ap.redMaxProb);
+    f(ap.shedDeadline);
+    f(ap.seed);
+    f(ap.mbufAccounting);
 
-    sp.u8(static_cast<std::uint8_t>(ap.policy));
-    sp.i32(ap.queueCap);
-    sp.i32(ap.redMinDepth);
-    sp.f64(ap.redMaxProb);
-    sp.u64(ap.shedDeadline);
-    sp.u64(ap.seed);
-    sp.b(ap.mbufAccounting);
-}
+    auto &wc = cfg.workload;
+    f(wc.kind);
+    f(wc.spec.numApps);
+    f(wc.spec.inputChunks);
+    f(wc.spec.heapBase);
+    f(wc.spec.heapStep);
+    f(wc.spec.seed);
+    f(wc.apache.numServers);
+    f(wc.apache.heapBytes);
+    f(wc.apache.seed);
+    auto &ol = wc.openLoop;
+    f(ol.enabled);
+    f(ol.kind);
+    f(ol.ratePerMcycle);
+    f(ol.burstFactor);
+    f(ol.burstDuty);
+    f(ol.burstPeriod);
+    f(ol.rampStartFactor);
+    f(ol.rampCycles);
+    f(ol.slowPct);
+    f(ol.slowDrainPerKb);
+    f(ol.keepAlivePct);
+    f(ol.retryTimeout);
+    f(ol.maxRetries);
+    f(ol.seed);
+    f(wc.seed);
 
-void
-overloadParamsIn(Restorer &rs, OpenLoopParams &ol, AdmitParams &ap)
-{
-    ol.enabled = rs.b();
-    ol.kind = static_cast<ArrivalKind>(rs.u8());
-    ol.ratePerMcycle = rs.f64();
-    ol.burstFactor = rs.f64();
-    ol.burstDuty = rs.f64();
-    ol.burstPeriod = rs.u64();
-    ol.rampStartFactor = rs.f64();
-    ol.rampCycles = rs.u64();
-    ol.slowPct = rs.f64();
-    ol.slowDrainPerKb = rs.u64();
-    ol.keepAlivePct = rs.f64();
-    ol.retryTimeout = rs.u64();
-    ol.maxRetries = rs.i32();
-    ol.seed = rs.u64();
+    auto &fp = cfg.faults;
+    f(fp.seed);
+    f(fp.lossPct);
+    f(fp.reorderPct);
+    f(fp.delayMin);
+    f(fp.delayMax);
+    f(fp.nicDropPct);
+    f(fp.mcePeriod);
+    f(fp.mceRetryLimit);
+    f(fp.mceBreakRecovery);
+    f(fp.connTableSize);
+    f(fp.listenBacklog);
+    f(fp.auditEvery);
 
-    ap.policy = static_cast<AdmitPolicy>(rs.u8());
-    ap.queueCap = rs.i32();
-    ap.redMinDepth = rs.i32();
-    ap.redMaxProb = rs.f64();
-    ap.shedDeadline = rs.u64();
-    ap.seed = rs.u64();
-    ap.mbufAccounting = rs.b();
-}
-
-/**
- * FIDL section prologue: fidelity/sampling params. Same contract as
- * OVLD — they cannot ride the CFG section (its byte layout is the
- * bit-identity contract for default artifacts), so the optional
- * section carries its own config ahead of the live counters.
- */
-void
-fidelityParamsOut(Snapshotter &sp, Fidelity f, const SampleParams &p)
-{
-    sp.u8(static_cast<std::uint8_t>(f));
-    sp.b(p.enabled);
-    sp.u64(p.periodInstrs);
-    sp.u64(p.warmInstrs);
-    sp.u64(p.intervalInstrs);
-    sp.f64(p.confidence);
-}
-
-void
-fidelityParamsIn(Restorer &rs, Fidelity &f, SampleParams &p)
-{
-    f = static_cast<Fidelity>(rs.u8());
-    p.enabled = rs.b();
-    p.periodInstrs = rs.u64();
-    p.warmInstrs = rs.u64();
-    p.intervalInstrs = rs.u64();
-    p.confidence = rs.f64();
+    f(cfg.fidelity);
+    auto &smp = cfg.sample;
+    f(smp.enabled);
+    f(smp.periodInstrs);
+    f(smp.warmInstrs);
+    f(smp.intervalInstrs);
+    f(smp.confidence);
 }
 
 MachineConfig
@@ -145,11 +177,10 @@ machineConfigOf(const SystemConfig &sc, const WorkloadConfig &wc)
         cfg.core.fetchContexts =
             std::min(2, sc.topology.contextsPerCore);
     }
-    // A CMP wants one netisr per core so protocol processing can be
+    // At least one netisr per core so protocol processing can be
     // delivered core-locally (the kernel pins netisr i to core i%N).
-    if (sc.topology.cores > 1)
-        cfg.kernel.numNetisr =
-            std::max(cfg.kernel.numNetisr, sc.topology.cores);
+    cfg.kernel.numNetisr =
+        std::max(cfg.kernel.numNetisr, sc.topology.cores);
     if (sc.fetchContexts > 0)
         cfg.core.fetchContexts = sc.fetchContexts;
     if (sc.roundRobinFetch)
@@ -167,12 +198,12 @@ Session::Session(const Config &cfg) : Session(cfg, true, false) {}
 Session::Session(const Config &cfg, bool consultAmbient, bool forcePlan)
     : cfg_(cfg)
 {
-    // CMP width: the SMTOS_CORES ambient applies only to fresh
-    // sessions whose config left topology at the single-core default,
+    const EnvOverrides &env = EnvOverrides::ambient();
+    // Chip width: the SMTOS_CORES ambient applies only to fresh
+    // sessions whose config left topology at its default of one core,
     // and before validate() so the override faces the same checks.
-    if (consultAmbient && cfg_.system.topology.cores == 1 &&
-        EnvOverrides::ambient().hasCores)
-        cfg_.system.topology.cores = EnvOverrides::ambient().cores;
+    if (consultAmbient && cfg_.system.topology.cores == 1 && env.cores)
+        cfg_.system.topology.cores = *env.cores;
     validate();
 
     // Fault injection: an explicit plan wins, then the config's
@@ -182,9 +213,8 @@ Session::Session(const Config &cfg, bool consultAmbient, bool forcePlan)
         plan_ = cfg_.faultPlan;
         cfg_.faults = plan_->params();
     } else {
-        if (!cfg_.faults.any() && consultAmbient &&
-            EnvOverrides::ambient().hasFaults)
-            cfg_.faults = EnvOverrides::ambient().faults;
+        if (!cfg_.faults.any() && consultAmbient && env.faults)
+            cfg_.faults = *env.faults;
         if (cfg_.faults.any() || forcePlan) {
             ownedPlan_ = std::make_unique<FaultPlan>(cfg_.faults);
             plan_ = ownedPlan_.get();
@@ -196,17 +226,14 @@ Session::Session(const Config &cfg, bool consultAmbient, bool forcePlan)
     // Applied before the System is built so machineConfigOf() sees
     // them.
     if (consultAmbient) {
-        if (!cfg_.workload.openLoop.enabled &&
-            EnvOverrides::ambient().hasOpenLoop)
-            cfg_.workload.openLoop = EnvOverrides::ambient().openLoop;
-        if (!cfg_.system.admit.enabled() &&
-            EnvOverrides::ambient().hasAdmit)
-            cfg_.system.admit = EnvOverrides::ambient().admit;
-        if (cfg_.fidelity == Fidelity::Detailed &&
-            EnvOverrides::ambient().hasFidelity)
-            cfg_.fidelity = EnvOverrides::ambient().fidelity;
-        if (!cfg_.sample.enabled && EnvOverrides::ambient().hasSample)
-            cfg_.sample = EnvOverrides::ambient().sample;
+        if (!cfg_.workload.openLoop.enabled && env.openLoop)
+            cfg_.workload.openLoop = *env.openLoop;
+        if (!cfg_.system.admit.enabled() && env.admit)
+            cfg_.system.admit = *env.admit;
+        if (cfg_.fidelity == Fidelity::Detailed && env.fidelity)
+            cfg_.fidelity = *env.fidelity;
+        if (!cfg_.sample.enabled && env.sample)
+            cfg_.sample = *env.sample;
     }
 
     sys_ = std::make_unique<System>(
@@ -223,10 +250,8 @@ Session::Session(const Config &cfg, bool consultAmbient, bool forcePlan)
     // installed environment so any tool can be instrumented without
     // code changes.
     obs_ = cfg_.obs;
-    if (!obs_ && consultAmbient &&
-        EnvOverrides::ambient().obs.any()) {
-        ownedObs_ =
-            std::make_unique<ObsSession>(EnvOverrides::ambient().obs);
+    if (!obs_ && consultAmbient && env.obs.any()) {
+        ownedObs_ = std::make_unique<ObsSession>(env.obs);
         obs_ = ownedObs_.get();
     }
     if (obs_)
@@ -260,11 +285,8 @@ Session::Session(const Config &cfg, bool consultAmbient, bool forcePlan)
     // One oracle covers every core: checkers are per thread, and the
     // chip-shared seq counter keeps per-thread seqs monotone across
     // cross-core migration.
-    if (cfg_.cosim) {
-        cosim_ = std::make_unique<Cosim>(sys_->pipeline());
-        for (int c = 1; c < sys_->numCores(); ++c)
-            cosim_->observe(sys_->pipeline(c));
-    }
+    if (cfg_.cosim)
+        cosim_ = std::make_unique<Cosim>(sys_->pipes());
 
     sys_->start();
     atBuild_ = MetricsSnapshot::capture(*sys_);
@@ -485,137 +507,14 @@ Session::run()
 
 // --- snapshot/restore ---
 
-void
-Session::writeConfig(Snapshotter &sp) const
-{
-    const SystemConfig &sc = cfg_.system;
-    sp.b(sc.smt);
-    sp.b(sc.withOs);
-    sp.b(sc.filterKernelRefs);
-    sp.i32(sc.topology.contextsPerCore);
-    sp.i32(sc.fetchContexts);
-    sp.b(sc.roundRobinFetch);
-    sp.b(sc.affinitySched);
-    sp.b(sc.sharedTlbIpr);
-    sp.b(sc.fastForward);
-    sp.u64(sc.memLatency);
-    sp.b(sc.dram.banked);
-    sp.i32(sc.dram.channels);
-    sp.i32(sc.dram.ranks);
-    sp.i32(sc.dram.banksPerRank);
-    sp.i32(sc.dram.rowBytes);
-    sp.i32(sc.dram.burstBytes);
-    sp.i32(sc.dram.queueDepth);
-    sp.b(sc.dram.closedPage);
-    sp.u64(sc.dram.tRcd);
-    sp.u64(sc.dram.tRp);
-    sp.u64(sc.dram.tCas);
-    sp.u64(sc.dram.tBurst);
-    sp.u64(sc.dram.tFaw);
-
-    const WorkloadConfig &wc = cfg_.workload;
-    sp.u8(static_cast<std::uint8_t>(wc.kind));
-    sp.i32(wc.spec.numApps);
-    sp.u32(wc.spec.inputChunks);
-    sp.u64(wc.spec.heapBase);
-    sp.u64(wc.spec.heapStep);
-    sp.u64(wc.spec.seed);
-    sp.i32(wc.apache.numServers);
-    sp.u64(wc.apache.heapBytes);
-    sp.u64(wc.apache.seed);
-    sp.u64(wc.seed);
-
-    const FaultParams &fp = cfg_.faults;
-    sp.u64(fp.seed);
-    sp.f64(fp.lossPct);
-    sp.f64(fp.reorderPct);
-    sp.u64(fp.delayMin);
-    sp.u64(fp.delayMax);
-    sp.f64(fp.nicDropPct);
-    sp.u64(fp.mcePeriod);
-    sp.i32(fp.mceRetryLimit);
-    sp.b(fp.mceBreakRecovery);
-    sp.i32(fp.connTableSize);
-    sp.i32(fp.listenBacklog);
-    sp.u64(fp.auditEvery);
-
-    sp.b(plan_ != nullptr);
-    sp.b(cosim_ != nullptr);
-
-    // Version-3 tail: the CMP width. Version-2 (cores = 1) artifacts
-    // end above, byte-identical to the pre-CMP format.
-    if (sc.topology.cores > 1)
-        sp.i32(sc.topology.cores);
-}
-
-Session::Config
-Session::readConfig(Restorer &rs, bool &hadPlan, bool &hadCosim)
-{
-    Config cfg;
-    SystemConfig &sc = cfg.system;
-    sc.smt = rs.b();
-    sc.withOs = rs.b();
-    sc.filterKernelRefs = rs.b();
-    sc.topology.contextsPerCore = rs.i32();
-    sc.fetchContexts = rs.i32();
-    sc.roundRobinFetch = rs.b();
-    sc.affinitySched = rs.b();
-    sc.sharedTlbIpr = rs.b();
-    sc.fastForward = rs.b();
-    sc.memLatency = rs.u64();
-    sc.dram.banked = rs.b();
-    sc.dram.channels = rs.i32();
-    sc.dram.ranks = rs.i32();
-    sc.dram.banksPerRank = rs.i32();
-    sc.dram.rowBytes = rs.i32();
-    sc.dram.burstBytes = rs.i32();
-    sc.dram.queueDepth = rs.i32();
-    sc.dram.closedPage = rs.b();
-    sc.dram.tRcd = rs.u64();
-    sc.dram.tRp = rs.u64();
-    sc.dram.tCas = rs.u64();
-    sc.dram.tBurst = rs.u64();
-    sc.dram.tFaw = rs.u64();
-
-    WorkloadConfig &wc = cfg.workload;
-    wc.kind = static_cast<WorkloadConfig::Kind>(rs.u8());
-    wc.spec.numApps = rs.i32();
-    wc.spec.inputChunks = rs.u32();
-    wc.spec.heapBase = rs.u64();
-    wc.spec.heapStep = rs.u64();
-    wc.spec.seed = rs.u64();
-    wc.apache.numServers = rs.i32();
-    wc.apache.heapBytes = rs.u64();
-    wc.apache.seed = rs.u64();
-    wc.seed = rs.u64();
-
-    FaultParams &fp = cfg.faults;
-    fp.seed = rs.u64();
-    fp.lossPct = rs.f64();
-    fp.reorderPct = rs.f64();
-    fp.delayMin = rs.u64();
-    fp.delayMax = rs.u64();
-    fp.nicDropPct = rs.f64();
-    fp.mcePeriod = rs.u64();
-    fp.mceRetryLimit = rs.i32();
-    fp.mceBreakRecovery = rs.b();
-    fp.connTableSize = rs.i32();
-    fp.listenBacklog = rs.i32();
-    fp.auditEvery = rs.u64();
-
-    hadPlan = rs.b();
-    hadCosim = rs.b();
-    return cfg;
-}
-
 std::vector<std::uint8_t>
 Session::snapshot()
 {
     Snapshotter sp;
-    sp.beginSection("CFG ", cfg_.system.topology.cores > 1
-                                ? configSectionVersionCmp
-                                : configSectionVersion);
-    writeConfig(sp);
+    sp.beginSection("CFG ", configSectionVersion);
+    configFields(cfg_, ConfigOut{sp});
+    sp.b(plan_ != nullptr);
+    sp.b(cosim_ != nullptr);
     sp.endSection();
     saveMachineSections(sp, *sys_, plan_);
     // The oracle rides behind the machine sections: its reference
@@ -626,36 +525,11 @@ Session::snapshot()
         cosim_->save(sp, images);
     }
     sp.endSection();
-    // Tracer state is a trailing OPTIONAL section: untraced sessions
-    // write nothing here, so their artifacts stay byte-identical to
-    // the pre-tracer format.
+    // Tracer state is observability, not machine state: only traced
+    // sessions carry it, as a trailing section.
     if (obs_ && obs_->reqtrace()) {
         sp.beginSection("RQTR", reqtraceSectionVersion);
         obs_->reqtrace()->save(sp);
-        sp.endSection();
-    }
-    // Same contract for overload state: only sessions with the
-    // open-loop generator or an admission policy engaged write it, so
-    // default closed-loop artifacts keep their pre-overload bytes.
-    if (cfg_.workload.openLoop.enabled || cfg_.system.admit.enabled()) {
-        sp.beginSection("OVLD", overloadSectionVersion);
-        overloadParamsOut(sp, cfg_.workload.openLoop,
-                          cfg_.system.admit);
-        sys_->kernel().saveOverload(sp);
-        sp.endSection();
-    }
-    // Same contract for fidelity state: only sessions that configured
-    // functional/sampled execution or actually ran functional cycles
-    // write it, so pure-detailed artifacts keep their prior bytes.
-    const Pipeline &pipe = sys_->pipeline();
-    if (cfg_.fidelity != Fidelity::Detailed || cfg_.sample.enabled ||
-        pipe.funcInstrs() > 0) {
-        sp.beginSection("FIDL", fidelitySectionVersion);
-        fidelityParamsOut(sp, cfg_.fidelity, cfg_.sample);
-        sp.u8(static_cast<std::uint8_t>(pipe.fidelity()));
-        sp.u64(pipe.funcInstrs());
-        sp.u64(pipe.funcCycles());
-        sp.u64(pipe.fidelitySwitches());
         sp.endSection();
     }
     return sp.finish();
@@ -672,19 +546,17 @@ Session::resume(const std::vector<std::uint8_t> &artifact,
         return nullptr;
     }
     const std::uint32_t cv = rs.enterSection("CFG ");
-    if (cv != configSectionVersion && cv != configSectionVersionCmp) {
+    if (cv != configSectionVersion) {
         if (error)
             *error = "snapshot rejected: config section version " +
                      std::to_string(cv) + " (supported " +
-                     std::to_string(configSectionVersion) + ", " +
-                     std::to_string(configSectionVersionCmp) + ")";
+                     std::to_string(configSectionVersion) + ")";
         return nullptr;
     }
-    bool hadPlan = false;
-    bool hadCosim = false;
-    Config cfg = readConfig(rs, hadPlan, hadCosim);
-    if (cv == configSectionVersionCmp)
-        cfg.system.topology.cores = rs.i32();
+    Config cfg;
+    configFields(cfg, ConfigIn{rs});
+    const bool hadPlan = rs.b();
+    const bool hadCosim = rs.b();
     rs.leaveSection();
 
     // The oracle's retire-point state only exists in the artifact if
@@ -731,11 +603,11 @@ Session::resume(const std::vector<std::uint8_t> &artifact,
         rs.skipRest();
     }
     rs.leaveSection();
-    // Optional trailing tracer state (present only when the saving
-    // session traced). Restored into the resuming session's tracer
-    // when it has one, so in-flight spans complete across the
-    // boundary; skipped (but still consumed) otherwise.
-    if (!rs.atEnd() && rs.nextSectionIs("RQTR")) {
+    // Trailing tracer state (present only when the saving session
+    // traced). Restored into the resuming session's tracer when it has
+    // one, so in-flight spans complete across the boundary; skipped
+    // (but still consumed) otherwise.
+    if (!rs.atEnd()) {
         const std::uint32_t rqv = rs.enterSection("RQTR");
         smtos_assert(rqv == reqtraceSectionVersion);
         if (opts.obs && opts.obs->reqtrace())
@@ -744,26 +616,11 @@ Session::resume(const std::vector<std::uint8_t> &artifact,
             rs.skipRest();
         rs.leaveSection();
     }
-    // Optional trailing overload state. The section carries its own
-    // params (they are not part of the CFG bytes); the kernel is put
-    // into the saved configuration first, then the mutable state is
-    // overlaid so arrivals and shed clocks continue bit-identically.
-    if (!rs.atEnd() && rs.nextSectionIs("OVLD")) {
-        const std::uint32_t ov = rs.enterSection("OVLD");
-        smtos_assert(ov == overloadSectionVersion);
-        OpenLoopParams ol;
-        AdmitParams ap;
-        overloadParamsIn(rs, ol, ap);
-        s->cfg_.workload.openLoop = ol;
-        s->cfg_.system.admit = ap;
-        s->sys_->kernel().setOpenLoop(ol);
-        s->sys_->kernel().setAdmission(ap);
-        s->sys_->kernel().loadOverload(rs);
-        rs.leaveSection();
-    }
-    // Overload overrides land after the artifact's own state: the
-    // fig_overload_knee pattern resumes one closed-loop start-up
-    // snapshot into many open-loop/admission operating points.
+    // Overload and fidelity overrides land on the restored machine:
+    // the fig_overload_knee pattern resumes one closed-loop start-up
+    // snapshot into many open-loop/admission operating points, and
+    // one detailed start-up snapshot can resume into functional
+    // fast-forward or sampled measurement (or back to detailed).
     if (opts.openLoop) {
         s->cfg_.workload.openLoop = *opts.openLoop;
         s->sys_->kernel().setOpenLoop(*opts.openLoop);
@@ -772,30 +629,10 @@ Session::resume(const std::vector<std::uint8_t> &artifact,
         s->cfg_.system.admit = *opts.admit;
         s->sys_->kernel().setAdmission(*opts.admit);
     }
-    // Optional trailing fidelity state: restore the configured mode,
-    // the live pipeline fidelity, and the functional counters so a
-    // resumed run's metrics continue bit-identically.
-    if (!rs.atEnd() && rs.nextSectionIs("FIDL")) {
-        const std::uint32_t fv = rs.enterSection("FIDL");
-        smtos_assert(fv == fidelitySectionVersion);
-        Fidelity cfgF = Fidelity::Detailed;
-        SampleParams smp;
-        fidelityParamsIn(rs, cfgF, smp);
-        s->cfg_.fidelity = cfgF;
-        s->cfg_.sample = smp;
-        const Fidelity live = static_cast<Fidelity>(rs.u8());
-        const std::uint64_t fi = rs.u64();
-        const Cycle fc = rs.u64();
-        const std::uint64_t sw = rs.u64();
-        s->sys_->pipeline().restoreFidelity(live, fi, fc, sw);
-        rs.leaveSection();
-    }
-    // Fidelity overrides land after the artifact's own state: resume
-    // one detailed start-up snapshot into functional fast-forward or
-    // sampled measurement (or force functional back to detailed).
     if (opts.fidelity) {
         s->cfg_.fidelity = *opts.fidelity;
-        s->sys_->pipeline().setFidelity(*opts.fidelity);
+        for (Pipeline *p : s->sys_->pipes())
+            p->setFidelity(*opts.fidelity);
     }
     if (opts.sample)
         s->cfg_.sample = *opts.sample;

@@ -48,16 +48,16 @@ class System;
 
 /**
  * Chip topology: how many SMT cores the machine instantiates, and how
- * many hardware contexts each core carries. cores = 1 is the classic
- * single-core machine and is bit-identical to the pre-CMP simulator;
- * cores > 1 builds a CMP with private L1s/TLBs per core, a shared L2,
- * MESI coherence, and an SMP kernel (per-core run queues, TLB
- * shootdown IPIs). The SMTOS_CORES environment variable overrides
- * cores for fresh sessions that left it at the default.
+ * many hardware contexts each core carries. Every width builds the
+ * same chip — private L1s/TLBs per core, a shared L2 with MESI
+ * coherence, and an SMP kernel (per-core run queues, TLB shootdown
+ * IPIs); cores = 1, the default, is the paper's machine. The
+ * SMTOS_CORES environment variable overrides cores for fresh sessions
+ * that left it at the default.
  */
 struct TopologyConfig
 {
-    int cores = 1;           ///< CMP width (1..16)
+    int cores = 1;           ///< chip width (1..16)
     int contextsPerCore = 0; ///< 0 = keep the preset's value
 };
 
@@ -199,13 +199,13 @@ class Session
          * Overload overrides: resume a (typically closed-loop)
          * start-up snapshot into open-loop load and/or under an
          * admission policy — the fig_overload_knee pattern. Applied
-         * after any OVLD section in the artifact.
+         * over the artifact's restored state.
          */
         std::optional<OpenLoopParams> openLoop;
         std::optional<AdmitParams> admit;
         /**
-         * Fidelity/sampling overrides, applied after any FIDL section
-         * in the artifact: resume a detailed start-up snapshot into a
+         * Fidelity/sampling overrides, applied over the artifact's
+         * restored state: resume a detailed start-up snapshot into a
          * functional fast-forward or a sampled measurement (or force
          * a functional-mode artifact back to detailed).
          */
@@ -263,9 +263,6 @@ class Session
     Session(const Config &cfg, bool consultAmbient, bool forcePlan);
 
     void validate() const;
-    void writeConfig(Snapshotter &sp) const;
-    static Config readConfig(Restorer &rs, bool &hadPlan,
-                             bool &hadCosim);
 
     Config cfg_;
     std::unique_ptr<System> sys_;

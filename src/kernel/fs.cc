@@ -25,8 +25,8 @@ Kernel::bufcachePagePhys(int file_id, std::uint32_t page)
         bufcache_.emplace(key, f);
         ++diskReads_;
         // Disk DMA into the new page: stale cache lines die.
-        pipe_.hierarchy().dmaWrite(PhysMem::frameAddr(f),
-                                   static_cast<int>(pageBytes));
+        uncore_.dmaWrite(PhysMem::frameAddr(f),
+                         static_cast<int>(pageBytes));
         return PhysMem::frameAddr(f);
     }
     return PhysMem::frameAddr(it->second);

@@ -11,19 +11,23 @@
 
 namespace smtos {
 
-Kernel::Kernel(const Params &params, Pipeline &pipe, PhysMem &mem,
-               const KernelCode &kc)
-    : params_(params), pipe_(pipe), pipes_{&pipe}, mem_(mem), kc_(kc),
-      kernelIs_{nullptr, &kc.image}, rng_(params.seed)
+Kernel::Kernel(const Params &params, const std::vector<Pipeline *> &pipes,
+               Uncore &uncore, PhysMem &mem, const KernelCode &kc)
+    : params_(params), pipes_(pipes), uncore_(uncore), mem_(mem),
+      kc_(kc), kernelIs_{nullptr, &kc.image}, rng_(params.seed)
 {
-    schedLocks_.resize(1);
-    lockSpinByCore_.resize(1, 0);
+    smtos_assert(!pipes_.empty());
+    const auto cores = static_cast<std::size_t>(numCores());
+    const auto total = static_cast<std::size_t>(totalContexts());
+    runqs_.resize(cores);
+    protoQs_.resize(cores);
+    schedLocks_.resize(cores);
+    lockSpinByCore_.assign(cores, 0);
     waiters_.resize(4);
     conns_.resize(512);
-    idleForCtx_.assign(static_cast<size_t>(pipe_.numContexts()),
-                       nullptr);
-    curProc_.assign(static_cast<size_t>(pipe_.numContexts()), nullptr);
-    nextTimerAt_.assign(static_cast<size_t>(pipe_.numContexts()), 0);
+    idleForCtx_.assign(total, nullptr);
+    curProc_.assign(total, nullptr);
+    nextTimerAt_.assign(total, 0);
     bootKernelSpace();
     if (params_.enableNetwork)
         clients_ = std::make_unique<ClientPopulation>(
@@ -32,22 +36,6 @@ Kernel::Kernel(const Params &params, Pipeline &pipe, PhysMem &mem,
         clients_->setOpenLoop(params_.openLoop);
     if (params_.admit.enabled())
         setAdmission(params_.admit);
-    pipe_.setOs(this);
-}
-
-void
-Kernel::attachPipes(const std::vector<Pipeline *> &pipes)
-{
-    smtos_assert(!pipes.empty() && pipes.front() == &pipe_);
-    pipes_ = pipes;
-    const auto total = static_cast<std::size_t>(totalContexts());
-    idleForCtx_.assign(total, nullptr);
-    curProc_.assign(total, nullptr);
-    nextTimerAt_.assign(total, 0);
-    runqsN_.resize(pipes_.size() - 1);
-    protoQsN_.resize(pipes_.size() - 1);
-    schedLocks_.assign(pipes_.size(), KLock{});
-    lockSpinByCore_.assign(pipes_.size(), 0);
     for (Pipeline *p : pipes_)
         p->setOs(this);
 }
@@ -192,7 +180,7 @@ Kernel::createProcess(const ProcParams &cfg)
     Process &p = createInternal(cfg, false);
     // Spread user processes across the cores' run queues; work
     // stealing rebalances from there.
-    if (numCores() > 1 && p.isUser())
+    if (p.isUser())
         p.homeCore = p.pid % numCores();
     if (p.isUser() || cfg.kind == ProcKind::KernelThread) {
         p.state = Process::State::Ready;
@@ -232,8 +220,7 @@ Kernel::start()
     // Bind initial threads.
     for (int c = 0; c < totalContexts(); ++c) {
         const CtxId gid = static_cast<CtxId>(c);
-        switchTo(ctxAt(gid),
-                 pickNext(numCores() > 1 ? gid : invalidCtx));
+        switchTo(ctxAt(gid), pickNext(gid));
         nextTimerAt_[static_cast<size_t>(c)] =
             params_.timerQuantum + static_cast<Cycle>(c) * 1013;
     }
@@ -372,13 +359,11 @@ Kernel::interrupt(Context &ctx, ThreadState &t, std::uint16_t vector)
 void
 Kernel::cycleHook(Cycle now)
 {
-    // On a CMP every core's pipeline invokes the hook each chip
-    // cycle; device/timer work must run exactly once per cycle.
-    if (pipes_.size() > 1) {
-        if (now == lastHookCycle_)
-            return;
-        lastHookCycle_ = now;
-    }
+    // Every core's pipeline invokes the hook each chip cycle;
+    // device/timer work must run exactly once per cycle.
+    if (now == lastHookCycle_)
+        return;
+    lastHookCycle_ = now;
     nowCycle_ = now;
     if (faults_ && faults_->mceDue(now))
         injectMce(now);
@@ -528,27 +513,23 @@ Kernel::auditInvariants() const
                    << p->pid << "\n";
         }
     }
-    if (numCores() > 1) {
-        // Shootdown ledger: pendingShootdowns_ must equal the number
-        // of contexts holding an undelivered shootdown IPI.
-        std::uint64_t pending = 0;
-        for (Pipeline *pl : pipes_) {
-            for (int c = 0; c < pl->numContexts(); ++c) {
-                const Context &cx = pl->ctx(c);
-                if (cx.interruptPending &&
-                    cx.interruptVector == VecShootdown)
-                    ++pending;
-            }
+    // Shootdown ledger: pendingShootdowns_ must equal the number of
+    // contexts holding an undelivered shootdown IPI.
+    std::uint64_t pending = 0;
+    for (Pipeline *pl : pipes_) {
+        for (int c = 0; c < pl->numContexts(); ++c) {
+            const Context &cx = pl->ctx(c);
+            if (cx.interruptPending && cx.interruptVector == VecShootdown)
+                ++pending;
         }
-        if (pending != pendingShootdowns_)
-            os << "shootdown ledger " << pendingShootdowns_
-               << " != pending IPIs " << pending << "\n";
-        if (shootdownsDelivered_ + pendingShootdowns_ >
-            shootdownIpis_)
-            os << "delivered+pending shootdowns exceed raised ("
-               << shootdownsDelivered_ << "+" << pendingShootdowns_
-               << " > " << shootdownIpis_ << ")\n";
     }
+    if (pending != pendingShootdowns_)
+        os << "shootdown ledger " << pendingShootdowns_
+           << " != pending IPIs " << pending << "\n";
+    if (shootdownsDelivered_ + pendingShootdowns_ > shootdownIpis_)
+        os << "delivered+pending shootdowns exceed raised ("
+           << shootdownsDelivered_ << "+" << pendingShootdowns_ << " > "
+           << shootdownIpis_ << ")\n";
     for (size_t cx = 0; cx < curProc_.size(); ++cx) {
         const Process *p = curProc_[cx];
         if (!p)
@@ -606,9 +587,11 @@ void
 Kernel::dumpState(std::ostream &os) const
 {
     os << "cycle " << nowCycle_ << "\n";
-    os << "runq depth " << runq_.size() << ", acceptQ "
-       << acceptQ_.size() << ", protoQ " << protoQ_.size()
-       << ", nicRing " << nicRing_.size() << "\n";
+    for (int core = 0; core < numCores(); ++core)
+        os << "core " << core << ": runq depth " << runqFor(core).size()
+           << ", protoQ " << protoQFor(core).size() << "\n";
+    os << "acceptQ " << acceptQ_.size() << ", nicRing "
+       << nicRing_.size() << "\n";
     for (size_t cx = 0; cx < curProc_.size(); ++cx) {
         const Process *p = curProc_[cx];
         os << "ctx" << cx << ": ";

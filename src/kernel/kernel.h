@@ -106,7 +106,9 @@ struct Process
  * shared-TLB-IPR spin in pal.cc: each acquisition advances freeAt by
  * the hold time; an acquisition arriving while the lock is held spins
  * for the remainder, charged to the acquiring process as kernel
- * spin-wait code. Only instrumented on a multicore machine.
+ * spin-wait code. Only instrumented on a multicore chip: one core
+ * never contends with itself, and the paper's uniprocessor kernel
+ * takes no locks (Kernel::lockAcquire).
  */
 struct KLock
 {
@@ -135,8 +137,7 @@ struct Connection
     int owner = -1; ///< pid after accept
     std::uint32_t reqSeq = 0; ///< echoed into response packets
     /** Cycle the netisr queued this connection for accept; read by
-     *  the oldest-first shedding policy. Not part of the KERN
-     *  snapshot bytes — it rides the optional OVLD section. */
+     *  the oldest-first shedding policy. */
     Cycle acceptedAt = 0;
 };
 
@@ -180,18 +181,15 @@ class Kernel : public OsCallbacks
         AdmitParams admit;
     };
 
-    Kernel(const Params &params, Pipeline &pipe, PhysMem &mem,
-           const KernelCode &kc);
-
     /**
-     * CMP wiring: hand the kernel every core's pipeline (in core
-     * order; pipes[0] must be the constructor's pipe). Re-sizes the
-     * per-context scheduler state to the chip total and becomes the
-     * OS callback of every pipe. Contexts are addressed by their
-     * global id (gid = core * contextsPerCore + local id) everywhere
-     * in the kernel; on one core gid == local id and nothing changes.
+     * Boot on the chip whose cores are @p pipes (in core order; every
+     * core has the same context count) above @p uncore, and become
+     * every core's OS callback. Contexts are addressed by their global
+     * id (gid = core * contextsPerCore + local id) everywhere in the
+     * kernel.
      */
-    void attachPipes(const std::vector<Pipeline *> &pipes);
+    Kernel(const Params &params, const std::vector<Pipeline *> &pipes,
+           Uncore &uncore, PhysMem &mem, const KernelCode &kc);
 
     /** Attach (or detach, with nullptr) the observability hub; the
      *  client population shares it for request-trace stamping. */
@@ -272,7 +270,7 @@ class Kernel : public OsCallbacks
     std::uint64_t contextSwitches() const { return switches_; }
     std::uint64_t tlbWraparounds() const { return wraparounds_; }
 
-    // --- SMP introspection (all zero on a single-core machine) ---
+    // --- SMP introspection (all zero on a one-core chip) ---
     int numCores() const { return static_cast<int>(pipes_.size()); }
     const KLock &connLock() const { return connLock_; }
     const KLock &mbufLock() const { return mbufLock_; }
@@ -298,7 +296,7 @@ class Kernel : public OsCallbacks
     bool startupComplete() const;
 
     // --- snapshot/restore (src/snap) ---
-    static constexpr std::uint32_t snapVersion = 1;
+    static constexpr std::uint32_t snapVersion = 2;
     void save(Snapshotter &sp, const SnapImages &images) const;
     /**
      * Overwrite all mutable kernel state from a snapshot. The kernel
@@ -308,16 +306,6 @@ class Kernel : public OsCallbacks
      * thread state and address spaces.
      */
     void load(Restorer &rs, const SnapImages &images);
-
-    /**
-     * Mutable overload state (admission RNG, TX cursor, counters,
-     * per-conn accept stamps, open-loop generator). Rides only the
-     * optional OVLD snapshot section so default artifacts never
-     * change; the caller applies setOpenLoop/setAdmission with the
-     * section's params *before* loadOverload.
-     */
-    void saveOverload(Snapshotter &sp) const;
-    void loadOverload(Restorer &rs);
 
   private:
     // boot
@@ -337,18 +325,16 @@ class Kernel : public OsCallbacks
     void nudgeIdleContext();
 
     // SMP plumbing (gid addressing, IPIs, measured locks)
-    int totalContexts() const
-    {
-        return numCores() * pipe_.numContexts();
-    }
+    int ctxPerCore() const { return pipes_.front()->numContexts(); }
+    int totalContexts() const { return numCores() * ctxPerCore(); }
     int coreOf(CtxId gid) const
     {
-        return static_cast<int>(gid) / pipe_.numContexts();
+        return static_cast<int>(gid) / ctxPerCore();
     }
     Context &ctxAt(CtxId gid)
     {
         return pipes_[static_cast<std::size_t>(coreOf(gid))]->ctx(
-            static_cast<int>(gid) % pipe_.numContexts());
+            static_cast<int>(gid) % ctxPerCore());
     }
     Pipeline &pipeOfCtx(const Context &ctx)
     {
@@ -356,25 +342,19 @@ class Kernel : public OsCallbacks
     }
     std::deque<Process *> &runqFor(int core)
     {
-        return core == 0 ? runq_
-                         : runqsN_[static_cast<std::size_t>(core - 1)];
+        return runqs_[static_cast<std::size_t>(core)];
     }
     const std::deque<Process *> &runqFor(int core) const
     {
-        return core == 0 ? runq_
-                         : runqsN_[static_cast<std::size_t>(core - 1)];
+        return runqs_[static_cast<std::size_t>(core)];
     }
     std::deque<Packet> &protoQFor(int core)
     {
-        return core == 0
-                   ? protoQ_
-                   : protoQsN_[static_cast<std::size_t>(core - 1)];
+        return protoQs_[static_cast<std::size_t>(core)];
     }
     const std::deque<Packet> &protoQFor(int core) const
     {
-        return core == 0
-                   ? protoQ_
-                   : protoQsN_[static_cast<std::size_t>(core - 1)];
+        return protoQs_[static_cast<std::size_t>(core)];
     }
     /** Ready work reachable from @p core (own queue or stealable). */
     bool runnableFor(int core) const;
@@ -424,9 +404,9 @@ class Kernel : public OsCallbacks
     friend class KernelTestPeer;
 
     Params params_;
-    Pipeline &pipe_;
-    /** All cores' pipelines in core order; pipes_[0] == &pipe_. */
+    /** All cores' pipelines in core order. */
     std::vector<Pipeline *> pipes_;
+    Uncore &uncore_;
     Probes *probes_ = nullptr;
     FaultPlan *faults_ = nullptr;
     InvariantAuditor *auditor_ = nullptr;
@@ -436,9 +416,8 @@ class Kernel : public OsCallbacks
 
     std::unique_ptr<AddrSpace> kernelSpace_;
     std::vector<std::unique_ptr<Process>> procs_;
-    std::deque<Process *> runq_;
-    /** Cores 1..N-1's run queues (core 0 keeps runq_). */
-    std::vector<std::deque<Process *>> runqsN_;
+    /** Per-core run queues. */
+    std::vector<std::deque<Process *>> runqs_;
     std::vector<Process *> idleForCtx_;
     std::vector<Process *> curProc_;
     std::vector<std::deque<Process *>> waiters_; // by WaitChan
@@ -448,9 +427,8 @@ class Kernel : public OsCallbacks
     std::vector<Connection> conns_;
     std::deque<int> acceptQ_;
     std::deque<Packet> nicRing_;
-    std::deque<Packet> protoQ_;
-    /** Cores 1..N-1's protocol queues (per-core netisr delivery). */
-    std::vector<std::deque<Packet>> protoQsN_;
+    /** Per-core protocol queues (per-core netisr delivery). */
+    std::vector<std::deque<Packet>> protoQs_;
     std::unordered_map<std::uint64_t, Frame> bufcache_;
     /** Shared text frames per image (for shareText processes). */
     std::unordered_map<const CodeImage *, std::vector<Frame>>
@@ -465,8 +443,8 @@ class Kernel : public OsCallbacks
     int nextIntrCtx_ = 0;
     Rng rng_;
 
-    // SMP state (inert on one core: every path is gated on
-    // pipes_.size() > 1, so single-core artifacts are byte-identical).
+    // SMP state (inert on one core: no lock contends, no other core
+    // receives a shootdown or has a queue to steal from).
     Cycle lastHookCycle_ = 0;
     KLock connLock_;
     KLock mbufLock_;

@@ -14,7 +14,10 @@ void
 Kernel::lockAcquire(KLock &lk, const char *name, Process *p,
                     Cycle hold)
 {
-    if (numCores() <= 1)
+    // One core never contends with itself, and the paper's
+    // uniprocessor kernel takes no locks: a one-core chip leaves every
+    // lock counter (and the spin-wait code path) untouched.
+    if (numCores() == 1)
         return;
     ++lk.acquisitions;
     const Cycle wait =
@@ -43,8 +46,7 @@ Kernel::lockAcquire(KLock &lk, const char *name, Process *p,
 void
 Kernel::raiseOn(Context &ctx, std::uint16_t vector)
 {
-    if (numCores() > 1 && ctx.interruptPending &&
-        ctx.interruptVector == VecShootdown &&
+    if (ctx.interruptPending && ctx.interruptVector == VecShootdown &&
         vector != VecShootdown && pendingShootdowns_ > 0) {
         // The overwritten IPI will never deliver as a shootdown; its
         // flush already happened synchronously, so only the ledger
@@ -58,8 +60,6 @@ Kernel::raiseOn(Context &ctx, std::uint16_t vector)
 void
 Kernel::tlbShootdown(int initiator_core)
 {
-    if (numCores() <= 1)
-        return;
     for (int gid = 0; gid < totalContexts(); ++gid) {
         if (coreOf(static_cast<CtxId>(gid)) == initiator_core)
             continue;
@@ -93,9 +93,8 @@ Kernel::enqueue(Process *p, bool front)
 {
     smtos_assert(p->state == Process::State::Ready);
     auto &rq = runqFor(p->homeCore);
-    if (numCores() > 1)
-        lockAcquire(schedLocks_[static_cast<std::size_t>(p->homeCore)],
-                    "sched", nullptr, schedLockHold);
+    lockAcquire(schedLocks_[static_cast<std::size_t>(p->homeCore)],
+                "sched", nullptr, schedLockHold);
     if (front)
         rq.push_front(p);
     else
@@ -145,11 +144,10 @@ Process *
 Kernel::pickNext(CtxId preferred)
 {
     const int core = preferred == invalidCtx ? 0 : coreOf(preferred);
-    if (numCores() > 1)
-        lockAcquire(schedLocks_[static_cast<std::size_t>(core)],
-                    "sched", nullptr, schedLockHold);
+    lockAcquire(schedLocks_[static_cast<std::size_t>(core)], "sched",
+                nullptr, schedLockHold);
     Process *p = pickFromQueue(runqFor(core), preferred);
-    if (p || numCores() == 1)
+    if (p)
         return p;
     // Work stealing: deterministic scan of the other cores' queues
     // for a ready user process (netisrs stay pinned to their home

@@ -81,9 +81,9 @@ class Cache
     /** Invalidate a single block as an explicit OS operation. */
     void invalidateBlock(Addr addr);
 
-    // --- CMP snoop interface (coherence hub; see mem/coherence.h).
+    // --- Snoop interface (coherence hub; see mem/coherence.h).
     // --- Snoops never touch statistics: coherence traffic is counted
-    // --- at the hub, so single-core artifacts stay byte-identical. ---
+    // --- at the hub. ---
     /** Snoop-invalidate a block (remote store). @return true when the
      *  invalidated copy was dirty (intervention writeback). */
     bool snoopInvalidate(Addr addr);

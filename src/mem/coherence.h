@@ -1,6 +1,6 @@
 /**
  * @file
- * Snoopy MESI coherence over the CMP's shared L2 bus seam.
+ * Snoopy MESI coherence over the chip's shared L2 bus seam.
  *
  * Each core's private L1s are kept coherent by a central hub that
  * snoops the other cores on every store (hit or miss) and every L1
@@ -9,8 +9,9 @@
  * clean (a store to an Exclusive line — no remote copy — upgrades
  * silently at zero cost, exactly MESI's E->M; a store that finds
  * remote clean copies pays the S->M upgrade broadcast). No per-line
- * state byte is added, so the Cache snapshot format is unchanged and
- * single-core artifacts stay byte-identical.
+ * state byte is added to the Cache model. On a one-core chip every
+ * snoop finds no remote core, so the hub adds no latency and counts
+ * nothing.
  *
  * Latencies are closed-form constants so the protocol is unit-testable
  * (tests/test_smp): an upgrade (invalidate remote clean sharers) adds
@@ -62,7 +63,8 @@ struct CoherenceStats
     }
 };
 
-/** The snoop hub. One per chip; attached to every core's Hierarchy. */
+/** The snoop hub. One per chip (in the Uncore); every core's
+ *  Hierarchy attaches to it. */
 class CoherenceHub
 {
   public:
@@ -72,8 +74,14 @@ class CoherenceHub
      *  writeback to the shared L2 is on the critical path). */
     static constexpr Cycle interventionLatency = 16;
 
-    /** Register a core's hierarchy, in core order. */
-    void attach(Hierarchy *h) { cores_.push_back(h); }
+    /** Register a core's hierarchy; returns its core id (the
+     *  attachment order). */
+    int
+    attach(Hierarchy *h)
+    {
+        cores_.push_back(h);
+        return numCores() - 1;
+    }
     int numCores() const { return static_cast<int>(cores_.size()); }
 
     /**

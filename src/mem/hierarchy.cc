@@ -2,23 +2,66 @@
 
 #include <algorithm>
 
-#include "mem/coherence.h"
-
 namespace smtos {
 
-Hierarchy::Hierarchy(const HierarchyParams &params)
-    : params_(params),
-      l1i_(params.l1i),
-      l1d_(params.l1d),
-      l2_(params.l2),
-      l1Mshr_("L1-MSHR", params.l1MshrEntries),
+Uncore::Uncore(const HierarchyParams &params)
+    : l2_(params.l2),
       l2Mshr_("L2-MSHR", params.l2MshrEntries),
-      storeBuffer_(params.storeBufferEntries),
       l1l2Bus_("L1-L2", params.l1l2BusBytesPerCycle,
                params.l1l2BusLatency),
       memBus_("memory", params.memBusBytesPerCycle,
               params.memBusLatency),
       memctrl_(params.dramLatency, params.dram)
+{
+}
+
+Cycle
+Uncore::fill(Addr paddr, const AccessInfo &who, bool is_write,
+             Cycle l2Done, int l1LineBytes, bool &l2Hit)
+{
+    // L2 lookup (address travels the L1-L2 bus; response carries the
+    // line back over the same bus).
+    const int line = l2_.params().lineBytes;
+    CacheOutcome l2_out = l2_.access(paddr, who, is_write);
+    l2Hit = l2_out.hit;
+    if (l2_out.hit)
+        return l1l2Bus_.transfer(l2Done, l1LineBytes);
+    MshrGrant g2 = l2Mshr_.request(paddr / static_cast<Addr>(line), l2Done);
+    Cycle l2_ready;
+    if (g2.merged) {
+        l2_ready = std::max(g2.mergedReadyAt, l2Done);
+    } else {
+        const Cycle req = memBus_.transfer(g2.startAt, 8);
+        const Cycle mem_done = memctrl_.access(paddr, who, req);
+        l2_ready = memBus_.transfer(mem_done, line);
+        l2Mshr_.complete(paddr / static_cast<Addr>(line), g2.startAt,
+                         l2_ready);
+        l2missIntegral_ += static_cast<double>(l2_ready - g2.startAt);
+        if (l2_out.dirtyEviction)
+            memBus_.transfer(l2_ready, line);
+    }
+    return l1l2Bus_.transfer(l2_ready, l1LineBytes);
+}
+
+void
+Uncore::dmaWrite(Addr paddr, int bytes)
+{
+    const int line = l2_.params().lineBytes;
+    for (Addr a = paddr; a < paddr + static_cast<Addr>(bytes);
+         a += static_cast<Addr>(line)) {
+        l2_.invalidateBlock(a);
+        hub_.dmaInvalidate(a);
+    }
+}
+
+Hierarchy::Hierarchy(const HierarchyParams &params, Uncore &uncore)
+    : params_(params),
+      uncore_(uncore),
+      coreId_(uncore.coherence().attach(this)),
+      l1i_(params.l1i),
+      l1d_(params.l1d),
+      l1Mshr_("L1-MSHR", params.l1MshrEntries),
+      storeBuffer_(params.storeBufferEntries)
 {
 }
 
@@ -28,7 +71,6 @@ Hierarchy::missPath(Cache &l1, Addr paddr, const AccessInfo &who,
 {
     MemResult res;
     const Addr block = paddr / static_cast<Addr>(l1.params().lineBytes);
-    Hierarchy &sh = shared();
 
     MshrGrant grant = l1Mshr_.request(block, now);
     if (grant.merged) {
@@ -39,41 +81,12 @@ Hierarchy::missPath(Cache &l1, Addr paddr, const AccessInfo &who,
     Cycle start = grant.startAt;
     // Snoop the other cores before the shared level answers: a remote
     // Modified copy must write back first (intervention).
-    if (hub_ && !is_write)
-        start += hub_->onReadMiss(coreId_, paddr);
+    if (!is_write)
+        start += uncore_.coherence().onReadMiss(coreId_, paddr);
 
-    // L2 lookup (address travels the L1-L2 bus; response carries the
-    // line back over the same bus).
-    const Cycle l2_done = start + params_.l2Latency;
-    CacheOutcome l2_out = sh.l2_.access(paddr, who, is_write);
-    Cycle fill_at;
-    if (l2_out.hit) {
-        res.l2Hit = true;
-        fill_at = sh.l1l2Bus_.transfer(l2_done, l1.params().lineBytes);
-    } else {
-        MshrGrant g2 = sh.l2Mshr_.request(
-            paddr / static_cast<Addr>(sh.l2_.params().lineBytes),
-            l2_done);
-        Cycle l2_ready;
-        if (g2.merged) {
-            l2_ready = std::max(g2.mergedReadyAt, l2_done);
-        } else {
-            const Cycle req = sh.memBus_.transfer(g2.startAt, 8);
-            const Cycle mem_done = sh.memctrl_.access(paddr, who, req);
-            l2_ready = sh.memBus_.transfer(mem_done,
-                                           sh.l2_.params().lineBytes);
-            sh.l2Mshr_.complete(
-                paddr / static_cast<Addr>(sh.l2_.params().lineBytes),
-                g2.startAt, l2_ready);
-            sh.l2missIntegral_ +=
-                static_cast<double>(l2_ready - g2.startAt);
-            if (l2_out.dirtyEviction)
-                sh.memBus_.transfer(l2_ready,
-                                    sh.l2_.params().lineBytes);
-        }
-        fill_at = sh.l1l2Bus_.transfer(l2_ready, l1.params().lineBytes);
-    }
-
+    const Cycle fill_at =
+        uncore_.fill(paddr, who, is_write, start + params_.l2Latency,
+                     l1.params().lineBytes, res.l2Hit);
     res.readyAt = fill_at + params_.l1FillPenalty;
     l1Mshr_.complete(block, start, res.readyAt);
     if (is_ifetch)
@@ -103,23 +116,22 @@ Hierarchy::data(Addr paddr, const AccessInfo &who, bool is_write,
         res.readyAt = std::max(now + params_.l1HitLatency, fill);
         // A store hitting a clean (Shared) line must still own it:
         // invalidate remote copies and pay the upgrade broadcast.
-        if (hub_ && is_write)
-            res.readyAt += hub_->onWrite(coreId_, paddr);
+        if (is_write)
+            res.readyAt += uncore_.coherence().onWrite(coreId_, paddr);
         return res;
     }
     if (out.dirtyEviction)
-        shared().l1l2Bus_.transfer(now, l1d_.params().lineBytes);
+        uncore_.l1l2Bus().transfer(now, l1d_.params().lineBytes);
     if (is_write) {
         // Store misses allocate without fetching the line from
         // memory (write-validate, as the Alpha's write buffers and
         // write hints achieve): the L2 is probed/allocated for tag
         // state, but no DRAM round trip or MSHR entry is consumed.
         // The store buffer hides the L2 write latency.
-        shared().l2_.access(paddr, who, true);
+        uncore_.l2().access(paddr, who, true);
         MemResult res;
-        res.readyAt = now + params_.l2Latency;
-        if (hub_)
-            res.readyAt += hub_->onWrite(coreId_, paddr);
+        res.readyAt = now + params_.l2Latency +
+                      uncore_.coherence().onWrite(coreId_, paddr);
         return res;
     }
     return missPath(l1d_, paddr, who, is_write, now, false);
@@ -153,7 +165,7 @@ Hierarchy::warmFetch(Addr paddr, const AccessInfo &who)
     if (params_.filterPrivileged && who.isKernel())
         return;
     if (!l1i_.access(paddr, who, false).hit)
-        shared().l2_.access(paddr, who, false);
+        uncore_.l2().access(paddr, who, false);
 }
 
 void
@@ -162,7 +174,7 @@ Hierarchy::warmData(Addr paddr, const AccessInfo &who, bool is_write)
     if (params_.filterPrivileged && who.isKernel())
         return;
     if (!l1d_.access(paddr, who, is_write).hit)
-        shared().l2_.access(paddr, who, is_write);
+        uncore_.l2().access(paddr, who, is_write);
 }
 
 Cycle
@@ -182,21 +194,6 @@ void
 Hierarchy::flushDcache()
 {
     l1d_.invalidateAll();
-}
-
-void
-Hierarchy::dmaWrite(Addr paddr, int bytes)
-{
-    Hierarchy &sh = shared();
-    const int line = sh.l2_.params().lineBytes;
-    for (Addr a = paddr; a < paddr + static_cast<Addr>(bytes);
-         a += static_cast<Addr>(line)) {
-        sh.l2_.invalidateBlock(a);
-        if (hub_)
-            hub_->dmaInvalidate(a);
-        else
-            l1d_.invalidateBlock(a);
-    }
 }
 
 } // namespace smtos

@@ -5,6 +5,12 @@
  * and DRAM. Timing is computed by latency composition over the shared
  * structural resources (buses, MSHRs), which captures queueing and
  * bandwidth contention without a full event queue.
+ *
+ * The hierarchy is split at the chip's L2 seam. Each core owns a
+ * Hierarchy (its L1s, L1 MSHRs, and store buffer); the chip owns one
+ * Uncore (the L2, its MSHRs, both buses, the memory controller, and
+ * the coherence hub that keeps the cores' L1s coherent). A one-core
+ * machine is the same chip with a single Hierarchy attached.
  */
 
 #ifndef SMTOS_MEM_HIERARCHY_H
@@ -16,6 +22,7 @@
 #include "common/types.h"
 #include "mem/bus.h"
 #include "mem/cache.h"
+#include "mem/coherence.h"
 #include "mem/dram.h"
 #include "mem/memctrl.h"
 #include "mem/mshr.h"
@@ -23,8 +30,6 @@
 #include "snap/fwd.h"
 
 namespace smtos {
-
-class CoherenceHub;
 
 /** All memory-system parameters (Table 1 defaults). */
 struct HierarchyParams
@@ -61,11 +66,66 @@ struct MemResult
     Cycle readyAt = 0;
 };
 
-/** The composed memory system. */
+/** The chip's shared memory side, below every core's L1s. */
+class Uncore
+{
+  public:
+    explicit Uncore(const HierarchyParams &params);
+    /** Every core's Hierarchy and the kernel hold its address. */
+    Uncore(const Uncore &) = delete;
+    Uncore &operator=(const Uncore &) = delete;
+
+    /**
+     * Serve an L1 miss whose L2 lookup completes at @p l2Done: an L2
+     * hit returns the line over the L1-L2 bus; a miss goes through the
+     * L2 MSHRs, the memory bus and the memory controller first.
+     * Returns the cycle the line reaches the L1 (@p l1LineBytes wide).
+     */
+    Cycle fill(Addr paddr, const AccessInfo &who, bool is_write,
+               Cycle l2Done, int l1LineBytes, bool &l2Hit);
+
+    /** DMA write into memory (disk reads): invalidates the stale L2
+     *  copy and every core's L1D copy. */
+    void dmaWrite(Addr paddr, int bytes);
+
+    Cache &l2() { return l2_; }
+    const Cache &l2() const { return l2_; }
+    MshrFile &l2Mshr() { return l2Mshr_; }
+    const MshrFile &l2Mshr() const { return l2Mshr_; }
+    Bus &l1l2Bus() { return l1l2Bus_; }
+    Dram &dram() { return memctrl_.flat(); }
+    MemCtrl &memctrl() { return memctrl_; }
+    const MemCtrl &memctrl() const { return memctrl_; }
+    CoherenceHub &coherence() { return hub_; }
+    const CoherenceHub &coherence() const { return hub_; }
+
+    /** L2 miss occupancy integral for Table 6 reporting. */
+    double l2missIntegral() const { return l2missIntegral_; }
+
+    static constexpr std::uint32_t snapVersion = 1;
+    void save(Snapshotter &sp) const;
+    void load(Restorer &rs);
+
+  private:
+    Cache l2_;
+    MshrFile l2Mshr_;
+    Bus l1l2Bus_;
+    Bus memBus_;
+    MemCtrl memctrl_;
+    CoherenceHub hub_;
+    double l2missIntegral_ = 0.0;
+};
+
+/** One core's private side of the memory system. */
 class Hierarchy
 {
   public:
-    explicit Hierarchy(const HierarchyParams &params);
+    /** Build the private structures and attach to @p uncore as its
+     *  next core (core ids follow attachment order). */
+    Hierarchy(const HierarchyParams &params, Uncore &uncore);
+    /** The coherence hub holds its address. */
+    Hierarchy(const Hierarchy &) = delete;
+    Hierarchy &operator=(const Hierarchy &) = delete;
 
     /** Data reference (load or store) to physical address @p paddr. */
     MemResult data(Addr paddr, const AccessInfo &who, bool is_write,
@@ -97,88 +157,39 @@ class Hierarchy
     /** OS data-cache flush. */
     void flushDcache();
 
-    /** DMA write into memory (disk reads): invalidates stale L2/L1D. */
-    void dmaWrite(Addr paddr, int bytes);
-
     Cache &l1i() { return l1i_; }
     Cache &l1d() { return l1d_; }
-    Cache &l2() { return l2_; }
     const Cache &l1i() const { return l1i_; }
     const Cache &l1d() const { return l1d_; }
-    const Cache &l2() const { return l2_; }
     MshrFile &l1Mshr() { return l1Mshr_; }
-    MshrFile &l2Mshr() { return l2Mshr_; }
     const MshrFile &l1Mshr() const { return l1Mshr_; }
-    const MshrFile &l2Mshr() const { return l2Mshr_; }
     StoreBuffer &storeBuffer() { return storeBuffer_; }
     const StoreBuffer &storeBuffer() const { return storeBuffer_; }
-    Bus &l1l2Bus() { return l1l2Bus_; }
-    Bus &memBus() { return memBus_; }
-    const Bus &memBus() const { return memBus_; }
-    Dram &dram() { return memctrl_.flat(); }
-    MemCtrl &memctrl() { return memctrl_; }
-    const MemCtrl &memctrl() const { return memctrl_; }
 
     /** Occupancy integrals split per L1 for Table 6 reporting. */
     double imissIntegral() const { return imissIntegral_; }
     double dmissIntegral() const { return dmissIntegral_; }
-    double l2missIntegral() const { return l2missIntegral_; }
 
     const HierarchyParams &params() const { return params_; }
 
-    /** Enable/disable the Table 9 privileged-reference filter. */
-    void setFilterPrivileged(bool on) { params_.filterPrivileged = on; }
-
-    /**
-     * CMP wiring: join coherence hub @p hub as core @p core, routing
-     * the shared levels (L2, its MSHRs, both buses, the memory
-     * controller) through @p l2_home (null = this hierarchy owns
-     * them). Single-core machines never call this; every multicore
-     * code path below is gated on hub_/l2Home_ being set, so the
-     * single-core timing is bit-identical.
-     */
-    void
-    setCoherence(CoherenceHub *hub, int core, Hierarchy *l2_home)
-    {
-        hub_ = hub;
-        coreId_ = core;
-        l2Home_ = l2_home;
-    }
-    CoherenceHub *coherence() const { return hub_; }
-    int coreId() const { return coreId_; }
-
-    static constexpr std::uint32_t snapVersion = 1;
+    static constexpr std::uint32_t snapVersion = 2;
     void save(Snapshotter &sp) const;
     void load(Restorer &rs);
-    /** Per-core private slice (L1s, L1 MSHRs, store buffer, the L1
-     *  occupancy integrals) for non-L2-owning cores of a CMP. */
-    void savePrivate(Snapshotter &sp) const;
-    void loadPrivate(Restorer &rs);
 
   private:
-    /** The hierarchy owning the shared L2 complex (this one unless a
-     *  CMP routed us elsewhere). */
-    Hierarchy &shared() { return l2Home_ ? *l2Home_ : *this; }
     /** Common L1-miss path; returns fill completion time. */
     MemResult missPath(Cache &l1, Addr paddr, const AccessInfo &who,
                        bool is_write, Cycle now, bool is_ifetch);
 
     HierarchyParams params_;
-    CoherenceHub *hub_ = nullptr;
-    Hierarchy *l2Home_ = nullptr;
-    int coreId_ = 0;
+    Uncore &uncore_;
+    int coreId_;
     Cache l1i_;
     Cache l1d_;
-    Cache l2_;
     MshrFile l1Mshr_;
-    MshrFile l2Mshr_;
     StoreBuffer storeBuffer_;
-    Bus l1l2Bus_;
-    Bus memBus_;
-    MemCtrl memctrl_;
     double imissIntegral_ = 0.0;
     double dmissIntegral_ = 0.0;
-    double l2missIntegral_ = 0.0;
 };
 
 } // namespace smtos

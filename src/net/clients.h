@@ -167,17 +167,9 @@ class ClientPopulation
 
     const SpecWebParams &params() const { return params_; }
 
-    static constexpr std::uint32_t snapVersion = 2;
+    static constexpr std::uint32_t snapVersion = 3;
     void save(Snapshotter &sp) const;
     void load(Restorer &rs);
-
-    /**
-     * Open-loop side state, serialized only into the optional OVLD
-     * snapshot section (the main save() bytes are part of the
-     * bit-identity contract and never change).
-     */
-    void saveOpenLoop(Snapshotter &sp) const;
-    void loadOpenLoop(Restorer &rs);
 
   private:
     struct Client
@@ -185,8 +177,7 @@ class ClientPopulation
         // Draining: a slow client whose response the server finished
         // sending but which the client consumes at a bounded rate;
         // the request completes (and samples latency) at drainDoneAt.
-        // Only reachable in open-loop mode, so closed-loop snapshot
-        // bytes never see the new enumerator.
+        // Only reachable in open-loop mode.
         enum class State { Thinking, Waiting, Draining }
             state = State::Thinking;
         Cycle nextRequestAt = 0;
@@ -197,7 +188,7 @@ class ClientPopulation
         Cycle timeoutAt = 0;
         int retries = 0;
         std::uint32_t reqSeq = 0;
-        // Open-loop state (OVLD section only).
+        // Open-loop state.
         bool slow = false;
         Cycle drainDoneAt = 0;
     };

@@ -32,9 +32,9 @@
  * Producers reach the tracer only through the Probes hub: one
  * predictable branch per site when tracing is off, and the tracer
  * never mutates simulation state, so traced runs are bit-identical
- * to untraced ones. Tracer state round-trips through SMTOSNP1 (an
- * optional trailing RQTR section) so resumed sweeps trace cleanly
- * across the snapshot boundary.
+ * to untraced ones. Tracer state round-trips through the snapshot
+ * artifact (an optional trailing RQTR section) so resumed sweeps
+ * trace cleanly across the snapshot boundary.
  */
 
 #ifndef SMTOS_OBS_REQTRACE_H

@@ -68,9 +68,9 @@ ObsSession::attach(System &sys)
     smtos_assert(!attached_);
     attached_ = true;
     const CoreParams &p = sys.config().core;
-    // Per-context sink state is indexed by global context id, so a
-    // CMP sizes it chip-wide (cores = 1 keeps today's extent).
-    const int nctx = p.numContexts * sys.config().cores;
+    // Per-context sink state is indexed by global context id, so it
+    // is sized chip-wide.
+    const int nctx = p.numContexts * sys.numCores();
     if (profiler_)
         profiler_->configure(p.fetchWidth, p.intUnits + p.fpUnits,
                              nctx);

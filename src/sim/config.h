@@ -21,9 +21,8 @@ struct MachineConfig
     CoreParams core;
     HierarchyParams mem;
     Kernel::Params kernel;
-    /** CMP width: number of SMT cores sharing the L2 (1 = the
-     *  paper's single-core machine, timing-identical to before the
-     *  CMP existed). */
+    /** Chip width: number of SMT cores sharing the L2 (1 = the
+     *  paper's machine). */
     int cores = 1;
 };
 

@@ -170,11 +170,12 @@ writeJsonFields(std::ostream &os, const MetricsSnapshot &d)
            << ",\"functional_cycles\":" << d.fidelity.funcCycles
            << ",\"switches\":" << d.fidelity.switches << "}";
     }
-    // CMP export: a per-core-indexed array of the private-structure
-    // counters plus machine-level SMP aggregates (locks, stealing,
-    // shootdowns, coherence). Both appear only for cores > 1, so
-    // single-core JSON stays byte-identical.
-    if (!d.cores.empty()) {
+    // Multicore export: a per-core-indexed array of the private-
+    // structure counters plus machine-level SMP aggregates (locks,
+    // stealing, shootdowns, coherence). On one core both would only
+    // repeat the top-level counters and zeros, so the one-core JSON
+    // keeps the paper machine's key set.
+    if (d.cores.size() > 1) {
         os << ",\"cores\":[";
         for (std::size_t c = 0; c < d.cores.size(); ++c) {
             const CoreSlice &s = d.cores[c];
@@ -193,8 +194,6 @@ writeJsonFields(std::ostream &os, const MetricsSnapshot &d)
             os << "}";
         }
         os << "]";
-    }
-    if (d.smp.enabled) {
         auto lock = [&os](const char *name, const LockStats &l) {
             os << ",\"" << name
                << "\":{\"acquisitions\":" << l.acquisitions

@@ -176,25 +176,45 @@ MetricsSnapshot
 MetricsSnapshot::capture(System &sys)
 {
     MetricsSnapshot s;
-    Pipeline &p = sys.pipeline();
-    s.core = p.stats();
-    s.btb = p.btb().stats();
-    s.btbWrongTarget = p.btb().wrongTargetHits();
-    s.l1i = sys.hierarchy().l1i().stats();
-    s.l1d = sys.hierarchy().l1d().stats();
-    s.l2 = sys.hierarchy().l2().stats();
-    s.itlb = p.itlb().stats();
-    s.dtlb = p.dtlb().stats();
-    s.imissIntegral = sys.hierarchy().imissIntegral();
-    s.dmissIntegral = sys.hierarchy().dmissIntegral();
-    s.l2missIntegral = sys.hierarchy().l2missIntegral();
-    s.mmEntries = sys.kernel().mmEntries().all();
-    s.syscalls = sys.kernel().syscallEntries().all();
-    s.requestsServed = sys.kernel().requestsServed();
-    s.contextSwitches = sys.kernel().contextSwitches();
-    s.faults = sys.kernel().faultCounters();
-    s.dram = sys.hierarchy().memctrl().stats();
-    if (sys.kernel().params().enableNetwork) {
+    const Kernel &k = sys.kernel();
+    // Per-core slices of the private structures; the top-level fields
+    // are their machine-wide aggregates.
+    for (int c = 0; c < sys.numCores(); ++c) {
+        Pipeline &p = sys.pipeline(c);
+        const Hierarchy &h = sys.hierarchy(c);
+        CoreSlice slice;
+        slice.core = p.stats();
+        slice.btb = p.btb().stats();
+        slice.btbWrongTarget = p.btb().wrongTargetHits();
+        slice.l1i = h.l1i().stats();
+        slice.l1d = h.l1d().stats();
+        slice.itlb = p.itlb().stats();
+        slice.dtlb = p.dtlb().stats();
+        slice.lockSpinCycles = k.lockSpinCycles(c);
+        addCore(s.core, slice.core);
+        addInterference(s.btb, slice.btb);
+        addInterference(s.l1i, slice.l1i);
+        addInterference(s.l1d, slice.l1d);
+        addInterference(s.itlb, slice.itlb);
+        addInterference(s.dtlb, slice.dtlb);
+        s.btbWrongTarget += slice.btbWrongTarget;
+        s.imissIntegral += h.imissIntegral();
+        s.dmissIntegral += h.dmissIntegral();
+        s.fidelity.funcInstrs += p.funcInstrs();
+        s.fidelity.funcCycles += p.funcCycles();
+        s.fidelity.switches += p.fidelitySwitches();
+        s.cores.push_back(std::move(slice));
+    }
+    const Uncore &u = sys.uncore();
+    s.l2 = u.l2().stats();
+    s.l2missIntegral = u.l2missIntegral();
+    s.dram = u.memctrl().stats();
+    s.mmEntries = k.mmEntries().all();
+    s.syscalls = k.syscallEntries().all();
+    s.requestsServed = k.requestsServed();
+    s.contextSwitches = k.contextSwitches();
+    s.faults = k.faultCounters();
+    if (k.params().enableNetwork) {
         const ClientPopulation &cl = sys.kernel().clients();
         s.latency = LatencySummary::of(cl.latency());
         s.retriedLatency = LatencySummary::of(cl.retriedLatency());
@@ -203,62 +223,21 @@ MetricsSnapshot::capture(System &sys)
         s.reqtrace = sys.probes()->reqtrace()->stats();
         s.reqtrace.enabled = 1;
     }
-    s.overload = sys.kernel().overloadStats();
-    s.fidelity.funcInstrs = p.funcInstrs();
-    s.fidelity.funcCycles = p.funcCycles();
-    s.fidelity.switches = p.fidelitySwitches();
+    s.overload = k.overloadStats();
 
-    // CMP capture: per-core slices of the private structures, with
-    // the top-level fields re-aggregated machine-wide. cores = 1
-    // keeps the historical single-core capture exactly.
-    if (sys.numCores() > 1) {
-        const Kernel &k = sys.kernel();
-        for (int c = 0; c < sys.numCores(); ++c) {
-            Pipeline &pc = sys.pipeline(c);
-            CoreSlice slice;
-            slice.core = pc.stats();
-            slice.btb = pc.btb().stats();
-            slice.btbWrongTarget = pc.btb().wrongTargetHits();
-            slice.l1i = sys.hierarchy(c).l1i().stats();
-            slice.l1d = sys.hierarchy(c).l1d().stats();
-            slice.itlb = pc.itlb().stats();
-            slice.dtlb = pc.dtlb().stats();
-            slice.lockSpinCycles = k.lockSpinCycles(c);
-            s.cores.push_back(slice);
-        }
-        s.core = CoreStats{};
-        s.btb = s.l1i = s.l1d = s.itlb = s.dtlb = InterferenceStats{};
-        s.btbWrongTarget = 0;
-        s.imissIntegral = s.dmissIntegral = 0.0;
-        for (int c = 0; c < sys.numCores(); ++c) {
-            const CoreSlice &slice =
-                s.cores[static_cast<std::size_t>(c)];
-            addCore(s.core, slice.core);
-            addInterference(s.btb, slice.btb);
-            addInterference(s.l1i, slice.l1i);
-            addInterference(s.l1d, slice.l1d);
-            addInterference(s.itlb, slice.itlb);
-            addInterference(s.dtlb, slice.dtlb);
-            s.btbWrongTarget += slice.btbWrongTarget;
-            s.imissIntegral += sys.hierarchy(c).imissIntegral();
-            s.dmissIntegral += sys.hierarchy(c).dmissIntegral();
-        }
-        s.smp.enabled = 1;
-        s.smp.connLock = lockStatsOf(k.connLock());
-        s.smp.mbufLock = lockStatsOf(k.mbufLock());
-        for (const KLock &sl : k.schedLocks()) {
-            const LockStats ls = lockStatsOf(sl);
-            s.smp.schedLock.acquisitions += ls.acquisitions;
-            s.smp.schedLock.contended += ls.contended;
-            s.smp.schedLock.spinCycles += ls.spinCycles;
-            s.smp.schedLock.holdCycles += ls.holdCycles;
-        }
-        s.smp.workSteals = k.workSteals();
-        s.smp.shootdownIpis = k.shootdownIpis();
-        s.smp.shootdownsDelivered = k.shootdownsDelivered();
-        if (sys.coherence())
-            s.smp.coherence = sys.coherence()->stats();
+    s.smp.connLock = lockStatsOf(k.connLock());
+    s.smp.mbufLock = lockStatsOf(k.mbufLock());
+    for (const KLock &sl : k.schedLocks()) {
+        const LockStats ls = lockStatsOf(sl);
+        s.smp.schedLock.acquisitions += ls.acquisitions;
+        s.smp.schedLock.contended += ls.contended;
+        s.smp.schedLock.spinCycles += ls.spinCycles;
+        s.smp.schedLock.holdCycles += ls.holdCycles;
     }
+    s.smp.workSteals = k.workSteals();
+    s.smp.shootdownIpis = k.shootdownIpis();
+    s.smp.shootdownsDelivered = k.shootdownsDelivered();
+    s.smp.coherence = u.coherence().stats();
     return s;
 }
 

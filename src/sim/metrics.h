@@ -67,10 +67,9 @@ struct LockStats
     LockStats delta(const LockStats &e) const;
 };
 
-/** SMP machine-level counters (enabled marks cores > 1). */
+/** SMP machine-level counters (all zero on a one-core chip). */
 struct SmpStats
 {
-    int enabled = 0;
     LockStats connLock;
     LockStats mbufLock;
     LockStats schedLock; ///< summed over the per-core run-queue locks
@@ -82,7 +81,7 @@ struct SmpStats
     SmpStats delta(const SmpStats &e) const;
 };
 
-/** One core's slice of a CMP capture (private structures only; the
+/** One core's slice of a capture (private structures only; the
  *  shared L2/DRAM stay machine-level). */
 struct CoreSlice
 {
@@ -96,11 +95,10 @@ struct CoreSlice
 /**
  * Point-in-time copy of every counter the paper's tables need.
  *
- * On a CMP (cores > 1) the top-level core/btb/L1/TLB fields are the
- * machine-level aggregates (counters summed across cores; cycles is
- * the chip cycle, not the sum) and @c cores holds the per-core
- * slices. At cores = 1 the capture is exactly the historical
- * single-core one and @c cores stays empty.
+ * The top-level core/btb/L1/TLB fields are the machine-level
+ * aggregates of the per-core slices in @c cores (counters summed
+ * across cores; cycles is the chip cycle, not the sum). On the
+ * one-core chip the aggregate is that core's own counters.
  */
 struct MetricsSnapshot
 {
@@ -128,9 +126,9 @@ struct MetricsSnapshot
     /** Functional-fidelity counters (enabled() marks the functional
      *  engine actually ran; exports stay byte-identical otherwise). */
     FidelityStats fidelity;
-    /** Per-core slices (cores > 1 only; empty on the single core). */
+    /** Per-core slices, in core order. */
     std::vector<CoreSlice> cores;
-    /** SMP counters (smp.enabled marks a CMP capture). */
+    /** SMP counters (locks, stealing, shootdowns, coherence). */
     SmpStats smp;
 
     static MetricsSnapshot capture(System &sys);

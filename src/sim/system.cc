@@ -1,137 +1,56 @@
 #include "sim/system.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
-
 namespace smtos {
 
 System::System(const MachineConfig &cfg)
     : cfg_(cfg),
       mem_(128ull * 1024 * 1024, reservedPhysBytes),
       kc_(buildKernelImage(cfg.kernel.seed ^ 0xfeedull)),
-      hier_(cfg.mem)
+      uncore_(cfg.mem)
 {
-    pipe_ = std::make_unique<Pipeline>(cfg.core, hier_, &kc_->image);
-    pipes_.push_back(pipe_.get());
-    if (cfg.cores > 1) {
-        hub_ = std::make_unique<CoherenceHub>();
-        hier_.setCoherence(hub_.get(), 0, nullptr);
-        hub_->attach(&hier_);
-        for (int c = 1; c < cfg.cores; ++c) {
-            hiersN_.push_back(std::make_unique<Hierarchy>(cfg.mem));
-            Hierarchy *h = hiersN_.back().get();
-            h->setCoherence(hub_.get(), c, &hier_);
-            hub_->attach(h);
-            pipesN_.push_back(
-                std::make_unique<Pipeline>(cfg.core, *h, &kc_->image));
-            pipes_.push_back(pipesN_.back().get());
-        }
+    for (int c = 0; c < cfg.cores; ++c) {
+        hiers_.push_back(std::make_unique<Hierarchy>(cfg.mem, uncore_));
+        cores_.push_back(std::make_unique<Pipeline>(
+            cfg.core, *hiers_.back(), &kc_->image));
+        Pipeline &p = *cores_.back();
+        p.setCoreId(c, c * cfg.core.numContexts);
         // Every core draws uop sequence numbers from one chip-wide
         // counter so cosim's per-thread ordering survives migration.
-        for (int c = 0; c < cfg.cores; ++c) {
-            pipes_[static_cast<std::size_t>(c)]->setCoreId(
-                c, c * cfg.core.numContexts);
-            pipes_[static_cast<std::size_t>(c)]->setSharedSeq(
-                &chipSeq_);
-        }
+        p.setSharedSeq(&chipSeq_);
+        p.setAppOnlyTlb(cfg.kernel.appOnly);
+        pipes_.push_back(&p);
     }
-    kernel_ = std::make_unique<Kernel>(cfg.kernel, *pipe_, mem_, *kc_);
-    if (cfg.cores > 1)
-        kernel_->attachPipes(pipes_);
-    if (cfg.kernel.appOnly)
-        for (Pipeline *p : pipes_)
-            p->setAppOnlyTlb(true);
+    kernel_ = std::make_unique<Kernel>(cfg.kernel, pipes_, uncore_, mem_,
+                                       *kc_);
 }
 
 void
 System::attachProbes(Probes *p)
 {
     probes_ = p;
-    for (std::size_t c = 0; c < pipes_.size(); ++c) {
-        Pipeline *pipe = pipes_[c];
-        pipe->setProbes(p);
-        pipe->itlb().setProbes(p);
-        pipe->dtlb().setProbes(p);
-        Hierarchy &h = hierarchy(static_cast<int>(c));
-        h.l1i().setProbes(p);
-        h.l1d().setProbes(p);
-        if (c == 0) {
-            // Shared-level structures live in core 0's hierarchy.
-            h.l2().setProbes(p);
-            h.memctrl().setProbes(p);
-        }
+    for (int c = 0; c < numCores(); ++c) {
+        Pipeline &pipe = pipeline(c);
+        pipe.setProbes(p);
+        pipe.itlb().setProbes(p);
+        pipe.dtlb().setProbes(p);
+        hierarchy(c).l1i().setProbes(p);
+        hierarchy(c).l1d().setProbes(p);
     }
+    uncore_.l2().setProbes(p);
+    uncore_.memctrl().setProbes(p);
     kernel_->setProbes(p);
-}
-
-std::uint64_t
-System::chipRetired() const
-{
-    std::uint64_t total = 0;
-    for (const Pipeline *p : pipes_)
-        total += p->stats().totalRetired();
-    return total;
-}
-
-void
-System::chipFastForward(Cycle limit)
-{
-    for (Pipeline *p : pipes_)
-        if (!p->fastForwardEnabled() || !p->quiescentNow())
-            return;
-    Cycle h = ~Cycle{0};
-    for (Pipeline *p : pipes_)
-        h = std::min(h, p->eventHorizon());
-    if (h > limit)
-        h = limit;
-    if (h <= pipe_->now() + 1)
-        return;
-    const Cycle k = h - pipe_->now() - 1;
-    for (Pipeline *p : pipes_)
-        p->skipIdle(k);
 }
 
 void
 System::run(std::uint64_t n)
 {
-    if (pipes_.size() == 1) {
-        pipe_->runInstrs(n);
-        return;
-    }
-    const std::uint64_t target = chipRetired() + n;
-    std::uint64_t last = chipRetired();
-    Cycle last_progress = pipe_->now();
-    while (chipRetired() < target) {
-        // Clamp at the no-progress panic boundary so a wedged chip
-        // aborts at the same cycle as the ticked loop.
-        chipFastForward(last_progress + 200001);
-        for (Pipeline *p : pipes_)
-            p->cycle();
-        if (chipRetired() != last) {
-            last = chipRetired();
-            last_progress = pipe_->now();
-        } else if (pipe_->now() - last_progress > 200000) {
-            smtos_panic("chip made no progress for 200k cycles "
-                        "(cycle %llu)",
-                        static_cast<unsigned long long>(pipe_->now()));
-        }
-    }
+    Pipeline::stepInstrs(pipes_, n);
 }
 
 void
 System::runCycles(Cycle n)
 {
-    if (pipes_.size() == 1) {
-        pipe_->runCycles(n);
-        return;
-    }
-    const Cycle end = pipe_->now() + n;
-    while (pipe_->now() < end) {
-        chipFastForward(end);
-        for (Pipeline *p : pipes_)
-            p->cycle();
-    }
+    Pipeline::stepCycles(pipes_, n);
 }
 
 } // namespace smtos

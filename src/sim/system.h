@@ -1,8 +1,13 @@
 /**
  * @file
- * The full-system simulator facade: physical memory, the memory
- * hierarchy, the SMT core, the kernel image, and the MiniOS model,
- * wired together. This is the role SimOS-Alpha plays in the paper.
+ * The full-system simulator facade: physical memory, the chip, the
+ * kernel image, and the MiniOS model, wired together. This is the
+ * role SimOS-Alpha plays in the paper.
+ *
+ * The chip is the same at every width: a vector of cores, each a
+ * Pipeline plus its private Hierarchy (L1s, L1 MSHRs, store buffer),
+ * and one Uncore (L2, L2 MSHRs, buses, memory controller, coherence
+ * hub) below them. The paper's single-core machine is the N = 1 chip.
  */
 
 #ifndef SMTOS_SIM_SYSTEM_H
@@ -13,7 +18,7 @@
 
 #include "core/pipeline.h"
 #include "kernel/kernel.h"
-#include "mem/coherence.h"
+#include "mem/hierarchy.h"
 #include "sim/config.h"
 
 namespace smtos {
@@ -27,9 +32,10 @@ class System
     explicit System(const MachineConfig &cfg);
 
     /**
-     * Wire the observability hub into every producer: the pipeline,
-     * both TLBs, the caches, and the kernel. Pass nullptr to detach
-     * (probe sites revert to a single not-taken branch).
+     * Wire the observability hub into every producer: each core's
+     * pipeline, TLBs and L1s, the uncore's L2 and memory controller,
+     * and the kernel. Pass nullptr to detach (probe sites revert to a
+     * single not-taken branch).
      */
     void attachProbes(Probes *p);
 
@@ -46,54 +52,43 @@ class System
     void start() { kernel_->start(); }
 
     /**
-     * Run until @p n more instructions retire (chip-wide total on a
-     * CMP). On one core this delegates to the pipeline's own loop;
-     * on several, the cores step in lockstep one chip cycle at a
-     * time, fast-forwarding only when every core is quiescent.
+     * Run until @p n more instructions retire chip-wide. The cores
+     * step in lockstep one chip cycle at a time, fast-forwarding only
+     * when every core is quiescent (Pipeline::stepInstrs).
      */
     void run(std::uint64_t n);
 
-    /** Run for @p n cycles. */
+    /** Run for @p n chip cycles. */
     void runCycles(Cycle n);
 
-    Pipeline &pipeline() { return *pipe_; }
-    Pipeline &pipeline(int core)
+    Pipeline &pipeline(int core = 0)
     {
         return *pipes_[static_cast<std::size_t>(core)];
     }
-    Kernel &kernel() { return *kernel_; }
-    Hierarchy &hierarchy() { return hier_; }
-    Hierarchy &hierarchy(int core)
+    Hierarchy &hierarchy(int core = 0)
     {
-        return core == 0
-                   ? hier_
-                   : *hiersN_[static_cast<std::size_t>(core - 1)];
+        return *hiers_[static_cast<std::size_t>(core)];
     }
+    Uncore &uncore() { return uncore_; }
+    Kernel &kernel() { return *kernel_; }
     PhysMem &physMem() { return mem_; }
     const KernelCode &kernelCode() const { return *kc_; }
     const MachineConfig &config() const { return cfg_; }
 
     int numCores() const { return static_cast<int>(pipes_.size()); }
+    /** Every core's pipeline, in core order. */
     const std::vector<Pipeline *> &pipes() { return pipes_; }
-    /** The chip's snoop hub (null on a single-core machine). */
-    CoherenceHub *coherence() { return hub_.get(); }
 
   private:
-    /** Chip-wide retired-instruction count. */
-    std::uint64_t chipRetired() const;
-    /** Skip to the next chip event if every core is quiescent. */
-    void chipFastForward(Cycle limit);
-
     MachineConfig cfg_;
     Probes *probes_ = nullptr;
     PhysMem mem_;
     std::unique_ptr<KernelCode> kc_;
-    Hierarchy hier_;
-    std::unique_ptr<Pipeline> pipe_;
-    std::unique_ptr<CoherenceHub> hub_;
-    std::vector<std::unique_ptr<Hierarchy>> hiersN_;
-    std::vector<std::unique_ptr<Pipeline>> pipesN_;
-    /** All cores in order; pipes_[0] == pipe_.get(). */
+    Uncore uncore_;
+    std::vector<std::unique_ptr<Hierarchy>> hiers_;
+    std::vector<std::unique_ptr<Pipeline>> cores_;
+    /** cores_ as raw pointers: the kernel, cosim and the stepping
+     *  loop all take the chip as a Pipeline list. */
     std::vector<Pipeline *> pipes_;
     /** Chip-wide uop sequence counter shared by every core's
      *  cosim-observation stream (matches Pipeline's initial seq). */

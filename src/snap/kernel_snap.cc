@@ -1,9 +1,10 @@
 /**
  * @file
  * Kernel snapshot/restore: scheduler and process state, per-thread
- * architected state and address spaces, the socket/connection layer,
- * device timing, the buffer cache, and the attached network + client
- * population.
+ * architected state and address spaces, the per-core run and protocol
+ * queues, the socket/connection layer, device timing, the buffer
+ * cache, the attached network + client population, the SMP lock and
+ * shootdown ledgers, and the overload (admission/mbuf) state.
  *
  * Restore contract: the kernel was freshly booted with the identical
  * deterministic configuration (same Params, same createProcess calls
@@ -108,6 +109,7 @@ connOut(Snapshotter &sp, const Connection &c)
     sp.u64(c.mbuf);
     sp.i32(c.owner);
     sp.u32(c.reqSeq);
+    sp.u64(c.acceptedAt);
 }
 
 void
@@ -121,6 +123,27 @@ connIn(Restorer &rs, Connection &c)
     c.mbuf = rs.u64();
     c.owner = rs.i32();
     c.reqSeq = rs.u32();
+    c.acceptedAt = rs.u64();
+}
+
+void
+lockOut(Snapshotter &sp, const KLock &l)
+{
+    sp.u64(l.freeAt);
+    sp.u64(l.acquisitions);
+    sp.u64(l.contended);
+    sp.u64(l.spinCycles);
+    sp.u64(l.holdCycles);
+}
+
+void
+lockIn(Restorer &rs, KLock &l)
+{
+    l.freeAt = rs.u64();
+    l.acquisitions = rs.u64();
+    l.contended = rs.u64();
+    l.spinCycles = rs.u64();
+    l.holdCycles = rs.u64();
 }
 
 std::uint32_t
@@ -181,6 +204,7 @@ Kernel::save(Snapshotter &sp, const SnapImages &images) const
         sp.u32(p.filePage);
         sp.u32(p.lastChunk);
         sp.u64(p.requestsServed);
+        sp.i32(p.homeCore);
         pktOut(sp, p.txPacket);
         threadStateOut(sp, p.ts);
         sp.b(p.space != nullptr);
@@ -192,9 +216,11 @@ Kernel::save(Snapshotter &sp, const SnapImages &images) const
     auto pidOf = [](const Process *p) {
         return p ? p->pid : -1;
     };
-    sp.u64(runq_.size());
-    for (const Process *p : runq_)
-        sp.i32(pidOf(p));
+    for (const auto &rq : runqs_) {
+        sp.u64(rq.size());
+        for (const Process *p : rq)
+            sp.i32(pidOf(p));
+    }
     sp.u64(curProc_.size());
     for (const Process *p : curProc_)
         sp.i32(pidOf(p));
@@ -218,9 +244,11 @@ Kernel::save(Snapshotter &sp, const SnapImages &images) const
     sp.u64(nicRing_.size());
     for (const Packet &p : nicRing_)
         pktOut(sp, p);
-    sp.u64(protoQ_.size());
-    for (const Packet &p : protoQ_)
-        pktOut(sp, p);
+    for (const auto &pq : protoQs_) {
+        sp.u64(pq.size());
+        for (const Packet &p : pq)
+            pktOut(sp, p);
+    }
 
     // Buffer cache, sorted for deterministic artifact bytes.
     {
@@ -257,41 +285,29 @@ Kernel::save(Snapshotter &sp, const SnapImages &images) const
     if (clients_)
         clients_->save(sp);
 
-    // SMP appendix: only a multicore kernel writes it, so cores = 1
-    // KERN bytes — the bit-identity contract — never change. Sizes
-    // are structural (set by attachPipes on the identical rebuild).
-    if (numCores() > 1) {
-        for (const auto &rq : runqsN_) {
-            sp.u64(rq.size());
-            for (const Process *p : rq)
-                sp.i32(pidOf(p));
-        }
-        for (const auto &pq : protoQsN_) {
-            sp.u64(pq.size());
-            for (const Packet &p : pq)
-                pktOut(sp, p);
-        }
-        for (const auto &up : procs_)
-            sp.i32(up->homeCore);
-        auto lockOut = [&sp](const KLock &l) {
-            sp.u64(l.freeAt);
-            sp.u64(l.acquisitions);
-            sp.u64(l.contended);
-            sp.u64(l.spinCycles);
-            sp.u64(l.holdCycles);
-        };
-        lockOut(connLock_);
-        lockOut(mbufLock_);
-        for (const KLock &l : schedLocks_)
-            lockOut(l);
-        for (const std::uint64_t v : lockSpinByCore_)
-            sp.u64(v);
-        sp.u64(steals_);
-        sp.u64(shootdownIpis_);
-        sp.u64(shootdownsDelivered_);
-        sp.u64(pendingShootdowns_);
-        sp.u64(lastHookCycle_);
-    }
+    // SMP locks and ledgers (per-core sizes are structural: the
+    // identical rebuild allocates the same number of cores).
+    lockOut(sp, connLock_);
+    lockOut(sp, mbufLock_);
+    for (const KLock &l : schedLocks_)
+        lockOut(sp, l);
+    for (const std::uint64_t v : lockSpinByCore_)
+        sp.u64(v);
+    sp.u64(steals_);
+    sp.u64(shootdownIpis_);
+    sp.u64(shootdownsDelivered_);
+    sp.u64(pendingShootdowns_);
+    sp.u64(lastHookCycle_);
+
+    // Overload protection. The RX unit map is derived state: load()
+    // rebuilds it from the restored connections and protocol queues.
+    sp.u64(admit_ ? admit_->rngRawState() : 0);
+    sp.u64(mbufTxCursor_);
+    sp.u64(admitDropTail_);
+    sp.u64(admitRedDrops_);
+    sp.u64(admitShed_);
+    sp.u64(mbufExhausted_);
+    sp.u64(mbufTxWraps_);
 }
 
 void
@@ -338,6 +354,7 @@ Kernel::load(Restorer &rs, const SnapImages &images)
         p.filePage = rs.u32();
         p.lastChunk = rs.u32();
         p.requestsServed = rs.u64();
+        p.homeCore = rs.i32();
         p.txPacket = pktIn(rs);
         threadStateIn(rs, p.ts);
         const bool hasSpace = rs.b();
@@ -352,9 +369,11 @@ Kernel::load(Restorer &rs, const SnapImages &images)
         smtos_assert(pid < static_cast<int>(procs_.size()));
         return procs_[static_cast<std::size_t>(pid)].get();
     };
-    runq_.clear();
-    for (std::uint64_t n = rs.u64(); n > 0; --n)
-        runq_.push_back(byPid(rs.i32()));
+    for (auto &rq : runqs_) {
+        rq.clear();
+        for (std::uint64_t n = rs.u64(); n > 0; --n)
+            rq.push_back(byPid(rs.i32()));
+    }
     smtos_assert(rs.u64() == curProc_.size());
     for (Process *&p : curProc_)
         p = byPid(rs.i32());
@@ -377,9 +396,11 @@ Kernel::load(Restorer &rs, const SnapImages &images)
     nicRing_.clear();
     for (std::uint64_t n = rs.u64(); n > 0; --n)
         nicRing_.push_back(pktIn(rs));
-    protoQ_.clear();
-    for (std::uint64_t n = rs.u64(); n > 0; --n)
-        protoQ_.push_back(pktIn(rs));
+    for (auto &pq : protoQs_) {
+        pq.clear();
+        for (std::uint64_t n = rs.u64(); n > 0; --n)
+            pq.push_back(pktIn(rs));
+    }
 
     bufcache_.clear();
     for (std::uint64_t n = rs.u64(); n > 0; --n) {
@@ -402,67 +423,20 @@ Kernel::load(Restorer &rs, const SnapImages &images)
     if (clients_)
         clients_->load(rs);
 
-    if (numCores() > 1) {
-        for (auto &rq : runqsN_) {
-            rq.clear();
-            for (std::uint64_t n = rs.u64(); n > 0; --n)
-                rq.push_back(byPid(rs.i32()));
-        }
-        for (auto &pq : protoQsN_) {
-            pq.clear();
-            for (std::uint64_t n = rs.u64(); n > 0; --n)
-                pq.push_back(pktIn(rs));
-        }
-        for (auto &up : procs_)
-            up->homeCore = rs.i32();
-        auto lockIn = [&rs](KLock &l) {
-            l.freeAt = rs.u64();
-            l.acquisitions = rs.u64();
-            l.contended = rs.u64();
-            l.spinCycles = rs.u64();
-            l.holdCycles = rs.u64();
-        };
-        lockIn(connLock_);
-        lockIn(mbufLock_);
-        for (KLock &l : schedLocks_)
-            lockIn(l);
-        for (std::uint64_t &v : lockSpinByCore_)
-            v = rs.u64();
-        steals_ = rs.u64();
-        shootdownIpis_ = rs.u64();
-        shootdownsDelivered_ = rs.u64();
-        pendingShootdowns_ = rs.u64();
-        lastHookCycle_ = rs.u64();
-    }
-}
+    lockIn(rs, connLock_);
+    lockIn(rs, mbufLock_);
+    for (KLock &l : schedLocks_)
+        lockIn(rs, l);
+    for (std::uint64_t &v : lockSpinByCore_)
+        v = rs.u64();
+    steals_ = rs.u64();
+    shootdownIpis_ = rs.u64();
+    shootdownsDelivered_ = rs.u64();
+    pendingShootdowns_ = rs.u64();
+    lastHookCycle_ = rs.u64();
 
-// Overload state rides only the optional trailing OVLD section, so
-// the KERN bytes above — the default-run bit-identity contract —
-// never change. The caller re-applies the section's OpenLoopParams/
-// AdmitParams via setOpenLoop/setAdmission before loadOverload; the
-// RX unit map is not serialized because setAdmission reconstructs it
-// from the already-restored connections and protocol queue.
-void
-Kernel::saveOverload(Snapshotter &sp) const
-{
-    sp.u64(admit_ ? admit_->rngRawState() : 0);
-    sp.u64(mbufTxCursor_);
-    sp.u64(admitDropTail_);
-    sp.u64(admitRedDrops_);
-    sp.u64(admitShed_);
-    sp.u64(mbufExhausted_);
-    sp.u64(mbufTxWraps_);
-    sp.u64(conns_.size());
-    for (const Connection &c : conns_)
-        sp.u64(c.acceptedAt);
-    sp.b(clients_ != nullptr);
-    if (clients_)
-        clients_->saveOpenLoop(sp);
-}
-
-void
-Kernel::loadOverload(Restorer &rs)
-{
+    // The admission policy itself was rebuilt from the artifact's
+    // config; only its RNG stream is live state.
     const std::uint64_t admitRng = rs.u64();
     if (admit_)
         admit_->setRngRawState(admitRng);
@@ -472,13 +446,8 @@ Kernel::loadOverload(Restorer &rs)
     admitShed_ = rs.u64();
     mbufExhausted_ = rs.u64();
     mbufTxWraps_ = rs.u64();
-    smtos_assert(rs.u64() == conns_.size());
-    for (Connection &c : conns_)
-        c.acceptedAt = rs.u64();
-    const bool hasClients = rs.b();
-    smtos_assert(hasClients == (clients_ != nullptr));
-    if (clients_)
-        clients_->loadOpenLoop(rs);
+    if (params_.admit.mbufAccounting)
+        rebuildRxMap();
 }
 
 } // namespace smtos

@@ -2,7 +2,8 @@
  * @file
  * Pipeline snapshot/restore: the instruction windows (with live
  * in-flight uops), per-context front-end and squash state, rename
- * maps, RAS, shared predictor/BTB/TLBs, and the aggregate statistics.
+ * maps, RAS, shared predictor/BTB/TLBs, the aggregate statistics, and
+ * the execution fidelity with its functional-engine counters.
  *
  * Restore contract: the pipeline was freshly constructed with the
  * identical CoreParams (the artifact's config section drives the
@@ -214,6 +215,11 @@ Pipeline::save(Snapshotter &sp, const SnapImages &images) const
     itlb_.save(sp);
     dtlb_.save(sp);
     coreStatsOut(sp, stats_);
+
+    sp.u8(static_cast<std::uint8_t>(fidelity_));
+    sp.u64(funcInstrs_);
+    sp.u64(funcCycles_);
+    sp.u64(fidelitySwitches_);
 }
 
 void
@@ -267,6 +273,16 @@ Pipeline::load(Restorer &rs, const SnapImages &images,
     itlb_.load(rs);
     dtlb_.load(rs);
     coreStatsIn(rs, stats_);
+
+    // Reinstated without a drain: a functional-mode artifact was
+    // taken with nothing in flight.
+    fidelity_ = static_cast<Fidelity>(rs.u8());
+    if (fidelity_ == Fidelity::Functional)
+        for (const Context &c : ctxs_)
+            smtos_assert(c.inflight == 0);
+    funcInstrs_ = rs.u64();
+    funcCycles_ = rs.u64();
+    fidelitySwitches_ = rs.u64();
 }
 
 void

@@ -4,7 +4,7 @@
  *
  * A snapshot is a single byte artifact:
  *
- *     magic "SMTOSNP1" (8)  | u32 formatVersion | u64 payloadBytes
+ *     magic "SMTOSNP2" (8)  | u32 formatVersion | u64 payloadBytes
  *     u64 fnv1a(payload)    | payload
  *
  * and the payload is a strict sequence of sections, each
@@ -38,7 +38,7 @@ class CodeImage;
 
 /** Artifact magic; the trailing digit is the major format era. */
 constexpr char snapshotMagic[8] = {'S', 'M', 'T', 'O', 'S', 'N', 'P',
-                                   '1'};
+                                   '2'};
 
 /** Bumped whenever the section list or header layout changes. */
 constexpr std::uint32_t snapshotFormatVersion = 1;
@@ -292,8 +292,14 @@ class Restorer
             error_ = "snapshot rejected: truncated header";
             return;
         }
-        if (std::memcmp(buf_.data(), snapshotMagic, 8) != 0) {
+        if (std::memcmp(buf_.data(), snapshotMagic, 7) != 0) {
             error_ = "snapshot rejected: bad magic";
+            return;
+        }
+        if (buf_[7] != static_cast<std::uint8_t>(snapshotMagic[7])) {
+            error_ = std::string("snapshot rejected: format era ") +
+                     static_cast<char>(buf_[7]) + " (supported " +
+                     snapshotMagic[7] + ")";
             return;
         }
         std::uint32_t fv;

@@ -390,9 +390,8 @@ Dram::load(Restorer &rs)
 void
 MemCtrl::save(Snapshotter &sp) const
 {
-    // The flat blob comes first so flat-mode snapshots are
-    // byte-identical to the pre-banked format; the banked blob is
-    // appended only when the banked model is live.
+    // The flat blob always comes first; the banked blob is appended
+    // only when the banked model is live.
     flat_.save(sp);
     if (!params_.banked)
         return;
@@ -485,55 +484,45 @@ MemCtrl::load(Restorer &rs)
 // --- mem/hierarchy.h ---
 
 void
+Uncore::save(Snapshotter &sp) const
+{
+    sp.u32(snapVersion);
+    l2_.save(sp);
+    l2Mshr_.save(sp);
+    l1l2Bus_.save(sp);
+    memBus_.save(sp);
+    memctrl_.save(sp);
+    sp.f64(l2missIntegral_);
+    hub_.save(sp);
+}
+
+void
+Uncore::load(Restorer &rs)
+{
+    tag(rs, snapVersion);
+    l2_.load(rs);
+    l2Mshr_.load(rs);
+    l1l2Bus_.load(rs);
+    memBus_.load(rs);
+    memctrl_.load(rs);
+    l2missIntegral_ = rs.f64();
+    hub_.load(rs);
+}
+
+void
 Hierarchy::save(Snapshotter &sp) const
 {
     sp.u32(snapVersion);
     l1i_.save(sp);
     l1d_.save(sp);
-    l2_.save(sp);
     l1Mshr_.save(sp);
-    l2Mshr_.save(sp);
     storeBuffer_.save(sp);
-    l1l2Bus_.save(sp);
-    memBus_.save(sp);
-    memctrl_.save(sp);
     sp.f64(imissIntegral_);
     sp.f64(dmissIntegral_);
-    sp.f64(l2missIntegral_);
 }
 
 void
 Hierarchy::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    l1i_.load(rs);
-    l1d_.load(rs);
-    l2_.load(rs);
-    l1Mshr_.load(rs);
-    l2Mshr_.load(rs);
-    storeBuffer_.load(rs);
-    l1l2Bus_.load(rs);
-    memBus_.load(rs);
-    memctrl_.load(rs);
-    imissIntegral_ = rs.f64();
-    dmissIntegral_ = rs.f64();
-    l2missIntegral_ = rs.f64();
-}
-
-void
-Hierarchy::savePrivate(Snapshotter &sp) const
-{
-    sp.u32(snapVersion);
-    l1i_.save(sp);
-    l1d_.save(sp);
-    l1Mshr_.save(sp);
-    storeBuffer_.save(sp);
-    sp.f64(imissIntegral_);
-    sp.f64(dmissIntegral_);
-}
-
-void
-Hierarchy::loadPrivate(Restorer &rs)
 {
     tag(rs, snapVersion);
     l1i_.load(rs);
@@ -799,6 +788,8 @@ ClientPopulation::save(Snapshotter &sp) const
         sp.u64(c.timeoutAt);
         sp.i32(c.retries);
         sp.u32(c.reqSeq);
+        sp.b(c.slow);
+        sp.u64(c.drainDoneAt);
     }
     sp.b(recovery_);
     sp.u64(requestsIssued_);
@@ -808,6 +799,16 @@ ClientPopulation::save(Snapshotter &sp) const
     sp.u64(retried_);
     latency_.save(sp);
     retriedLatency_.save(sp);
+
+    // Open-loop generator.
+    sp.b(arrivalInit_);
+    sp.u64(nextArrivalAt_);
+    sp.u64(rampStartAt_);
+    sp.i32(nextPort_);
+    sp.u64(arrivalRng_.rawState());
+    sp.u64(arrivals_);
+    sp.u64(arrivalOverflows_);
+    sp.u64(slowCompletions_);
 }
 
 void
@@ -825,6 +826,8 @@ ClientPopulation::load(Restorer &rs)
         c.timeoutAt = rs.u64();
         c.retries = rs.i32();
         c.reqSeq = rs.u32();
+        c.slow = rs.b();
+        c.drainDoneAt = rs.u64();
     }
     recovery_ = rs.b();
     requestsIssued_ = rs.u64();
@@ -834,32 +837,7 @@ ClientPopulation::load(Restorer &rs)
     retried_ = rs.u64();
     latency_.load(rs);
     retriedLatency_.load(rs);
-}
 
-// Open-loop generator state: serialized only into the optional OVLD
-// snapshot section, so save()'s bytes above — the closed-loop
-// bit-identity contract — never change.
-void
-ClientPopulation::saveOpenLoop(Snapshotter &sp) const
-{
-    sp.b(arrivalInit_);
-    sp.u64(nextArrivalAt_);
-    sp.u64(rampStartAt_);
-    sp.i32(nextPort_);
-    sp.u64(arrivalRng_.rawState());
-    sp.u64(arrivals_);
-    sp.u64(arrivalOverflows_);
-    sp.u64(slowCompletions_);
-    sp.u64(clients_.size());
-    for (const Client &c : clients_) {
-        sp.b(c.slow);
-        sp.u64(c.drainDoneAt);
-    }
-}
-
-void
-ClientPopulation::loadOpenLoop(Restorer &rs)
-{
     arrivalInit_ = rs.b();
     nextArrivalAt_ = rs.u64();
     rampStartAt_ = rs.u64();
@@ -868,11 +846,6 @@ ClientPopulation::loadOpenLoop(Restorer &rs)
     arrivals_ = rs.u64();
     arrivalOverflows_ = rs.u64();
     slowCompletions_ = rs.u64();
-    smtos_assert(rs.u64() == clients_.size());
-    for (Client &c : clients_) {
-        c.slow = rs.b();
-        c.drainDoneAt = rs.u64();
-    }
 }
 
 // --- fault/fault.h ---

@@ -32,32 +32,19 @@ saveMachineSections(Snapshotter &sp, System &sys, FaultPlan *plan)
     sys.kernel().save(sp, images);
     sp.endSection();
 
-    sp.beginSection("PIPE", Pipeline::snapVersion);
-    sys.pipeline().save(sp, images);
-    sp.endSection();
-
-    sp.beginSection("HIER", Hierarchy::snapVersion);
-    sys.hierarchy().save(sp);
-    sp.endSection();
-
-    // CMP cores 1..N-1: one PIPE plus one private-HIER slice per
-    // extra core (the shared L2 complex already rode core 0's HIER),
-    // then the coherence hub. cores = 1 artifacts end at FLTP with
-    // the historical layout, byte for byte.
-    for (int c = 1; c < sys.numCores(); ++c) {
+    for (int c = 0; c < sys.numCores(); ++c) {
         sp.beginSection("PIPE", Pipeline::snapVersion);
         sys.pipeline(c).save(sp, images);
         sp.endSection();
 
         sp.beginSection("HIER", Hierarchy::snapVersion);
-        sys.hierarchy(c).savePrivate(sp);
+        sys.hierarchy(c).save(sp);
         sp.endSection();
     }
-    if (sys.coherence()) {
-        sp.beginSection("COH ", CoherenceHub::snapVersion);
-        sys.coherence()->save(sp);
-        sp.endSection();
-    }
+
+    sp.beginSection("UNCR", Uncore::snapVersion);
+    sys.uncore().save(sp);
+    sp.endSection();
 
     sp.beginSection("FLTP", FaultPlan::snapVersion);
     sp.b(plan != nullptr);
@@ -80,17 +67,7 @@ loadMachineSections(Restorer &rs, System &sys, FaultPlan *plan)
     k.load(rs, images);
     rs.leaveSection();
 
-    rs.enterSection("PIPE");
-    sys.pipeline().load(rs, images, [&k](ThreadId tid) {
-        return &k.proc(tid).ts;
-    });
-    rs.leaveSection();
-
-    rs.enterSection("HIER");
-    sys.hierarchy().load(rs);
-    rs.leaveSection();
-
-    for (int c = 1; c < sys.numCores(); ++c) {
+    for (int c = 0; c < sys.numCores(); ++c) {
         rs.enterSection("PIPE");
         sys.pipeline(c).load(rs, images, [&k](ThreadId tid) {
             return &k.proc(tid).ts;
@@ -98,14 +75,13 @@ loadMachineSections(Restorer &rs, System &sys, FaultPlan *plan)
         rs.leaveSection();
 
         rs.enterSection("HIER");
-        sys.hierarchy(c).loadPrivate(rs);
+        sys.hierarchy(c).load(rs);
         rs.leaveSection();
     }
-    if (sys.coherence()) {
-        rs.enterSection("COH ");
-        sys.coherence()->load(rs);
-        rs.leaveSection();
-    }
+
+    rs.enterSection("UNCR");
+    sys.uncore().load(rs);
+    rs.leaveSection();
 
     rs.enterSection("FLTP");
     const bool hadPlan = rs.b();
@@ -114,8 +90,8 @@ loadMachineSections(Restorer &rs, System &sys, FaultPlan *plan)
         plan->load(rs);
     rs.leaveSection();
 
-    for (int c = 0; c < sys.numCores(); ++c)
-        sys.pipeline(c).resyncThreads();
+    for (Pipeline *p : sys.pipes())
+        p->resyncThreads();
 }
 
 } // namespace smtos

@@ -5,16 +5,22 @@
  * A snapshot artifact is a config section (owned by the harness — it
  * holds everything needed to deterministically rebuild the System,
  * workloads, and fault plan from scratch) followed by the machine
- * sections this module owns:
+ * sections this module owns, the same sequence at every chip width:
  *
  *   "PHYS"  physical memory allocator
- *   "KERN"  kernel: scheduler, processes + thread state + address
- *           spaces, sockets, devices, buffer cache, network + clients
- *   "PIPE"  pipeline: windows, rename state, predictor, TLBs, stats
- *   "HIER"  memory hierarchy: caches, MSHRs, store buffers, bus, DRAM
+ *   "KERN"  kernel: scheduler and per-core queues, processes + thread
+ *           state + address spaces, sockets, devices, buffer cache,
+ *           network + clients, SMP ledgers, overload state
+ *   then once per core, in core order:
+ *   "PIPE"  pipeline: windows, rename state, predictor, TLBs, stats,
+ *           execution fidelity
+ *   "HIER"  the core's private memory side: L1s, L1 MSHRs, store
+ *           buffer
+ *   and then:
+ *   "UNCR"  the uncore: L2, L2 MSHRs, buses, DRAM, coherence hub
  *   "FLTP"  fault plan RNG streams and log (flag + optional body)
  *
- * The kernel section loads before the pipeline section so thread-id
+ * The kernel section loads before the pipeline sections so thread-id
  * to ThreadState resolution finds restored processes. Restore ends
  * with Pipeline::resyncThreads() so an attached retire observer
  * (co-simulation) re-bases on the restored architectural state.

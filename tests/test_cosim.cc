@@ -66,7 +66,7 @@ runFuzzCosim(std::uint64_t seed, int contexts, Cycle cycles,
         installFuzzedProc(sys.kernel(), progs.back(), i);
     }
 
-    Cosim cosim(sys.pipeline());
+    Cosim cosim(sys.pipes());
     if (inject_at)
         sys.pipeline().injectRetireFault(inject_at);
     sys.start();
@@ -138,7 +138,7 @@ TEST(Cosim, SpecIntWorkloadMatchesReference)
     p.inputChunks = 24;
     SpecIntWorkload w = buildSpecInt(p);
     installSpecInt(sys.kernel(), w);
-    Cosim cosim(sys.pipeline());
+    Cosim cosim(sys.pipes());
     sys.start();
     sys.runCycles(120000);
     EXPECT_FALSE(cosim.diverged()) << cosim.report();
@@ -154,7 +154,7 @@ TEST(Cosim, ApacheWorkloadMatchesReference)
     ApacheParams p;
     ApacheWorkload w = buildApache(p);
     installApache(sys.kernel(), w);
-    Cosim cosim(sys.pipeline());
+    Cosim cosim(sys.pipes());
     sys.start();
     sys.runCycles(120000);
     EXPECT_FALSE(cosim.diverged()) << cosim.report();
@@ -251,7 +251,7 @@ TEST(Cosim, OracleCoversAllModes)
     p.inputChunks = 16;
     SpecIntWorkload w = buildSpecInt(p);
     installSpecInt(sys.kernel(), w);
-    Cosim cosim(sys.pipeline());
+    Cosim cosim(sys.pipes());
     sys.start();
     sys.runCycles(120000);
     EXPECT_FALSE(cosim.diverged()) << cosim.report();

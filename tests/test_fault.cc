@@ -133,14 +133,13 @@ TEST(FaultParams, EnvOverridesReadSmtosFaults)
                        ? "loss=0.125,mce=4096"
                        : nullptr;
         });
-    EXPECT_TRUE(env.hasFaults);
-    EXPECT_DOUBLE_EQ(env.faults.lossPct, 0.125);
-    EXPECT_EQ(env.faults.mcePeriod, 4096u);
+    ASSERT_TRUE(env.faults.has_value());
+    EXPECT_DOUBLE_EQ(env.faults->lossPct, 0.125);
+    EXPECT_EQ(env.faults->mcePeriod, 4096u);
 
     const EnvOverrides empty = EnvOverrides::fromLookup(
         [](const char *) -> const char * { return nullptr; });
-    EXPECT_FALSE(empty.hasFaults);
-    EXPECT_FALSE(empty.faults.any());
+    EXPECT_FALSE(empty.faults.has_value());
 }
 
 // The machine-check schedule is a pure function of (seed, period):
@@ -258,7 +257,7 @@ TEST(FaultRecovery, ApacheSurvivesLossAndMceUnderCosim)
 
     ApacheWorkload w = buildApache(ApacheParams{});
     installApache(sys.kernel(), w);
-    Cosim cosim(sys.pipeline());
+    Cosim cosim(sys.pipes());
     sys.start();
     sys.runCycles(1'500'000);
 
@@ -286,7 +285,7 @@ TEST(FaultRecovery, BrokenMceRecoveryIsCaughtByCosim)
 
     ApacheWorkload w = buildApache(ApacheParams{});
     installApache(sys.kernel(), w);
-    Cosim cosim(sys.pipeline());
+    Cosim cosim(sys.pipes());
     sys.start();
     sys.runCycles(200000);
 
@@ -371,6 +370,70 @@ TEST(InvariantAuditor, CleanRunPassesPlantedCorruptionFails)
     const std::string report = auditor.checkNow();
     EXPECT_NE(report, "");
     EXPECT_NE(report.find("accept"), std::string::npos) << report;
+}
+
+/** A started two-core Apache chip, 4 contexts per core. */
+struct TwoCoreApache
+{
+    TwoCoreApache()
+        : sys([] {
+              MachineConfig cfg = apacheConfig();
+              cfg.cores = 2;
+              cfg.core.numContexts = 4;
+              return cfg;
+          }()),
+          w(buildApache(ApacheParams{}))
+    {
+        installApache(sys.kernel(), w);
+        sys.start();
+        sys.runCycles(60000);
+    }
+    System sys;
+    ApacheWorkload w;
+};
+
+// The auditor walks every core: corruption planted on core 1's
+// pipeline is reported, prefixed with the core it was found on.
+TEST(InvariantAuditor, AuditsEveryCore)
+{
+    TwoCoreApache chip;
+    InvariantAuditor auditor(chip.sys, 1000);
+    EXPECT_EQ(auditor.checkNow(), "");
+
+    chip.sys.pipeline(1).ctx(0).inflight += 1;
+    const std::string report = auditor.checkNow();
+    chip.sys.pipeline(1).ctx(0).inflight -= 1;
+    EXPECT_NE(report.find("core 1: ctx0: inflight counter"),
+              std::string::npos)
+        << report;
+    EXPECT_EQ(report.find("core 0:"), std::string::npos) << report;
+}
+
+// The crash bundle dumps every core's contexts, plus every core's
+// run-queue and protocol-queue depth in the kernel section.
+TEST(DiagBundle, DumpsEveryCore)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "smtos-diag-cores";
+    fs::remove_all(dir);
+    diagSetDir(dir.string());
+
+    TwoCoreApache chip;
+    diagArm(&chip.sys, nullptr);
+    const std::string written = diagWriteBundle("two-core crash");
+    diagArm(nullptr, nullptr);
+    diagSetDir("");
+    ASSERT_EQ(written, dir.string());
+
+    std::ifstream in(dir / "contexts.txt");
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const std::string text = ss.str();
+    for (const char *want : {"== core 0 ==", "== core 1 ==",
+                             "core 0: runq depth", "core 1: runq depth"})
+        EXPECT_NE(text.find(want), std::string::npos) << want;
+    EXPECT_EQ(text.find("== core 2 =="), std::string::npos);
+    fs::remove_all(dir);
 }
 
 // The harness builds a plan from Session::Config::faults and reports its

@@ -137,9 +137,22 @@ TEST(Dram, FixedLatencyPipelined)
     EXPECT_EQ(d.accesses(), 2u);
 }
 
+/** A one-core chip's memory side: the uncore plus one core's private
+ *  hierarchy. */
+struct OneCore
+{
+    explicit OneCore(const HierarchyParams &p = HierarchyParams{})
+        : uncore(p), h(p, uncore)
+    {
+    }
+    Uncore uncore;
+    Hierarchy h;
+};
+
 TEST(Hierarchy, L1HitIsFast)
 {
-    Hierarchy h{HierarchyParams{}};
+    OneCore m;
+    Hierarchy &h = m.h;
     auto fill = h.data(0x1000, user(1), false, 0);
     const Cycle later = fill.readyAt + 5;
     auto r = h.data(0x1000, user(1), false, later);
@@ -149,7 +162,8 @@ TEST(Hierarchy, L1HitIsFast)
 
 TEST(Hierarchy, HitUnderFillWaitsForTheFill)
 {
-    Hierarchy h{HierarchyParams{}};
+    OneCore m;
+    Hierarchy &h = m.h;
     auto fill = h.data(0x1000, user(1), false, 0);
     auto r = h.data(0x1000, user(2), false, 10);
     EXPECT_TRUE(r.l1Hit);
@@ -158,46 +172,50 @@ TEST(Hierarchy, HitUnderFillWaitsForTheFill)
 
 TEST(Hierarchy, ColdLoadGoesToDram)
 {
-    Hierarchy h{HierarchyParams{}};
+    OneCore m;
+    Hierarchy &h = m.h;
     auto r = h.data(0x1000, user(1), false, 0);
     EXPECT_FALSE(r.l1Hit);
     EXPECT_FALSE(r.l2Hit);
     // At least L2 latency + DRAM latency.
     EXPECT_GT(r.readyAt, h.params().l2Latency +
                              h.params().dramLatency);
-    EXPECT_EQ(h.dram().accesses(), 1u);
+    EXPECT_EQ(m.uncore.dram().accesses(), 1u);
 }
 
 TEST(Hierarchy, L2HitAvoidsDram)
 {
     HierarchyParams p;
     p.l1d.sizeBytes = 1024; // tiny L1 so we can evict easily
-    Hierarchy h{p};
+    OneCore m(p);
+    Hierarchy &h = m.h;
     h.data(0x1000, user(1), false, 0);
     // Evict 0x1000 from tiny L1 (same set: 512B apart, 2-way).
     h.data(0x1000 + 512, user(1), false, 200);
     h.data(0x1000 + 1024, user(1), false, 400);
-    const auto dram_before = h.dram().accesses();
+    const auto dram_before = m.uncore.dram().accesses();
     auto r = h.data(0x1000, user(1), false, 600);
     EXPECT_FALSE(r.l1Hit);
     EXPECT_TRUE(r.l2Hit);
-    EXPECT_EQ(h.dram().accesses(), dram_before);
+    EXPECT_EQ(m.uncore.dram().accesses(), dram_before);
 }
 
 TEST(Hierarchy, StoreMissDoesNotFetchFromDram)
 {
-    Hierarchy h{HierarchyParams{}};
-    const auto before = h.dram().accesses();
+    OneCore m;
+    Hierarchy &h = m.h;
+    const auto before = m.uncore.dram().accesses();
     auto r = h.data(0x9000, user(1), true, 0);
     EXPECT_FALSE(r.l1Hit);
-    EXPECT_EQ(h.dram().accesses(), before); // write-validate
+    EXPECT_EQ(m.uncore.dram().accesses(), before); // write-validate
     // And the line is now present for subsequent loads.
     EXPECT_TRUE(h.data(0x9000, user(1), false, 100).l1Hit);
 }
 
 TEST(Hierarchy, FetchPathUsesICache)
 {
-    Hierarchy h{HierarchyParams{}};
+    OneCore m;
+    Hierarchy &h = m.h;
     auto r1 = h.fetch(0x4000, kern(1), 0);
     EXPECT_FALSE(r1.l1Hit);
     auto r2 = h.fetch(0x4000, kern(1), r1.readyAt);
@@ -208,7 +226,8 @@ TEST(Hierarchy, FetchPathUsesICache)
 
 TEST(Hierarchy, MshrMergeOnConcurrentMisses)
 {
-    Hierarchy h{HierarchyParams{}};
+    OneCore m;
+    Hierarchy &h = m.h;
     auto r1 = h.data(0x5000, user(1), false, 0);
     auto r2 = h.data(0x5000, user(2), false, 1); // same line in flight
     EXPECT_EQ(h.l1Mshr().merges(), 1u);
@@ -217,7 +236,8 @@ TEST(Hierarchy, MshrMergeOnConcurrentMisses)
 
 TEST(Hierarchy, FlushIcacheInvalidates)
 {
-    Hierarchy h{HierarchyParams{}};
+    OneCore m;
+    Hierarchy &h = m.h;
     h.fetch(0x4000, user(1), 0);
     h.flushIcache();
     auto r = h.fetch(0x4000, user(1), 1000);
@@ -229,9 +249,10 @@ TEST(Hierarchy, FlushIcacheInvalidates)
 
 TEST(Hierarchy, DmaWriteInvalidatesCachedCopies)
 {
-    Hierarchy h{HierarchyParams{}};
+    OneCore m;
+    Hierarchy &h = m.h;
     h.data(0x8000, user(1), false, 0);
-    h.dmaWrite(0x8000, 4096);
+    m.uncore.dmaWrite(0x8000, 4096);
     auto r = h.data(0x8000, user(1), false, 1000);
     EXPECT_FALSE(r.l1Hit);
 }
@@ -240,7 +261,8 @@ TEST(Hierarchy, FilterPrivilegedSkipsKernelRefs)
 {
     HierarchyParams p;
     p.filterPrivileged = true;
-    Hierarchy h{p};
+    OneCore m(p);
+    Hierarchy &h = m.h;
     auto r = h.data(0x1000, kern(1), false, 0);
     EXPECT_TRUE(r.l1Hit); // kernel refs complete instantly
     EXPECT_EQ(h.l1d().stats().totalAccesses(), 0u);
@@ -251,17 +273,19 @@ TEST(Hierarchy, FilterPrivilegedSkipsKernelRefs)
 
 TEST(Hierarchy, OutstandingMissIntegralsGrow)
 {
-    Hierarchy h{HierarchyParams{}};
+    OneCore m;
+    Hierarchy &h = m.h;
     h.data(0x1000, user(1), false, 0);
     h.fetch(0x2000, user(1), 0);
     EXPECT_GT(h.dmissIntegral(), 0.0);
     EXPECT_GT(h.imissIntegral(), 0.0);
-    EXPECT_GT(h.l2missIntegral(), 0.0);
+    EXPECT_GT(m.uncore.l2missIntegral(), 0.0);
 }
 
 TEST(Hierarchy, BusContentionSlowsParallelMisses)
 {
-    Hierarchy h{HierarchyParams{}};
+    OneCore m;
+    Hierarchy &h = m.h;
     Cycle first = h.data(0x10000, user(1), false, 0).readyAt;
     Cycle second = h.data(0x20000, user(2), false, 0).readyAt;
     Cycle third = h.data(0x30000, user(3), false, 0).readyAt;

@@ -153,24 +153,6 @@ overloadSession()
     return cfg;
 }
 
-/** Section tags of a snapshot artifact, in payload order. */
-std::vector<std::string>
-sectionTags(const std::vector<std::uint8_t> &artifact)
-{
-    std::vector<std::string> tags;
-    std::size_t pos = 28; // magic + format version + length + checksum
-    while (pos + 16 <= artifact.size()) {
-        tags.emplace_back(artifact.begin() +
-                              static_cast<std::ptrdiff_t>(pos),
-                          artifact.begin() +
-                              static_cast<std::ptrdiff_t>(pos + 4));
-        std::uint64_t len;
-        std::memcpy(&len, artifact.data() + pos + 8, sizeof len);
-        pos += 16 + len;
-    }
-    return tags;
-}
-
 } // namespace
 
 // --- parameter parsing (the SMTOS_OPENLOOP / SMTOS_ADMIT grammar) ---
@@ -227,12 +209,12 @@ TEST(OverloadParse, EnvOverridesCarryBoth)
                 return "policy=droptail,cap=24";
             return nullptr;
         });
-    EXPECT_TRUE(ov.hasOpenLoop);
-    EXPECT_TRUE(ov.openLoop.enabled);
-    EXPECT_DOUBLE_EQ(ov.openLoop.ratePerMcycle, 2.0);
-    EXPECT_TRUE(ov.hasAdmit);
-    EXPECT_EQ(ov.admit.policy, AdmitPolicy::DropTail);
-    EXPECT_EQ(ov.admit.queueCap, 24);
+    ASSERT_TRUE(ov.openLoop.has_value());
+    EXPECT_TRUE(ov.openLoop->enabled);
+    EXPECT_DOUBLE_EQ(ov.openLoop->ratePerMcycle, 2.0);
+    ASSERT_TRUE(ov.admit.has_value());
+    EXPECT_EQ(ov.admit->policy, AdmitPolicy::DropTail);
+    EXPECT_EQ(ov.admit->queueCap, 24);
 }
 
 // --- admission decisions (closed-form) ---
@@ -388,7 +370,7 @@ TEST_P(OverloadInvariant, ExactUnderCosimAcrossContexts)
     System sys(overloadMachine(contexts));
     ApacheWorkload w = buildApache(ApacheParams{});
     installApache(sys.kernel(), w);
-    Cosim cosim(sys.pipeline());
+    Cosim cosim(sys.pipes());
     sys.start();
     sys.runCycles(1'200'000);
 
@@ -463,12 +445,8 @@ TEST(OverloadSnap, ResumedRunIsByteIdentical)
     Session origin(cfg);
     origin.runStartup();
     const std::vector<std::uint8_t> artifact = origin.snapshot();
-    // Snapshotting is repeatable and the OVLD section trails the
-    // artifact.
+    // Snapshotting is repeatable.
     EXPECT_EQ(artifact, origin.snapshot());
-    const std::vector<std::string> tags = sectionTags(artifact);
-    ASSERT_FALSE(tags.empty());
-    EXPECT_EQ(tags.back(), "OVLD");
 
     const std::string straight = toJson(origin.runMeasurement().steady);
 
@@ -511,9 +489,6 @@ TEST(OverloadSnap, ClosedLoopArtifactResumesIntoOverload)
     Session origin(cfg);
     origin.runStartup();
     const std::vector<std::uint8_t> artifact = origin.snapshot();
-    // The closed-loop artifact must carry no OVLD section.
-    for (const std::string &t : sectionTags(artifact))
-        EXPECT_NE(t, "OVLD");
 
     Session::ResumeOptions opts;
     opts.phases = cfg.phases;
@@ -528,11 +503,13 @@ TEST(OverloadSnap, ClosedLoopArtifactResumesIntoOverload)
         resumed->system().kernel().overloadStats();
     EXPECT_TRUE(st.enabled);
     EXPECT_GT(st.offeredArrivals, 0u);
-    // And its own snapshot now carries the overload section.
-    const std::vector<std::string> tags =
-        sectionTags(resumed->snapshot());
-    ASSERT_FALSE(tags.empty());
-    EXPECT_EQ(tags.back(), "OVLD");
+    // And its own snapshot carries the overridden config.
+    auto again = Session::resume(resumed->snapshot(),
+                                 Session::ResumeOptions{}, &err);
+    ASSERT_NE(again, nullptr) << err;
+    EXPECT_TRUE(again->config().workload.openLoop.enabled);
+    EXPECT_EQ(again->config().system.admit.policy,
+              AdmitPolicy::OldestFirst);
 }
 
 // --- the mbuf pool: accounted refusal vs legacy aliasing ---

@@ -195,7 +195,7 @@ TEST(PerfCosim, OracleHoldsWithFastForward)
 
     ApacheWorkload w = buildApache(ApacheParams{});
     installApache(sys.kernel(), w);
-    Cosim cosim(sys.pipeline());
+    Cosim cosim(sys.pipes());
     sys.start();
     sys.runCycles(1'200'000);
 

@@ -108,7 +108,8 @@ class PipelineTest : public testing::Test
             kernel->finalize();
         CoreParams cp;
         cp.numContexts = contexts;
-        hier = std::make_unique<Hierarchy>(HierarchyParams{});
+        uncore = std::make_unique<Uncore>(HierarchyParams{});
+        hier = std::make_unique<Hierarchy>(HierarchyParams{}, *uncore);
         pipe = std::make_unique<Pipeline>(cp, *hier, kernel.get());
         os = std::make_unique<StubOs>(pipe->itlb(), pipe->dtlb());
         os->images = ImageSet{user.get(), kernel.get()};
@@ -140,6 +141,7 @@ class PipelineTest : public testing::Test
     std::unique_ptr<CodeImage> user;
     std::unique_ptr<CodeImage> kernel;
     CodeGen gu, gk;
+    std::unique_ptr<Uncore> uncore;
     std::unique_ptr<Hierarchy> hier;
     std::unique_ptr<Pipeline> pipe;
     std::unique_ptr<StubOs> os;

@@ -88,7 +88,8 @@ class Pipeline2 : public testing::Test
     {
         if (!kernel->finalized())
             kernel->finalize();
-        hier = std::make_unique<Hierarchy>(HierarchyParams{});
+        uncore = std::make_unique<Uncore>(HierarchyParams{});
+        hier = std::make_unique<Hierarchy>(HierarchyParams{}, *uncore);
         pipe = std::make_unique<Pipeline>(cp, *hier, kernel.get());
         os = std::make_unique<RecorderOs>(pipe->itlb(), pipe->dtlb());
         os->images = ImageSet{user.get(), kernel.get()};
@@ -118,6 +119,7 @@ class Pipeline2 : public testing::Test
 
     std::unique_ptr<CodeImage> user, kernel;
     CodeGen gu, gk;
+    std::unique_ptr<Uncore> uncore;
     std::unique_ptr<Hierarchy> hier;
     std::unique_ptr<Pipeline> pipe;
     std::unique_ptr<RecorderOs> os;

@@ -190,7 +190,7 @@ TEST_P(ReqTraceInvariant, CleanSpansTelescopeUnderCosim)
 
     ApacheWorkload w = buildApache(ApacheParams{});
     installApache(sys.kernel(), w);
-    Cosim cosim(sys.pipeline());
+    Cosim cosim(sys.pipes());
     sys.start();
     sys.runCycles(1'200'000);
 
@@ -230,7 +230,7 @@ TEST(ReqTraceSpec, SpecIntHasNoSpans)
     p.inputChunks = 24;
     SpecIntWorkload w = buildSpecInt(p);
     installSpecInt(sys.kernel(), w);
-    Cosim cosim(sys.pipeline());
+    Cosim cosim(sys.pipes());
     sys.start();
     sys.runCycles(150'000);
 

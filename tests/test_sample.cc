@@ -7,9 +7,9 @@
  * programs, context widths, and arbitrary fidelity switch points; a
  * sampled measurement must reproduce full-detail CPI and mode
  * breakdowns within its own reported confidence intervals (plus a
- * small systematic-bias floor); and the FIDL snapshot section must
- * round-trip so sampled/functional runs resume bit-identically while
- * pure-detailed artifacts keep their prior bytes.
+ * small systematic-bias floor); and fidelity state must round-trip
+ * through snapshots so sampled/functional runs resume
+ * bit-identically.
  */
 
 #include <gtest/gtest.h>
@@ -70,7 +70,7 @@ runFuzzFunctional(std::uint64_t seed, int contexts, Cycle cycles,
         installFuzzedProc(sys.kernel(), progs.back(), i);
     }
 
-    Cosim cosim(sys.pipeline());
+    Cosim cosim(sys.pipes());
     if (inject_at)
         sys.pipeline().injectRetireFault(inject_at);
     sys.start();
@@ -152,7 +152,7 @@ TEST(Functional, CoversAllModes)
     p.inputChunks = 16;
     SpecIntWorkload w = buildSpecInt(p);
     installSpecInt(sys.kernel(), w);
-    Cosim cosim(sys.pipeline());
+    Cosim cosim(sys.pipes());
     sys.start();
     sys.pipeline().setFidelity(Fidelity::Functional);
     sys.runCycles(30000);
@@ -183,7 +183,7 @@ TEST(FidelitySwitch, TortureStaysCosimClean)
             progs.push_back(fuzzProgram(mixHash(seed, 77u + i)));
             installFuzzedProc(sys.kernel(), progs.back(), i);
         }
-        Cosim cosim(sys.pipeline());
+        Cosim cosim(sys.pipes());
         sys.start();
         for (int leg = 0; leg < 10; ++leg) {
             sys.pipeline().setFidelity(
@@ -252,7 +252,7 @@ TEST(FidelitySwitch, FunctionalLegsAccelerateRetirement)
             progs.push_back(fuzzProgram(mixHash(9, 77u + i)));
             installFuzzedProc(sys.kernel(), progs.back(), i);
         }
-        Cosim cosim(sys.pipeline());
+        Cosim cosim(sys.pipes());
         sys.start();
         for (int leg = 0; leg < 4; ++leg) {
             if (hybrid)
@@ -392,11 +392,10 @@ TEST(EnvOverrides, FidelityAndSampleFromLookup)
             auto it = env.find(name);
             return it == env.end() ? nullptr : it->second.c_str();
         });
-    EXPECT_TRUE(ov.hasFidelity);
     EXPECT_EQ(ov.fidelity, Fidelity::Functional);
-    EXPECT_TRUE(ov.hasSample);
-    EXPECT_EQ(ov.sample.periodInstrs, 80000u);
-    EXPECT_EQ(ov.sample.intervalInstrs, 3000u);
+    ASSERT_TRUE(ov.sample.has_value());
+    EXPECT_EQ(ov.sample->periodInstrs, 80000u);
+    EXPECT_EQ(ov.sample->intervalInstrs, 3000u);
 
     env["SMTOS_FIDELITY"] = "detailed";
     const EnvOverrides ov2 =
@@ -404,11 +403,10 @@ TEST(EnvOverrides, FidelityAndSampleFromLookup)
             auto it = env.find(name);
             return it == env.end() ? nullptr : it->second.c_str();
         });
-    EXPECT_TRUE(ov2.hasFidelity);
     EXPECT_EQ(ov2.fidelity, Fidelity::Detailed);
 }
 
-// --- FIDL snapshot section ---
+// --- fidelity state across snapshots ---
 
 // A sampled session snapshotted at the measurement boundary resumes
 // into a bit-identical sampled measurement: same steady deltas, same
@@ -516,33 +514,4 @@ TEST(SampleSnapshot, DetailedArtifactResumesIntoSampling)
     EXPECT_TRUE(rb.sample.enabled);
     EXPECT_GT(rb.sample.intervals, 0);
     EXPECT_GT(rb.sample.functionalInstrs, 0u);
-}
-
-// Pure-detailed artifacts write no FIDL section: the snapshot format
-// for every pre-fidelity configuration is byte-for-byte unchanged.
-TEST(SampleSnapshot, DetailedArtifactHasNoFidlSection)
-{
-    Session::Config cfg;
-    cfg.workload.seed = 37;
-    cfg.phases.startupInstrs = 20'000;
-    cfg.phases.measureInstrs = 20'000;
-    Session a(cfg);
-    a.runStartup();
-    const std::vector<std::uint8_t> art = a.snapshot();
-    const std::string tag = "FIDL";
-    EXPECT_EQ(std::search(art.begin(), art.end(), tag.begin(),
-                          tag.end()),
-              art.end());
-
-    // And a sampled-config session does write one, even before any
-    // functional instruction has run.
-    Session::Config scfg = cfg;
-    scfg.sample.enabled = true;
-    scfg.sample.periodInstrs = 20'000;
-    Session b(scfg);
-    b.runStartup();
-    const std::vector<std::uint8_t> art2 = b.snapshot();
-    EXPECT_NE(std::search(art2.begin(), art2.end(), tag.begin(),
-                          tag.end()),
-              art2.end());
 }

@@ -1,9 +1,9 @@
 /**
  * @file
  * CMP/SMP correctness: the MESI hub's closed-form latencies, the TLB
- * shootdown completion invariant, work-stealing determinism, a cosim
- * fuzz over the topology matrix, and the single-core byte-identity
- * contract (cores = 1 artifacts keep the historical layout exactly).
+ * shootdown completion invariant, work-stealing determinism, per-core
+ * profiler attribution, a cosim fuzz over the topology matrix, and
+ * the one snapshot layout every chip width shares.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,8 @@
 #include "harness/session.h"
 #include "mem/coherence.h"
 #include "mem/hierarchy.h"
+#include "obs/profiler.h"
+#include "obs/session.h"
 #include "sim/export.h"
 
 using namespace smtos;
@@ -27,16 +29,10 @@ namespace {
 
 struct Chip2
 {
-    Hierarchy h0, h1;
-    CoherenceHub hub;
-
-    Chip2() : h0(HierarchyParams{}), h1(HierarchyParams{})
-    {
-        hub.attach(&h0);
-        hub.attach(&h1);
-        h0.setCoherence(&hub, 0, nullptr);
-        h1.setCoherence(&hub, 1, &h0);
-    }
+    Uncore uncore{HierarchyParams{}};
+    Hierarchy h0{HierarchyParams{}, uncore};
+    Hierarchy h1{HierarchyParams{}, uncore};
+    CoherenceHub &hub = uncore.coherence();
 };
 
 const AccessInfo who0{0, Mode::User, 0};
@@ -84,17 +80,6 @@ sectionsOf(const std::vector<std::uint8_t> &artifact)
     }
     EXPECT_EQ(pos, artifact.size());
     return out;
-}
-
-int
-countTag(const std::vector<std::pair<std::string, std::uint32_t>> &ss,
-         const std::string &tag)
-{
-    int n = 0;
-    for (const auto &s : ss)
-        if (s.first == tag)
-            ++n;
-    return n;
 }
 
 } // namespace
@@ -244,7 +229,6 @@ TEST(Topology, PerCoreSlicesSumToMachineAggregates)
     Session s(smpApache(2, 4));
     const RunResult r = s.run();
     ASSERT_EQ(r.steady.cores.size(), 2u);
-    EXPECT_EQ(r.steady.smp.enabled, 1);
     std::uint64_t instrs = 0;
     for (const CoreSlice &c : r.steady.cores) {
         instrs += c.core.totalRetired();
@@ -257,6 +241,26 @@ TEST(Topology, PerCoreSlicesSumToMachineAggregates)
     EXPECT_NE(json.find("\"cores\":["), std::string::npos);
     EXPECT_NE(json.find("\"smp\":{"), std::string::npos);
     EXPECT_NE(json.find("\"coherence\""), std::string::npos);
+}
+
+// ===================== per-core profiling =====================
+
+// The cycle profiler charges lost fetch slots to global context ids:
+// with two 4-context cores, core 1's contexts are ctx4..7, and every
+// one of them loses slots somewhere in an Apache run.
+TEST(Topology, FetchSlotLossesChargeEveryCoresContexts)
+{
+    ObsConfig oc;
+    oc.profile = true;
+    ObsSession obs(oc);
+    Session::Config cfg = smpApache(2, 4);
+    cfg.obs = &obs;
+    Session s(cfg);
+    s.run();
+    const CycleProfiler *prof = obs.profiler();
+    ASSERT_NE(prof, nullptr);
+    for (CtxId gid = 0; gid < 8; ++gid)
+        EXPECT_GT(prof->fetchSlotsLostByCtx(gid), 0u) << "ctx" << gid;
 }
 
 // ===================== cosim fuzz =====================
@@ -297,43 +301,186 @@ TEST_P(SmpCosimFuzz, OracleStaysClean)
 INSTANTIATE_TEST_SUITE_P(Seeds, SmpCosimFuzz,
                          ::testing::Range(0, 52));
 
-// ===================== snapshot formats =====================
+// ===================== snapshot layout =====================
 
-// cores = 1 artifacts keep the seed layout exactly: CFG version 2,
-// one PIPE section, no COH section, and no SMP keys in the JSON.
-TEST(SnapshotFormat, SingleCoreArtifactKeepsSeedLayout)
+namespace {
+
+struct LayoutCase
 {
-    Session::Config cfg = smpSpec(1, 4);
-    Session s(cfg);
-    s.runStartup();
-    const auto sections = sectionsOf(s.snapshot());
-    ASSERT_FALSE(sections.empty());
-    EXPECT_EQ(sections[0].first, "CFG ");
-    EXPECT_EQ(sections[0].second, 2u);
-    EXPECT_EQ(countTag(sections, "PIPE"), 1);
-    EXPECT_EQ(countTag(sections, "HIER"), 1);
-    EXPECT_EQ(countTag(sections, "COH "), 0);
+    int cores;
+    /** Every CFG field off its default, co-simulated and traced. */
+    bool everyField;
+};
+
+std::string
+layoutName(const ::testing::TestParamInfo<LayoutCase> &info)
+{
+    return "Cores" + std::to_string(info.param.cores) +
+           (info.param.everyField ? "EveryField" : "");
+}
+
+class SnapshotLayout : public ::testing::TestWithParam<LayoutCase>
+{
+};
+
+/** An Apache session with every serialized config field moved off its
+ *  default (sampling keeps it to one core). */
+Session::Config
+everyFieldConfig()
+{
+    Session::Config c = smpApache(1, 4);
+    SystemConfig &sc = c.system;
+    sc.filterKernelRefs = true;
+    sc.fetchContexts = 1;
+    sc.roundRobinFetch = true;
+    sc.affinitySched = true;
+    sc.sharedTlbIpr = true;
+    sc.fastForward = false;
+    sc.memLatency = 120;
+    sc.dram.banked = true;
+    sc.dram.channels = 4;
+    sc.dram.ranks = 1;
+    sc.dram.banksPerRank = 4;
+    sc.dram.rowBytes = 4096;
+    sc.dram.burstBytes = 32;
+    sc.dram.queueDepth = 8;
+    sc.dram.closedPage = true;
+    sc.dram.tRcd = 28;
+    sc.dram.tRp = 29;
+    sc.dram.tCas = 24;
+    sc.dram.tBurst = 5;
+    sc.dram.tFaw = 64;
+    sc.admit.policy = AdmitPolicy::OldestFirst;
+    sc.admit.queueCap = 8;
+    sc.admit.redMinDepth = 2;
+    sc.admit.redMaxProb = 0.5;
+    sc.admit.shedDeadline = 30'000;
+    sc.admit.seed = 5;
+    sc.admit.mbufAccounting = true;
+
+    WorkloadConfig &wc = c.workload;
+    wc.spec.numApps = 3;
+    wc.spec.heapBase = 1ull << 21;
+    wc.spec.heapStep = 1ull << 19;
+    wc.spec.seed = 11;
+    wc.apache.numServers = 24;
+    wc.apache.heapBytes = 1ull << 19;
+    wc.apache.seed = 13;
+    OpenLoopParams &ol = wc.openLoop;
+    ol.enabled = true;
+    ol.kind = ArrivalKind::Bursty;
+    ol.ratePerMcycle = 60.0;
+    ol.burstFactor = 3.0;
+    ol.burstDuty = 0.5;
+    ol.burstPeriod = 100'000;
+    ol.rampStartFactor = 0.5;
+    ol.rampCycles = 500'000;
+    ol.slowPct = 0.2;
+    ol.slowDrainPerKb = 2000;
+    ol.keepAlivePct = 0.2;
+    ol.retryTimeout = 50'000;
+    ol.maxRetries = 3;
+    ol.seed = 17;
+    wc.seed = 7;
+
+    FaultParams &fp = c.faults;
+    fp.seed = 19;
+    fp.lossPct = 0.02;
+    fp.reorderPct = 0.01;
+    fp.delayMin = 10;
+    fp.delayMax = 200;
+    fp.nicDropPct = 0.01;
+    fp.mcePeriod = 30'000;
+    fp.mceRetryLimit = 5;
+    fp.connTableSize = 256;
+    fp.listenBacklog = 64;
+    fp.auditEvery = 7'000;
+
+    c.sample.enabled = true;
+    c.sample.periodInstrs = 40'000;
+    c.sample.warmInstrs = 4'000;
+    c.sample.intervalInstrs = 3'000;
+    c.sample.confidence = 0.9;
+    c.cosim = true;
+    return c;
+}
+
+} // namespace
+
+// Every artifact, at every chip width, is an SMTOSNP2 artifact with one
+// section sequence — CFG PHYS KERN (PIPE HIER)xN UNCR FLTP COSM, plus
+// RQTR behind a request tracer — and resuming then re-snapshotting
+// reproduces it byte for byte. The every-field case also proves the
+// one CFG field list carries the whole config: its resumed measurement
+// matches the straight-through one. The previous format era is
+// refused with an error, not an abort, and one-core metrics JSON
+// keeps the paper machine's key set (no per-core or SMP objects).
+TEST_P(SnapshotLayout, OneSectionSequenceAtEveryWidth)
+{
+    const LayoutCase lc = GetParam();
+    Session::Config cfg =
+        lc.everyField ? everyFieldConfig() : smpApache(lc.cores, 2);
+    ObsConfig oc;
+    oc.reqtrace = lc.everyField;
+    ObsSession originObs(oc);
+    if (lc.everyField)
+        cfg.obs = &originObs;
+    Session origin(cfg);
+    origin.runStartup();
+    const std::vector<std::uint8_t> artifact = origin.snapshot();
+
+    ASSERT_GE(artifact.size(), 8u);
+    EXPECT_EQ(std::string(artifact.begin(), artifact.begin() + 8),
+              "SMTOSNP2");
+    std::vector<std::string> want = {"CFG ", "PHYS", "KERN"};
+    for (int c = 0; c < lc.cores; ++c) {
+        want.push_back("PIPE");
+        want.push_back("HIER");
+    }
+    for (const char *tag : {"UNCR", "FLTP", "COSM"})
+        want.push_back(tag);
+    if (lc.everyField)
+        want.push_back("RQTR");
+    std::vector<std::string> got;
+    for (const auto &sec : sectionsOf(artifact))
+        got.push_back(sec.first);
+    EXPECT_EQ(got, want);
+
+    Session::ResumeOptions opts;
+    opts.phases = cfg.phases;
+    opts.cosim = cfg.cosim;
+    ObsSession resumedObs(oc);
+    if (lc.everyField)
+        opts.obs = &resumedObs;
+    std::string err;
+    auto resumed = Session::resume(artifact, opts, &err);
+    ASSERT_NE(resumed, nullptr) << err;
+    EXPECT_EQ(artifact, resumed->snapshot());
+    if (lc.everyField) {
+        EXPECT_EQ(toJson(origin.runMeasurement().steady),
+                  toJson(resumed->runMeasurement().steady));
+    }
+
+    std::vector<std::uint8_t> oldEra = artifact;
+    oldEra[7] = '1';
+    err.clear();
+    EXPECT_EQ(Session::resume(oldEra, Session::ResumeOptions{}, &err),
+              nullptr);
+    EXPECT_NE(err.find("format era 1"), std::string::npos) << err;
 
     const std::string json =
-        toJson(MetricsSnapshot::capture(s.system()));
-    EXPECT_EQ(json.find("\"cores\":["), std::string::npos);
-    EXPECT_EQ(json.find("\"smp\":{"), std::string::npos);
+        toJson(MetricsSnapshot::capture(origin.system()));
+    const bool multicore = lc.cores > 1;
+    EXPECT_EQ(json.find("\"cores\":[") != std::string::npos, multicore);
+    EXPECT_EQ(json.find("\"smp\":{") != std::string::npos, multicore);
 }
 
-// CMP artifacts carry the widened CFG plus one PIPE/HIER pair per
-// core and the coherence hub's section.
-TEST(SnapshotFormat, CmpArtifactCarriesPerCoreSections)
-{
-    Session s(smpApache(2, 4));
-    s.runStartup();
-    const auto sections = sectionsOf(s.snapshot());
-    ASSERT_FALSE(sections.empty());
-    EXPECT_EQ(sections[0].first, "CFG ");
-    EXPECT_EQ(sections[0].second, 3u);
-    EXPECT_EQ(countTag(sections, "PIPE"), 2);
-    EXPECT_EQ(countTag(sections, "HIER"), 2);
-    EXPECT_EQ(countTag(sections, "COH "), 1);
-}
+INSTANTIATE_TEST_SUITE_P(Widths, SnapshotLayout,
+                         ::testing::Values(LayoutCase{1, false},
+                                           LayoutCase{2, false},
+                                           LayoutCase{4, false},
+                                           LayoutCase{1, true}),
+                         layoutName);
 
 // A CMP measurement resumed from the artifact is byte-identical to
 // the uninterrupted one, and restoring then re-snapshotting loses
@@ -390,10 +537,9 @@ TEST(SmpEnv, SmtosCoresParsesAndValidates)
             return std::strcmp(name, "SMTOS_CORES") == 0 ? "4"
                                                          : nullptr;
         });
-    EXPECT_TRUE(ov.hasCores);
     EXPECT_EQ(ov.cores, 4);
 
     const EnvOverrides none = EnvOverrides::fromLookup(
         [](const char *) -> const char * { return nullptr; });
-    EXPECT_FALSE(none.hasCores);
+    EXPECT_FALSE(none.cores.has_value());
 }

@@ -13,7 +13,6 @@
 
 #include "common/types.h"
 #include "mem/missclass.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -57,8 +56,7 @@ class Btb
     }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     struct Entry

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -56,8 +55,7 @@ class McFarling
     std::uint64_t globalPicks() const { return globalPicks_; }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     int localHistIndex(Addr pc) const;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -41,9 +40,7 @@ class Ras
     int sp() const { return sp_; }
 
     static constexpr std::uint32_t snapVersion = 1;
-    /** Full-state serialization (overloads the checkpoint save()). */
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     std::vector<Addr> stack_;

@@ -79,6 +79,17 @@ class Rng
         state = s ? s : 0x9e3779b97f4a7c15ull;
     }
 
+    /** Snapshot field list (snap/snapshot.h): the raw state. */
+    template <typename Ar>
+    void
+    snap(Ar &ar)
+    {
+        std::uint64_t s = state;
+        ar.io(s);
+        if constexpr (Ar::loading)
+            setRawState(s);
+    }
+
   private:
     std::uint64_t state;
 };

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -89,8 +88,7 @@ class Sampler
     }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     std::uint64_t count_ = 0;
@@ -139,8 +137,7 @@ class Histogram
     void reset();
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     std::int64_t lo_;
@@ -172,8 +169,7 @@ class CounterMap
     void reset() { counts_.clear(); }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     std::map<std::string, std::uint64_t> counts_;

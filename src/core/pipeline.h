@@ -28,10 +28,11 @@
 #include "core/context.h"
 #include "mem/hierarchy.h"
 #include "obs/probes.h"
-#include "snap/fwd.h"
 #include "vm/tlb.h"
 
 namespace smtos {
+
+class SnapImages;
 
 /** An in-flight instruction. */
 struct Uop
@@ -294,13 +295,13 @@ class Pipeline
 
     // --- snapshot/restore (src/snap) ---
     static constexpr std::uint32_t snapVersion = 2;
-    void save(Snapshotter &sp, const SnapImages &images) const;
     /**
-     * Overwrite all mutable pipeline state from a snapshot.
-     * @p threadById resolves serialized thread ids to the rebuilt
-     * ThreadStates (the kernel section restores before this one).
+     * All mutable pipeline state. On load @p threadById resolves
+     * serialized thread ids to the rebuilt ThreadStates (the kernel
+     * section restores before this one).
      */
-    void load(Restorer &rs, const SnapImages &images,
+    template <typename Ar>
+    void snap(Ar &ar, const SnapImages &images,
               const std::function<ThreadState *(ThreadId)> &threadById);
     /**
      * Re-emit an onThreadStateSync(t, 0) for every bound context after

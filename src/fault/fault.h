@@ -28,7 +28,6 @@
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -222,8 +221,7 @@ class FaultPlan
     const FaultCounters &injected() const { return c_; }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     FaultParams p_;

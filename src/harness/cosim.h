@@ -31,7 +31,6 @@
 
 #include "core/pipeline.h"
 #include "ref/refcore.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -70,19 +69,14 @@ class Cosim : public RetireObserver
     std::uint64_t syncs() const { return syncs_; }
 
     /**
-     * Serialize the oracle: per-thread reference cores and their
-     * unapplied sync queues. Asserts !diverged() — a diverged run
-     * must not be snapshotted. The recent-retirement report windows
-     * are not saved (cosmetic only).
+     * The oracle's snapshot: per-thread reference cores and their
+     * unapplied sync queues. Saving asserts !diverged() — a diverged
+     * run must not be snapshotted. The recent-retirement report
+     * windows are not saved (cosmetic only). Loading discards
+     * everything observed so far (boot binds, the restore-time
+     * resync) — the artifact's oracle state supersedes it wholesale.
      */
-    void save(Snapshotter &sp, const SnapImages &images) const;
-
-    /**
-     * Mirror of save(). Discards everything observed so far (boot
-     * binds, the restore-time resync) — the artifact's oracle state
-     * supersedes it wholesale.
-     */
-    void load(Restorer &rs, const SnapImages &images);
+    template <typename Ar> void snap(Ar &ar, const SnapImages &images);
 
   private:
     struct PendingSync

@@ -1,7 +1,6 @@
 #include "harness/session.h"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "common/logging.h"
 #include "fault/auditor.h"
@@ -29,45 +28,12 @@ constexpr std::uint32_t cosimSectionVersion = 1;
 /** Optional trailing request-tracer section. */
 constexpr std::uint32_t reqtraceSectionVersion = 1;
 
-/** CFG field writer: one overload per field type in configFields. */
-struct ConfigOut
-{
-    Snapshotter &sp;
-    void operator()(bool v) { sp.b(v); }
-    void operator()(int v) { sp.i32(v); }
-    void operator()(std::uint32_t v) { sp.u32(v); }
-    void operator()(std::uint64_t v) { sp.u64(v); }
-    void operator()(double v) { sp.f64(v); }
-    template <typename E>
-        requires std::is_enum_v<E>
-    void operator()(E v)
-    {
-        sp.u8(static_cast<std::uint8_t>(v));
-    }
-};
-
-/** CFG field reader, the mirror of ConfigOut. */
-struct ConfigIn
-{
-    Restorer &rs;
-    void operator()(bool &v) { v = rs.b(); }
-    void operator()(int &v) { v = rs.i32(); }
-    void operator()(std::uint32_t &v) { v = rs.u32(); }
-    void operator()(std::uint64_t &v) { v = rs.u64(); }
-    void operator()(double &v) { v = rs.f64(); }
-    template <typename E>
-        requires std::is_enum_v<E>
-    void operator()(E &v)
-    {
-        v = static_cast<E>(rs.u8());
-    }
-};
-
 /**
  * The CFG section's field list, in artifact order: everything that
  * rebuilds the machine, its workload, fault plan, overload knobs and
- * fidelity. Both snapshot() and resume() walk this one list (@p C is
- * const Session::Config when writing), so the two sides cannot drift.
+ * fidelity. Both snapshot() and resume() walk this one list, @p f
+ * writing or reading each field through the archive's io(), so the
+ * two sides cannot drift.
  */
 template <typename C, typename F>
 void
@@ -199,33 +165,17 @@ Session::Session(const Config &cfg, bool consultAmbient, bool forcePlan)
     : cfg_(cfg)
 {
     const EnvOverrides &env = EnvOverrides::ambient();
-    // Chip width: the SMTOS_CORES ambient applies only to fresh
-    // sessions whose config left topology at its default of one core,
-    // and before validate() so the override faces the same checks.
-    if (consultAmbient && cfg_.system.topology.cores == 1 && env.cores)
-        cfg_.system.topology.cores = *env.cores;
-    validate();
-
-    // Fault injection: an explicit plan wins, then the config's
-    // params, then (for fresh sessions only — resumed sessions take
-    // everything from the artifact) the installed environment.
-    if (cfg_.faultPlan) {
-        plan_ = cfg_.faultPlan;
-        cfg_.faults = plan_->params();
-    } else {
-        if (!cfg_.faults.any() && consultAmbient && env.faults)
-            cfg_.faults = *env.faults;
-        if (cfg_.faults.any() || forcePlan) {
-            ownedPlan_ = std::make_unique<FaultPlan>(cfg_.faults);
-            plan_ = ownedPlan_.get();
-        }
-    }
-
-    // Overload knobs follow the same precedence: explicit config
-    // wins, then (fresh sessions only) the installed environment.
-    // Applied before the System is built so machineConfigOf() sees
-    // them.
+    // The installed environment fills in what the config left at its
+    // default: explicit config wins, and only fresh sessions consult
+    // it (resumed sessions take everything from the artifact). It
+    // applies before validate(), so an override faces the same checks
+    // as the config itself, and before the System is built, so
+    // machineConfigOf() sees it.
     if (consultAmbient) {
+        if (cfg_.system.topology.cores == 1 && env.cores)
+            cfg_.system.topology.cores = *env.cores;
+        if (!cfg_.faultPlan && !cfg_.faults.any() && env.faults)
+            cfg_.faults = *env.faults;
         if (!cfg_.workload.openLoop.enabled && env.openLoop)
             cfg_.workload.openLoop = *env.openLoop;
         if (!cfg_.system.admit.enabled() && env.admit)
@@ -234,6 +184,17 @@ Session::Session(const Config &cfg, bool consultAmbient, bool forcePlan)
             cfg_.fidelity = *env.fidelity;
         if (!cfg_.sample.enabled && env.sample)
             cfg_.sample = *env.sample;
+    }
+    validate();
+
+    // Fault injection: an explicit plan wins, then the config's
+    // params.
+    if (cfg_.faultPlan) {
+        plan_ = cfg_.faultPlan;
+        cfg_.faults = plan_->params();
+    } else if (cfg_.faults.any() || forcePlan) {
+        ownedPlan_ = std::make_unique<FaultPlan>(cfg_.faults);
+        plan_ = ownedPlan_.get();
     }
 
     sys_ = std::make_unique<System>(
@@ -512,24 +473,22 @@ Session::snapshot()
 {
     Snapshotter sp;
     sp.beginSection("CFG ", configSectionVersion);
-    configFields(cfg_, ConfigOut{sp});
-    sp.b(plan_ != nullptr);
-    sp.b(cosim_ != nullptr);
+    configFields(cfg_, [&sp](const auto &v) { sp.io(v); });
+    sp.io(plan_ != nullptr);
+    sp.io(cosim_ != nullptr);
     sp.endSection();
-    saveMachineSections(sp, *sys_, plan_);
+    snapMachineSections(sp, *sys_, plan_);
     // The oracle rides behind the machine sections: its reference
     // cores sit at the retire point, which no machine section holds.
     sp.beginSection("COSM", cosimSectionVersion);
-    if (cosim_) {
-        const SnapImages images = collectImages(*sys_);
-        cosim_->save(sp, images);
-    }
+    if (cosim_)
+        cosim_->snap(sp, collectImages(*sys_));
     sp.endSection();
     // Tracer state is observability, not machine state: only traced
     // sessions carry it, as a trailing section.
     if (obs_ && obs_->reqtrace()) {
         sp.beginSection("RQTR", reqtraceSectionVersion);
-        obs_->reqtrace()->save(sp);
+        obs_->reqtrace()->snap(sp);
         sp.endSection();
     }
     return sp.finish();
@@ -554,10 +513,11 @@ Session::resume(const std::vector<std::uint8_t> &artifact,
         return nullptr;
     }
     Config cfg;
-    configFields(cfg, ConfigIn{rs});
-    const bool hadPlan = rs.b();
-    const bool hadCosim = rs.b();
-    rs.leaveSection();
+    configFields(cfg, [&rs](auto &v) { rs.io(v); });
+    bool hadPlan = false, hadCosim = false;
+    rs.io(hadPlan);
+    rs.io(hadCosim);
+    rs.endSection();
 
     // The oracle's retire-point state only exists in the artifact if
     // the originating session ran under co-simulation; a fresh oracle
@@ -590,31 +550,27 @@ Session::resume(const std::vector<std::uint8_t> &artifact,
     // Rebuild from the artifact's own config (never the ambient
     // environment), then overlay the saved machine state.
     std::unique_ptr<Session> s(new Session(cfg, false, hadPlan));
-    loadMachineSections(rs, *s->sys_, s->plan_);
+    snapMachineSections(rs, *s->sys_, s->plan_);
     // Load the oracle last: it wholesale-replaces the sync noise the
     // machine restore just fed it (resyncThreads targets the fetch
     // point; the oracle must resume from the retire point).
-    const std::uint32_t cosv = rs.enterSection("COSM");
-    smtos_assert(cosv == cosimSectionVersion);
-    if (s->cosim_) {
-        const SnapImages images = collectImages(*s->sys_);
-        s->cosim_->load(rs, images);
-    } else {
+    rs.beginSection("COSM", cosimSectionVersion);
+    if (s->cosim_)
+        s->cosim_->snap(rs, collectImages(*s->sys_));
+    else
         rs.skipRest();
-    }
-    rs.leaveSection();
+    rs.endSection();
     // Trailing tracer state (present only when the saving session
     // traced). Restored into the resuming session's tracer when it has
     // one, so in-flight spans complete across the boundary; skipped
     // (but still consumed) otherwise.
     if (!rs.atEnd()) {
-        const std::uint32_t rqv = rs.enterSection("RQTR");
-        smtos_assert(rqv == reqtraceSectionVersion);
+        rs.beginSection("RQTR", reqtraceSectionVersion);
         if (opts.obs && opts.obs->reqtrace())
-            opts.obs->reqtrace()->load(rs);
+            opts.obs->reqtrace()->snap(rs);
         else
             rs.skipRest();
-        rs.leaveSection();
+        rs.endSection();
     }
     // Overload and fidelity overrides land on the restored machine:
     // the fig_overload_knee pattern resumes one closed-loop start-up
@@ -636,6 +592,8 @@ Session::resume(const std::vector<std::uint8_t> &artifact,
     }
     if (opts.sample)
         s->cfg_.sample = *opts.sample;
+    // The overrides face the same checks as a fresh config.
+    s->validate();
     s->startupDone_ = true; // the artifact is past its start-up
     if (opts.obs)
         s->attachObs(*opts.obs);

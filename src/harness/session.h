@@ -35,7 +35,6 @@
 #include "mem/memctrl.h"
 #include "net/clients.h"
 #include "sim/metrics.h"
-#include "snap/fwd.h"
 #include "workload/apache.h"
 #include "workload/specint.h"
 

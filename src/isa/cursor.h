@@ -81,6 +81,7 @@ struct FaultRec
     std::uint8_t itlb = 0;
     std::uint8_t global = 0;
     std::uint8_t isText = 0;
+    std::uint8_t pad[5] = {}; ///< explicit padding, zeroed (see Cursor)
 };
 
 /** Maximum nested faults. */
@@ -270,16 +271,48 @@ class Cursor
     std::int8_t depth_ = 0;
     bool wrongPath_ = false;
     bool stuck_ = false;
+    // Explicit zeroed padding: snapshots copy the cursor as raw
+    // bytes, so no byte of it may be indeterminate.
+    std::uint8_t pad0_[5] = {};
     Rng rng_{1};
     std::uint32_t stream_[4] = {0, 0, 0, 0};
     FaultRec faults_[maxFaultDepth];
     std::int8_t faultDepth_ = 0;
+    std::uint8_t pad1_[7] = {};
     Addr retryVaddr_ = 0;
     std::int8_t retryDepth_ = -1;
+    std::uint8_t pad2_[7] = {};
 };
 
 static_assert(std::is_trivially_copyable_v<Cursor>,
               "cursor checkpoints must be plain copies");
+static_assert(std::has_unique_object_representations_v<Cursor>,
+              "cursor bytes must be a function of its state");
+
+/**
+ * Snapshot record of a thread's functional position — cursor, IPRs
+ * and memory regions — shared by the kernel's ThreadState and the
+ * co-simulation oracle's reference state (snap/snapshot.h).
+ */
+template <typename Ar>
+void
+snapPosition(Ar &ar, Cursor &cursor, ThreadIprs &iprs,
+             MemRegion (&regions)[maxRegions])
+{
+    ar.pod(cursor);
+    ar.io(iprs.copySrc);
+    ar.io(iprs.copyDst);
+    ar.io(iprs.copyTrip);
+    ar.io(iprs.serviceTrip);
+    ar.io(iprs.intrTrip);
+    ar.io(iprs.copySrcPhysical);
+    ar.io(iprs.copyDstPhysical);
+    for (MemRegion &r : regions) {
+        ar.io(r.base);
+        ar.io(r.bytes);
+        ar.io(r.sharedHot);
+    }
+}
 
 } // namespace smtos
 

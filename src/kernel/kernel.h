@@ -35,6 +35,7 @@
 namespace smtos {
 
 class InvariantAuditor;
+class SnapImages;
 
 /** What kind of software thread a Process is. */
 enum class ProcKind
@@ -297,15 +298,14 @@ class Kernel : public OsCallbacks
 
     // --- snapshot/restore (src/snap) ---
     static constexpr std::uint32_t snapVersion = 2;
-    void save(Snapshotter &sp, const SnapImages &images) const;
     /**
-     * Overwrite all mutable kernel state from a snapshot. The kernel
-     * must be freshly booted (createProcess + start() already called
-     * with the identical deterministic configuration); every field the
-     * boot path initialized is overwritten, including per-process
-     * thread state and address spaces.
+     * All mutable kernel state. Loading requires a freshly booted
+     * kernel (createProcess + start() already called with the
+     * identical deterministic configuration); every field the boot
+     * path initialized is overwritten, including per-process thread
+     * state and address spaces.
      */
-    void load(Restorer &rs, const SnapImages &images);
+    template <typename Ar> void snap(Ar &ar, const SnapImages &images);
 
   private:
     // boot

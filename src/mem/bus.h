@@ -11,7 +11,6 @@
 #include <string>
 
 #include "common/types.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -44,8 +43,7 @@ class Bus
     const std::string &name() const { return name_; }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     std::string name_;

@@ -17,7 +17,6 @@
 
 #include "common/types.h"
 #include "mem/missclass.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -124,8 +123,7 @@ class Cache
     void resetStats() { stats_.reset(); }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     struct Line

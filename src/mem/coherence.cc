@@ -67,26 +67,13 @@ CoherenceHub::dmaInvalidate(Addr paddr)
         h->l1d().invalidateBlock(paddr);
 }
 
+template <typename Ar>
 void
-CoherenceHub::save(Snapshotter &sp) const
+CoherenceHub::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.u64(stats_.snoopProbes);
-    sp.u64(stats_.invalidations);
-    sp.u64(stats_.downgrades);
-    sp.u64(stats_.interventionWritebacks);
-    sp.u64(stats_.upgrades);
+    ar.expect(snapVersion);
+    ar.pod(stats_);
 }
-
-void
-CoherenceHub::load(Restorer &rs)
-{
-    smtos_assert(rs.u32() == snapVersion);
-    stats_.snoopProbes = rs.u64();
-    stats_.invalidations = rs.u64();
-    stats_.downgrades = rs.u64();
-    stats_.interventionWritebacks = rs.u64();
-    stats_.upgrades = rs.u64();
-}
+SMTOS_SNAP_INSTANTIATE(CoherenceHub);
 
 } // namespace smtos

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -105,8 +104,7 @@ class CoherenceHub
     const CoherenceStats &stats() const { return stats_; }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     std::vector<Hierarchy *> cores_;

@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "common/types.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -42,8 +41,7 @@ class Dram
     Cycle latency() const { return latency_; }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     Cycle latency_;

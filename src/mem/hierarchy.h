@@ -27,7 +27,6 @@
 #include "mem/memctrl.h"
 #include "mem/mshr.h"
 #include "mem/storebuffer.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -103,8 +102,7 @@ class Uncore
     double l2missIntegral() const { return l2missIntegral_; }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     Cache l2_;
@@ -173,8 +171,7 @@ class Hierarchy
     const HierarchyParams &params() const { return params_; }
 
     static constexpr std::uint32_t snapVersion = 2;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     /** Common L1-miss path; returns fill completion time. */

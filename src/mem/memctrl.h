@@ -29,7 +29,7 @@
  *
  * All state advances only inside access(), so the model is
  * deterministic, identical under the host fast path, and snapshots
- * as plain data (save/load in snap/state.cc).
+ * as plain data (its snap() field list is in snap/state.cc).
  */
 
 #ifndef SMTOS_MEM_MEMCTRL_H
@@ -41,7 +41,6 @@
 #include "common/types.h"
 #include "mem/dram.h"
 #include "mem/missclass.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -151,8 +150,7 @@ class MemCtrl
     std::int64_t rowOf(Addr paddr) const;
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     struct Bank

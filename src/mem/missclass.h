@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -125,8 +124,7 @@ class MissClassifier
     void clear() { evictors_.clear(); }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     struct Evictor
@@ -188,7 +186,7 @@ class MissClassifier
             size_ = 0;
         }
 
-        /** Visit every entry (unspecified order; save() sorts keys). */
+        /** Visit every entry (unspecified order; snap() sorts keys). */
         template <typename F>
         void
         forEach(F &&f) const

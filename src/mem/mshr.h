@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -81,8 +80,7 @@ class MshrFile
     int size() const { return static_cast<int>(entries_.size()); }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     struct Entry

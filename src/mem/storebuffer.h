@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -43,8 +42,7 @@ class StoreBuffer
     int size() const { return static_cast<int>(drains_.size()); }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     void releaseExpired(Cycle now);

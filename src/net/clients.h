@@ -47,7 +47,6 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "net/network.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -168,8 +167,7 @@ class ClientPopulation
     const SpecWebParams &params() const { return params_; }
 
     static constexpr std::uint32_t snapVersion = 3;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     struct Client

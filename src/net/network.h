@@ -24,7 +24,6 @@
 
 #include "common/types.h"
 #include "fault/fault.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -39,6 +38,22 @@ struct Packet
     int fileId = -1;        ///< requested file (request packets)
     Addr mbuf = 0;          ///< physical address of the backing mbuf
     std::uint32_t reqSeq = 0;  ///< request sequence, echoed in responses
+
+    /** Snapshot field list (the network, clients and kernel queues
+     *  all carry packets). */
+    template <typename Ar>
+    void
+    snap(Ar &ar)
+    {
+        ar.io(client);
+        ar.io(conn);
+        ar.io(bytes);
+        ar.io(open);
+        ar.io(fin);
+        ar.io(fileId);
+        ar.io(mbuf);
+        ar.io(reqSeq);
+    }
 };
 
 /** Lossless zero-latency link with per-direction queues. */
@@ -118,8 +133,7 @@ class Network
     std::size_t delayedDepth() const { return delayed_.size(); }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     struct Delayed

@@ -305,64 +305,36 @@ RequestTracer::emitSpanLine(const Span &s, bool aborted)
     os << "]}\n";
 }
 
+template <typename Ar>
 void
-RequestTracer::save(Snapshotter &sp) const
+RequestTracer::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.u64(stats_.tracked);
-    sp.u64(stats_.completedClean);
-    sp.u64(stats_.completedRetried);
-    sp.u64(stats_.completedIrregular);
-    sp.u64(stats_.aborted);
-    sp.u64(stats_.retransmitAnnotations);
-    sp.u64(stats_.dropAnnotations);
-    for (int i = 0; i < numReqStages; ++i)
-        sp.u64(stats_.stageCycles[i]);
-    sp.u64(stats_.queueingCycles);
-    sp.u64(stats_.serviceCycles);
-    for (int i = 0; i < numReqStages; ++i)
-        stage_[i].save(sp);
-    e2e_.save(sp);
-    sp.u64(live_.size());
-    for (const auto &kv : live_) {
-        sp.u64(kv.first);
-        for (int i = 0; i < numReqBoundaries; ++i)
-            sp.u64(kv.second.t[i]);
-        sp.u8(kv.second.next);
-        sp.b(kv.second.retried);
-    }
+    ar.expect(snapVersion);
+    ar.io(stats_.tracked);
+    ar.io(stats_.completedClean);
+    ar.io(stats_.completedRetried);
+    ar.io(stats_.completedIrregular);
+    ar.io(stats_.aborted);
+    ar.io(stats_.retransmitAnnotations);
+    ar.io(stats_.dropAnnotations);
+    ar.pod(stats_.stageCycles);
+    ar.io(stats_.queueingCycles);
+    ar.io(stats_.serviceCycles);
+    for (Histogram &h : stage_)
+        h.snap(ar);
+    e2e_.snap(ar);
+    // std::map: ascending key order.
+    std::vector<std::pair<std::uint64_t, Inflight>> rows(live_.begin(),
+                                                         live_.end());
+    ar.seq(rows, [&ar](auto &r) {
+        ar.io(r.first);
+        ar.pod(r.second.t);
+        ar.io(r.second.next);
+        ar.io(r.second.retried);
+    });
+    if constexpr (Ar::loading)
+        live_ = {rows.begin(), rows.end()};
 }
-
-void
-RequestTracer::load(Restorer &rs)
-{
-    const std::uint32_t v = rs.u32();
-    smtos_assert(v == snapVersion);
-    stats_.tracked = rs.u64();
-    stats_.completedClean = rs.u64();
-    stats_.completedRetried = rs.u64();
-    stats_.completedIrregular = rs.u64();
-    stats_.aborted = rs.u64();
-    stats_.retransmitAnnotations = rs.u64();
-    stats_.dropAnnotations = rs.u64();
-    for (int i = 0; i < numReqStages; ++i)
-        stats_.stageCycles[i] = rs.u64();
-    stats_.queueingCycles = rs.u64();
-    stats_.serviceCycles = rs.u64();
-    for (int i = 0; i < numReqStages; ++i)
-        stage_[i].load(rs);
-    e2e_.load(rs);
-    live_.clear();
-    const std::uint64_t n = rs.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint64_t k = rs.u64();
-        Inflight f;
-        for (int j = 0; j < numReqBoundaries; ++j)
-            f.t[j] = rs.u64();
-        f.next = rs.u8();
-        f.retried = rs.b();
-        live_.emplace(k, f);
-    }
-}
+SMTOS_SNAP_INSTANTIATE(RequestTracer);
 
 } // namespace smtos

@@ -47,7 +47,6 @@
 
 #include "common/stats.h"
 #include "common/types.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -158,8 +157,7 @@ class RequestTracer
     const std::vector<Span> &completed() const { return completed_; }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     struct Inflight

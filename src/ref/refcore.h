@@ -31,10 +31,10 @@
 
 #include "isa/cursor.h"
 #include "ref/refvalue.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
+class SnapImages;
 struct ThreadState;
 
 /**
@@ -99,12 +99,11 @@ class RefCore
     const ImageSet &images() const { return is_; }
     const ArchRegs &regs() const { return regs_; }
 
-    /** Serialize the full functional state (cosim snapshot). */
-    void save(Snapshotter &sp, const SnapImages &images) const;
-
-    /** Mirror of save(); @p kernel_image rebinds the image set. */
-    void load(Restorer &rs, const SnapImages &images,
-              const CodeImage *kernel_image);
+    /** The full functional state (cosim snapshot); on load
+     *  @p kernelImage rebinds the image set. */
+    template <typename Ar>
+    void snap(Ar &ar, const SnapImages &images,
+              const CodeImage *kernelImage);
 
   private:
     Cursor cur_;

@@ -26,157 +26,58 @@ namespace {
 
 constexpr std::uint32_t snapVersion = 1;
 
-void
-tag(Restorer &rs, std::uint32_t want)
-{
-    const std::uint32_t got = rs.u32();
-    smtos_assert(got == want);
-}
-
-void
-syncStateOut(Snapshotter &sp, const RefSyncState &s,
-             const SnapImages &images)
-{
-    sp.bytes(&s.cursor, sizeof s.cursor); // Cursor: trivially copyable
-    sp.u64(s.iprs.copySrc);
-    sp.u64(s.iprs.copyDst);
-    sp.u32(s.iprs.copyTrip);
-    sp.u32(s.iprs.serviceTrip);
-    sp.u32(s.iprs.intrTrip);
-    sp.b(s.iprs.copySrcPhysical);
-    sp.b(s.iprs.copyDstPhysical);
-    for (const MemRegion &r : s.regions) {
-        sp.u64(r.base);
-        sp.u64(r.bytes);
-        sp.b(r.sharedHot);
-    }
-    sp.i32(s.userImage ? images.idOf(s.userImage) : -1);
-    sp.b(s.isIdleThread);
-}
-
-RefSyncState
-syncStateIn(Restorer &rs, const SnapImages &images)
-{
-    RefSyncState s;
-    rs.bytes(&s.cursor, sizeof s.cursor);
-    s.iprs.copySrc = rs.u64();
-    s.iprs.copyDst = rs.u64();
-    s.iprs.copyTrip = rs.u32();
-    s.iprs.serviceTrip = rs.u32();
-    s.iprs.intrTrip = rs.u32();
-    s.iprs.copySrcPhysical = rs.b();
-    s.iprs.copyDstPhysical = rs.b();
-    for (MemRegion &r : s.regions) {
-        r.base = rs.u64();
-        r.bytes = rs.u64();
-        r.sharedHot = rs.b();
-    }
-    const int img = rs.i32();
-    s.userImage = img >= 0 ? images.byId(img) : nullptr;
-    s.isIdleThread = rs.b();
-    return s;
-}
-
 } // namespace
 
+template <typename Ar>
 void
-RefCore::save(Snapshotter &sp, const SnapImages &images) const
+RefCore::snap(Ar &ar, const SnapImages &images,
+              const CodeImage *kernelImage)
 {
-    sp.u32(snapVersion);
-    sp.bytes(&cur_, sizeof cur_); // Cursor: trivially copyable
-    sp.u64(iprs_.copySrc);
-    sp.u64(iprs_.copyDst);
-    sp.u32(iprs_.copyTrip);
-    sp.u32(iprs_.serviceTrip);
-    sp.u32(iprs_.intrTrip);
-    sp.b(iprs_.copySrcPhysical);
-    sp.b(iprs_.copyDstPhysical);
-    for (const MemRegion &r : regions_) {
-        sp.u64(r.base);
-        sp.u64(r.bytes);
-        sp.b(r.sharedHot);
-    }
-    sp.i32(is_.user ? images.idOf(is_.user) : -1);
-    sp.b(isIdle_);
-    sp.b(live_);
-    sp.b(waitingOs_);
-    sp.u64(executed_);
-    sp.bytes(regs_.data(), regs_.size() * sizeof(std::uint64_t));
+    ar.expect(snapVersion);
+    snapPosition(ar, cur_, iprs_, regions_);
+    images.io(ar, is_.user);
+    if constexpr (Ar::loading)
+        is_.kernel = kernelImage;
+    ar.io(isIdle_);
+    ar.io(live_);
+    ar.io(waitingOs_);
+    ar.io(executed_);
+    ar.pod(regs_);
 }
+SMTOS_SNAP_INSTANTIATE(RefCore, const SnapImages &, const CodeImage *);
 
+template <typename Ar>
 void
-RefCore::load(Restorer &rs, const SnapImages &images,
-              const CodeImage *kernel_image)
-{
-    tag(rs, snapVersion);
-    rs.bytes(&cur_, sizeof cur_);
-    iprs_.copySrc = rs.u64();
-    iprs_.copyDst = rs.u64();
-    iprs_.copyTrip = rs.u32();
-    iprs_.serviceTrip = rs.u32();
-    iprs_.intrTrip = rs.u32();
-    iprs_.copySrcPhysical = rs.b();
-    iprs_.copyDstPhysical = rs.b();
-    for (MemRegion &r : regions_) {
-        r.base = rs.u64();
-        r.bytes = rs.u64();
-        r.sharedHot = rs.b();
-    }
-    const int img = rs.i32();
-    is_ = ImageSet{img >= 0 ? images.byId(img) : nullptr,
-                   kernel_image};
-    isIdle_ = rs.b();
-    live_ = rs.b();
-    waitingOs_ = rs.b();
-    executed_ = rs.u64();
-    rs.bytes(regs_.data(), regs_.size() * sizeof(std::uint64_t));
-}
-
-void
-Cosim::save(Snapshotter &sp, const SnapImages &images) const
+Cosim::snap(Ar &ar, const SnapImages &images)
 {
     // A diverged oracle is a failed run; snapshotting it is a bug.
-    smtos_assert(!diverged_);
-    sp.u32(snapVersion);
-    sp.u64(checked_);
-    sp.u64(syncs_);
-    sp.u64(threads_.size()); // std::map: saved in ascending tid order
-    for (const auto &[tid, tc] : threads_) {
-        sp.i32(tid);
-        tc.ref.save(sp, images);
-        sp.u64(tc.pending.size());
-        for (const PendingSync &ps : tc.pending) {
-            sp.u64(ps.firstSeq);
-            syncStateOut(sp, ps.state, images);
-        }
+    if constexpr (!Ar::loading)
+        smtos_assert(!diverged_);
+    ar.expect(snapVersion);
+    if constexpr (Ar::loading) {
+        threads_.clear();
+        diverged_ = false;
+        report_.clear();
     }
-}
-
-void
-Cosim::load(Restorer &rs, const SnapImages &images)
-{
-    tag(rs, snapVersion);
-    // Drop everything observed during boot and restore of the host
-    // session (thread binds, resyncThreads) — the artifact's oracle
-    // state supersedes it wholesale.
-    threads_.clear();
-    diverged_ = false;
-    report_.clear();
-    checked_ = rs.u64();
-    syncs_ = rs.u64();
-    const std::uint64_t n = rs.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const ThreadId tid = rs.i32();
+    ar.io(checked_);
+    ar.io(syncs_);
+    // std::map: saved in ascending tid order.
+    std::vector<ThreadId> tids;
+    for (const auto &kv : threads_)
+        tids.push_back(kv.first);
+    ar.seq(tids, [&](ThreadId &tid) {
+        ar.io(tid);
         ThreadChecker &tc = threads_[tid];
-        tc.ref.load(rs, images, kernelImage_);
-        const std::uint64_t np = rs.u64();
-        for (std::uint64_t j = 0; j < np; ++j) {
-            PendingSync ps;
-            ps.firstSeq = rs.u64();
-            ps.state = syncStateIn(rs, images);
-            tc.pending.push_back(ps);
-        }
-    }
+        tc.ref.snap(ar, images, kernelImage_);
+        ar.seq(tc.pending, [&](PendingSync &ps) {
+            RefSyncState &s = ps.state;
+            ar.io(ps.firstSeq);
+            snapPosition(ar, s.cursor, s.iprs, s.regions);
+            images.io(ar, s.userImage);
+            ar.io(s.isIdleThread);
+        });
+    });
 }
+SMTOS_SNAP_INSTANTIATE(Cosim, const SnapImages &);
 
 } // namespace smtos

@@ -25,9 +25,13 @@
 #ifndef SMTOS_SNAP_SNAPSHOT_H
 #define SMTOS_SNAP_SNAPSHOT_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -72,44 +76,148 @@ sectionTag(const char (&fourcc)[5])
                << 24;
 }
 
-/** Append-only writer producing the snapshot artifact. */
-class Snapshotter
+/**
+ * The vocabulary every snapshotted class's field list is written in,
+ * shared by both archives. A class lists its fields once, in artifact
+ * order, in `template <typename Ar> void snap(Ar &ar)`: with a
+ * Snapshotter the list writes, with a Restorer it reads. Ar::loading
+ * guards what only one direction does (rebuilding derived state,
+ * translating pids/image ids back into pointers).
+ *
+ *   io(v)        scalar at its own width; bool as one 0/1 byte,
+ *                enums as u8, strings as u64 length + bytes
+ *   pod(v)       raw bytes of an object, or of a vector's elements
+ *                (no length); the type may carry no padding bits
+ *   vec(v)       u64 length + raw element bytes; resized on load
+ *   expect(v)    a value the rebuilt object already holds (version
+ *                tag, structural size): written, and checked on load
+ *   seq(c, f)    u64 length + f(element) for each; resized on load
+ *   map(m)       unordered integer map, sorted by key so equal state
+ *                gives equal bytes
+ *
+ * Everything but io is written once here, over the archives' io and
+ * raw byte copy.
+ */
+template <typename Ar>
+class Archive
 {
   public:
+    template <typename T>
+    void
+    expect(const T &v)
+    {
+        T got = v;
+        self().io(got);
+        smtos_assert(got == v);
+    }
+
+    template <typename T>
+    void
+    vec(std::vector<T> &v)
+    {
+        std::uint64_t n = v.size();
+        self().io(n);
+        if constexpr (Ar::loading)
+            v.resize(n);
+        pod(v);
+    }
+
+    template <typename C, typename F>
+    void
+    seq(C &c, F &&f)
+    {
+        std::uint64_t n = c.size();
+        self().io(n);
+        if constexpr (Ar::loading) {
+            c.clear();
+            c.resize(n);
+        }
+        for (auto &e : c)
+            f(e);
+    }
+
+    template <typename K, typename V>
+    void
+    map(std::unordered_map<K, V> &m)
+    {
+        std::uint64_t n = m.size();
+        self().io(n);
+        if constexpr (Ar::loading) {
+            m.clear();
+            m.reserve(n);
+            for (; n > 0; --n) {
+                std::uint64_t k = 0, v = 0;
+                self().io(k);
+                self().io(v);
+                m.emplace(static_cast<K>(k), static_cast<V>(v));
+            }
+        } else {
+            std::vector<K> keys;
+            keys.reserve(n);
+            for (const auto &kv : m)
+                keys.push_back(kv.first);
+            std::sort(keys.begin(), keys.end());
+            for (const K &k : keys) {
+                self().io(static_cast<std::uint64_t>(k));
+                self().io(static_cast<std::uint64_t>(m.at(k)));
+            }
+        }
+    }
+
+    /** Raw bytes. The type may have no padding: padding bytes hold
+     *  whatever the storage held before, and an artifact must be a
+     *  function of simulated state alone. */
+    template <typename T>
+    void
+    pod(T &v)
+    {
+        static_assert(std::has_unique_object_representations_v<T>,
+                      "pod() needs a type without padding bits");
+        self().raw(&v, sizeof v);
+    }
+
+    template <typename T>
+    void
+    pod(std::vector<T> &v)
+    {
+        static_assert(std::has_unique_object_representations_v<T>,
+                      "pod() needs a type without padding bits");
+        self().raw(v.data(), v.size() * sizeof(T));
+    }
+
+  private:
+    Ar &self() { return static_cast<Ar &>(*this); }
+};
+
+/** Append-only writer producing the snapshot artifact. */
+class Snapshotter : public Archive<Snapshotter>
+{
+  public:
+    static constexpr bool loading = false;
+
     Snapshotter() { buf_.reserve(1 << 16); }
 
+    template <typename T>
     void
-    u8(std::uint8_t v)
+    io(const T &v)
     {
-        buf_.push_back(v);
-    }
-
-    void u16(std::uint16_t v) { raw(&v, sizeof v); }
-    void u32(std::uint32_t v) { raw(&v, sizeof v); }
-    void u64(std::uint64_t v) { raw(&v, sizeof v); }
-    void i64(std::int64_t v) { raw(&v, sizeof v); }
-    void i32(std::int32_t v) { raw(&v, sizeof v); }
-    void b(bool v) { u8(v ? 1 : 0); }
-
-    /** Doubles by bit pattern: restored sums stay bit-identical. */
-    void
-    f64(double v)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof bits);
-        u64(bits);
+        if constexpr (std::is_enum_v<T>) {
+            io(static_cast<std::uint8_t>(v));
+        } else if constexpr (sizeof(T) == 1) {
+            // bool is one 0/1 byte.
+            buf_.push_back(static_cast<std::uint8_t>(v));
+        } else {
+            static_assert(std::is_arithmetic_v<T>);
+            // Doubles go by bit pattern, so restored sums stay
+            // bit-identical.
+            raw(&v, sizeof v);
+        }
     }
 
     void
-    bytes(const void *p, std::size_t n)
+    io(const std::string &s)
     {
-        raw(p, n);
-    }
-
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
+        io(std::uint64_t{s.size()});
         raw(s.data(), s.size());
     }
 
@@ -118,10 +226,10 @@ class Snapshotter
     beginSection(const char (&fourcc)[5], std::uint32_t version)
     {
         smtos_assert(lenAt_ == npos);
-        u32(sectionTag(fourcc));
-        u32(version);
+        io(sectionTag(fourcc));
+        io(version);
         lenAt_ = buf_.size();
-        u64(0); // patched by endSection()
+        io(std::uint64_t{0}); // patched by endSection()
     }
 
     void
@@ -156,6 +264,7 @@ class Snapshotter
     }
 
   private:
+    friend class Archive<Snapshotter>;
     static constexpr std::size_t npos = ~std::size_t{0};
 
     void
@@ -170,9 +279,11 @@ class Snapshotter
 };
 
 /** Cursor over a validated artifact payload. */
-class Restorer
+class Restorer : public Archive<Restorer>
 {
   public:
+    static constexpr bool loading = true;
+
     explicit Restorer(std::vector<std::uint8_t> artifact)
         : buf_(std::move(artifact))
     {
@@ -183,47 +294,32 @@ class Restorer
     bool ok() const { return error_.empty(); }
     const std::string &error() const { return error_; }
 
-    std::uint8_t
-    u8()
+    template <typename T>
+    void
+    io(T &v)
     {
-        need(1);
-        return buf_[pos_++];
-    }
-
-    std::uint16_t u16() { return rawAs<std::uint16_t>(); }
-    std::uint32_t u32() { return rawAs<std::uint32_t>(); }
-    std::uint64_t u64() { return rawAs<std::uint64_t>(); }
-    std::int64_t i64() { return rawAs<std::int64_t>(); }
-    std::int32_t i32() { return rawAs<std::int32_t>(); }
-    bool b() { return u8() != 0; }
-
-    double
-    f64()
-    {
-        const std::uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof v);
-        return v;
+        if constexpr (std::is_enum_v<T>) {
+            std::uint8_t u = 0;
+            io(u);
+            v = static_cast<T>(u);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            std::uint8_t u = 0;
+            io(u);
+            v = u != 0;
+        } else {
+            static_assert(std::is_arithmetic_v<T>);
+            raw(&v, sizeof v);
+        }
     }
 
     void
-    bytes(void *p, std::size_t n)
+    io(std::string &s)
     {
+        std::uint64_t n = 0;
+        io(n);
         need(n);
-        std::memcpy(p, buf_.data() + pos_, n);
+        s.assign(reinterpret_cast<const char *>(buf_.data()) + pos_, n);
         pos_ += n;
-    }
-
-    std::string
-    str()
-    {
-        const std::uint64_t n = u64();
-        need(n);
-        std::string s(reinterpret_cast<const char *>(buf_.data()) +
-                          pos_,
-                      n);
-        pos_ += n;
-        return s;
     }
 
     /** Enter the next section, which must carry @p fourcc; returns
@@ -233,17 +329,27 @@ class Restorer
     {
         smtos_assert(ok());
         smtos_assert(sectionEnd_ == 0);
-        const std::uint32_t tag = u32();
+        std::uint32_t tag = 0, version = 0;
+        std::uint64_t len = 0;
+        io(tag);
         smtos_assert(tag == sectionTag(fourcc));
-        const std::uint32_t version = u32();
-        const std::uint64_t len = u64();
+        io(version);
+        io(len);
         sectionEnd_ = pos_ + len;
         smtos_assert(sectionEnd_ <= buf_.size());
         return version;
     }
 
+    /** Enter the next section, which must carry @p fourcc at
+     *  @p version (the mirror of Snapshotter::beginSection). */
     void
-    leaveSection()
+    beginSection(const char (&fourcc)[5], std::uint32_t version)
+    {
+        smtos_assert(enterSection(fourcc) == version);
+    }
+
+    void
+    endSection()
     {
         smtos_assert(sectionEnd_ != 0);
         smtos_assert(pos_ == sectionEnd_);
@@ -269,21 +375,9 @@ class Restorer
         return pos_ == buf_.size();
     }
 
-    /** Non-consuming peek at the next section's tag. Valid only
-     *  between sections; with several *optional* trailing sections,
-     *  atEnd() alone cannot tell a reader which one comes next. */
-    bool
-    nextSectionIs(const char (&fourcc)[5]) const
-    {
-        smtos_assert(sectionEnd_ == 0);
-        if (pos_ + 4 > buf_.size())
-            return false;
-        std::uint32_t tag;
-        std::memcpy(&tag, buf_.data() + pos_, sizeof tag);
-        return tag == sectionTag(fourcc);
-    }
-
   private:
+    friend class Archive<Restorer>;
+
     void
     validate()
     {
@@ -326,15 +420,13 @@ class Restorer
         pos_ = headerBytes;
     }
 
-    template <typename T>
-    T
-    rawAs()
+    void
+    raw(void *p, std::size_t n)
     {
-        need(sizeof(T));
-        T v;
-        std::memcpy(&v, buf_.data() + pos_, sizeof v);
-        pos_ += sizeof v;
-        return v;
+        need(n);
+        if (n > 0) // an empty vector's data() may be null
+            std::memcpy(p, buf_.data() + pos_, n);
+        pos_ += n;
     }
 
     void
@@ -349,6 +441,12 @@ class Restorer
     std::size_t sectionEnd_ = 0;
     std::string error_;
 };
+
+/** Explicitly instantiate Class::snap for both archives; the extra
+ *  arguments are snap()'s parameters after the archive. */
+#define SMTOS_SNAP_INSTANTIATE(Class, ...)                              \
+    template void Class::snap(Snapshotter & __VA_OPT__(, ) __VA_ARGS__); \
+    template void Class::snap(Restorer & __VA_OPT__(, ) __VA_ARGS__)
 
 /**
  * Deterministic registry of every code image a run can execute, so
@@ -388,6 +486,17 @@ class SnapImages
     }
 
     int count() const { return static_cast<int>(images_.size()); }
+
+    /** A code-image pointer as its registry id (-1 = null). */
+    template <typename Ar>
+    void
+    io(Ar &ar, const CodeImage *&img) const
+    {
+        std::int32_t id = img ? idOf(img) : -1;
+        ar.io(id);
+        if constexpr (Ar::loading)
+            img = id < 0 ? nullptr : byId(id);
+    }
 
   private:
     std::vector<const CodeImage *> images_;

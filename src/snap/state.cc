@@ -1,17 +1,18 @@
 /**
  * @file
- * save(Snapshotter&)/load(Restorer&) definitions for every small
- * stateful class. Each blob starts with the class's snapVersion tag;
- * containers with nondeterministic iteration order (unordered maps)
- * are serialized sorted by key so identical simulated state always
- * produces identical artifact bytes. Host-side accelerator caches
- * (AddrSpace translation cache, TLB lookup hints) are not serialized:
- * they are validated before use, so restoring them cold is
- * bit-identical to restoring them warm.
+ * snap(Ar&) field lists for every small stateful class (the archive
+ * vocabulary is in snap/snapshot.h). Each blob starts with the class's
+ * snapVersion tag; containers with nondeterministic iteration order
+ * (unordered maps) are serialized sorted by key so identical simulated
+ * state always produces identical artifact bytes. Host-side
+ * accelerator caches (AddrSpace translation cache, TLB lookup hints)
+ * are not serialized: they are validated before use, so restoring them
+ * cold is bit-identical to restoring them warm.
  */
 
 #include <algorithm>
-#include <unordered_map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bp/btb.h"
@@ -36,859 +37,450 @@
 
 namespace smtos {
 
-namespace {
-
-/** Write/read a trivially copyable vector as one byte run. */
-template <typename T>
-void
-vecOut(Snapshotter &sp, const std::vector<T> &v)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    sp.u64(v.size());
-    if (!v.empty())
-        sp.bytes(v.data(), v.size() * sizeof(T));
-}
-
-template <typename T>
-void
-vecIn(Restorer &rs, std::vector<T> &v)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    v.resize(rs.u64());
-    if (!v.empty())
-        rs.bytes(v.data(), v.size() * sizeof(T));
-}
-
-/** unordered_map<u64-ish, u64-ish> serialized sorted by key. */
-template <typename K, typename V>
-void
-mapOut(Snapshotter &sp, const std::unordered_map<K, V> &m)
-{
-    std::vector<K> keys;
-    keys.reserve(m.size());
-    for (const auto &kv : m)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    sp.u64(keys.size());
-    for (const K &k : keys) {
-        sp.u64(static_cast<std::uint64_t>(k));
-        sp.u64(static_cast<std::uint64_t>(m.at(k)));
-    }
-}
-
-template <typename K, typename V>
-void
-mapIn(Restorer &rs, std::unordered_map<K, V> &m)
-{
-    m.clear();
-    const std::uint64_t n = rs.u64();
-    m.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const K k = static_cast<K>(rs.u64());
-        m.emplace(k, static_cast<V>(rs.u64()));
-    }
-}
-
-void
-statsOut(Snapshotter &sp, const InterferenceStats &s)
-{
-    // All-u64 aggregate: no padding, safe as one byte run.
-    sp.bytes(&s, sizeof s);
-}
-
-void
-statsIn(Restorer &rs, InterferenceStats &s)
-{
-    rs.bytes(&s, sizeof s);
-}
-
-void
-packetOut(Snapshotter &sp, const Packet &p)
-{
-    sp.i32(p.client);
-    sp.i32(p.conn);
-    sp.u32(p.bytes);
-    sp.b(p.open);
-    sp.b(p.fin);
-    sp.i32(p.fileId);
-    sp.u64(p.mbuf);
-    sp.u32(p.reqSeq);
-}
-
-Packet
-packetIn(Restorer &rs)
-{
-    Packet p;
-    p.client = rs.i32();
-    p.conn = rs.i32();
-    p.bytes = rs.u32();
-    p.open = rs.b();
-    p.fin = rs.b();
-    p.fileId = rs.i32();
-    p.mbuf = rs.u64();
-    p.reqSeq = rs.u32();
-    return p;
-}
-
-std::uint32_t
-tag(Restorer &rs, std::uint32_t want)
-{
-    const std::uint32_t v = rs.u32();
-    smtos_assert(v == want);
-    return v;
-}
-
-} // namespace
-
 // --- common/stats.h ---
 
+template <typename Ar>
 void
-Sampler::save(Snapshotter &sp) const
+Sampler::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.u64(count_);
-    sp.f64(sum_);
-    sp.f64(min_);
-    sp.f64(max_);
+    ar.expect(snapVersion);
+    ar.io(count_);
+    ar.io(sum_);
+    ar.io(min_);
+    ar.io(max_);
 }
+SMTOS_SNAP_INSTANTIATE(Sampler);
 
+template <typename Ar>
 void
-Sampler::load(Restorer &rs)
+Histogram::snap(Ar &ar)
 {
-    tag(rs, snapVersion);
-    count_ = rs.u64();
-    sum_ = rs.f64();
-    min_ = rs.f64();
-    max_ = rs.f64();
+    ar.expect(snapVersion);
+    ar.expect(lo_);
+    ar.expect(hi_);
+    ar.expect(counts_.size());
+    ar.pod(counts_);
+    ar.io(total_);
+    ar.io(weightedSum_);
 }
+SMTOS_SNAP_INSTANTIATE(Histogram);
 
+template <typename Ar>
 void
-Histogram::save(Snapshotter &sp) const
+CounterMap::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.i64(lo_);
-    sp.i64(hi_);
-    vecOut(sp, counts_);
-    sp.u64(total_);
-    sp.f64(weightedSum_);
+    ar.expect(snapVersion);
+    // std::map: sorted already.
+    std::vector<std::pair<std::string, std::uint64_t>> rows(
+        counts_.begin(), counts_.end());
+    ar.seq(rows, [&ar](auto &r) {
+        ar.io(r.first);
+        ar.io(r.second);
+    });
+    if constexpr (Ar::loading)
+        counts_ = {rows.begin(), rows.end()};
 }
-
-void
-Histogram::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    smtos_assert(rs.i64() == lo_);
-    smtos_assert(rs.i64() == hi_);
-    const std::size_t buckets = counts_.size();
-    vecIn(rs, counts_);
-    smtos_assert(counts_.size() == buckets);
-    total_ = rs.u64();
-    weightedSum_ = rs.f64();
-}
-
-void
-CounterMap::save(Snapshotter &sp) const
-{
-    sp.u32(snapVersion);
-    sp.u64(counts_.size());
-    for (const auto &kv : counts_) { // std::map: sorted already
-        sp.str(kv.first);
-        sp.u64(kv.second);
-    }
-}
-
-void
-CounterMap::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    counts_.clear();
-    const std::uint64_t n = rs.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::string k = rs.str();
-        counts_[std::move(k)] = rs.u64();
-    }
-}
+SMTOS_SNAP_INSTANTIATE(CounterMap);
 
 // --- mem/missclass.h ---
 
+template <typename Ar>
 void
-MissClassifier::save(Snapshotter &sp) const
+MissClassifier::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
+    ar.expect(snapVersion);
+    // Sorted by block address, so equal state gives equal bytes.
     std::vector<Addr> keys;
-    keys.reserve(evictors_.size());
-    evictors_.forEach(
-        [&](Addr k, const Evictor &) { keys.push_back(k); });
-    std::sort(keys.begin(), keys.end());
-    sp.u64(keys.size());
-    for (Addr k : keys) {
-        const Evictor &e = *evictors_.find(k);
-        sp.u64(k);
-        sp.i32(e.thread);
-        sp.b(e.kernel);
-        sp.b(e.byInvalidation);
+    if constexpr (Ar::loading) {
+        evictors_.clear();
+    } else {
+        keys.reserve(evictors_.size());
+        evictors_.forEach(
+            [&keys](Addr k, const Evictor &) { keys.push_back(k); });
+        std::sort(keys.begin(), keys.end());
     }
-}
-
-void
-MissClassifier::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    evictors_.clear();
-    const std::uint64_t n = rs.u64();
+    std::uint64_t n = keys.size();
+    ar.io(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr k = rs.u64();
-        Evictor e;
-        e.thread = rs.i32();
-        e.kernel = rs.b();
-        e.byInvalidation = rs.b();
-        evictors_.upsert(k) = e;
+        Addr k = 0;
+        Evictor e{};
+        if constexpr (!Ar::loading) {
+            k = keys[i];
+            e = *evictors_.find(k);
+        }
+        ar.io(k);
+        ar.io(e.thread);
+        ar.io(e.kernel);
+        ar.io(e.byInvalidation);
+        if constexpr (Ar::loading)
+            evictors_.upsert(k) = e;
     }
 }
+SMTOS_SNAP_INSTANTIATE(MissClassifier);
 
 // --- mem/cache.h ---
 
+template <typename Ar>
 void
-Cache::save(Snapshotter &sp) const
+Cache::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.u64(lines_.size());
-    for (const Line &l : lines_) {
-        sp.b(l.valid);
-        sp.b(l.dirty);
-        sp.u64(l.blockAddr);
-        sp.u64(l.lruStamp);
-        sp.i32(l.fillerThread);
-        sp.b(l.fillerKernel);
-        sp.u64(l.touchedMask);
-    }
-    sp.u64(tick_);
-    classifier_.save(sp);
-    statsOut(sp, stats_);
-}
-
-void
-Cache::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    smtos_assert(rs.u64() == lines_.size());
+    ar.expect(snapVersion);
+    ar.expect(lines_.size());
     for (Line &l : lines_) {
-        l.valid = rs.b();
-        l.dirty = rs.b();
-        l.blockAddr = rs.u64();
-        l.lruStamp = rs.u64();
-        l.fillerThread = rs.i32();
-        l.fillerKernel = rs.b();
-        l.touchedMask = rs.u64();
+        ar.io(l.valid);
+        ar.io(l.dirty);
+        ar.io(l.blockAddr);
+        ar.io(l.lruStamp);
+        ar.io(l.fillerThread);
+        ar.io(l.fillerKernel);
+        ar.io(l.touchedMask);
     }
-    rebuildTags();
-    tick_ = rs.u64();
-    classifier_.load(rs);
-    statsIn(rs, stats_);
+    if constexpr (Ar::loading)
+        rebuildTags();
+    ar.io(tick_);
+    classifier_.snap(ar);
+    ar.pod(stats_);
 }
+SMTOS_SNAP_INSTANTIATE(Cache);
 
 // --- mem/mshr.h ---
 
+template <typename Ar>
 void
-MshrFile::save(Snapshotter &sp) const
+MshrFile::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.u64(entries_.size());
-    for (const Entry &e : entries_) {
-        sp.b(e.valid);
-        sp.u64(e.blockAddr);
-        sp.u64(e.readyAt);
-    }
-    sp.u64(fills_);
-    sp.u64(merges_);
-    sp.u64(fullStalls_);
-    sp.f64(occupancyIntegral_);
-}
-
-void
-MshrFile::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    smtos_assert(rs.u64() == entries_.size());
+    ar.expect(snapVersion);
+    ar.expect(entries_.size());
     for (Entry &e : entries_) {
-        e.valid = rs.b();
-        e.blockAddr = rs.u64();
-        e.readyAt = rs.u64();
+        ar.io(e.valid);
+        ar.io(e.blockAddr);
+        ar.io(e.readyAt);
     }
-    fills_ = rs.u64();
-    merges_ = rs.u64();
-    fullStalls_ = rs.u64();
-    occupancyIntegral_ = rs.f64();
+    ar.io(fills_);
+    ar.io(merges_);
+    ar.io(fullStalls_);
+    ar.io(occupancyIntegral_);
 }
+SMTOS_SNAP_INSTANTIATE(MshrFile);
 
 // --- mem/storebuffer.h ---
 
+template <typename Ar>
 void
-StoreBuffer::save(Snapshotter &sp) const
+StoreBuffer::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    vecOut(sp, drains_);
-    sp.u64(valid_.size());
-    for (std::size_t i = 0; i < valid_.size(); ++i)
-        sp.b(valid_[i]);
-    sp.u64(stores_);
-    sp.u64(fullStalls_);
+    ar.expect(snapVersion);
+    ar.expect(drains_.size());
+    ar.pod(drains_);
+    ar.expect(valid_.size());
+    for (std::size_t i = 0; i < valid_.size(); ++i) {
+        bool v = valid_[i]; // std::vector<bool>: no addressable bytes
+        ar.io(v);
+        if constexpr (Ar::loading)
+            valid_[i] = v;
+    }
+    ar.io(stores_);
+    ar.io(fullStalls_);
 }
-
-void
-StoreBuffer::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    const std::size_t slots = drains_.size();
-    vecIn(rs, drains_);
-    smtos_assert(drains_.size() == slots);
-    smtos_assert(rs.u64() == valid_.size());
-    for (std::size_t i = 0; i < valid_.size(); ++i)
-        valid_[i] = rs.b();
-    stores_ = rs.u64();
-    fullStalls_ = rs.u64();
-}
+SMTOS_SNAP_INSTANTIATE(StoreBuffer);
 
 // --- mem/bus.h ---
 
+template <typename Ar>
 void
-Bus::save(Snapshotter &sp) const
+Bus::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.u64(nextFree_);
-    sp.u64(transactions_);
-    sp.u64(queueingDelay_);
+    ar.expect(snapVersion);
+    ar.io(nextFree_);
+    ar.io(transactions_);
+    ar.io(queueingDelay_);
 }
-
-void
-Bus::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    nextFree_ = rs.u64();
-    transactions_ = rs.u64();
-    queueingDelay_ = rs.u64();
-}
+SMTOS_SNAP_INSTANTIATE(Bus);
 
 // --- mem/dram.h ---
 
+template <typename Ar>
 void
-Dram::save(Snapshotter &sp) const
+Dram::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.u64(accesses_);
+    ar.expect(snapVersion);
+    ar.io(accesses_);
 }
-
-void
-Dram::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    accesses_ = rs.u64();
-}
+SMTOS_SNAP_INSTANTIATE(Dram);
 
 // --- mem/memctrl.h ---
 
+template <typename Ar>
 void
-MemCtrl::save(Snapshotter &sp) const
+MemCtrl::snap(Ar &ar)
 {
     // The flat blob always comes first; the banked blob is appended
     // only when the banked model is live.
-    flat_.save(sp);
+    flat_.snap(ar);
     if (!params_.banked)
         return;
-    sp.u32(snapVersion);
-    sp.u64(banks_.size());
-    for (const Bank &b : banks_) {
-        sp.i64(b.openRow);
-        sp.u64(b.readyAt);
-        sp.u64(b.nextColAt);
-    }
-    sp.u64(rankWin_.size());
-    for (const RankWindow &r : rankWin_) {
-        for (Cycle a : r.act)
-            sp.u64(a);
-        sp.i32(r.pos);
-        sp.i32(r.count);
-    }
-    sp.u64(channels_.size());
-    for (const Channel &c : channels_) {
-        sp.u64(c.busy.size());
-        for (const Interval &iv : c.busy) {
-            sp.u64(iv.start);
-            sp.u64(iv.end);
-        }
-        vecOut(sp, c.inflight);
-    }
-    sp.u64(accesses_);
-    sp.u64(rowHits_);
-    sp.u64(rowEmpties_);
-    sp.u64(rowConflicts_);
-    sp.u64(latencyCycles_);
-    sp.u64(queueStallCycles_);
-    sp.u64(queueFullStalls_);
-    sp.u64(queueOccupancy_);
-    vecOut(sp, chAccesses_);
-    vecOut(sp, chBusyCycles_);
-    vecOut(sp, bankRowHits_);
-    vecOut(sp, bankRowConflicts_);
-}
-
-void
-MemCtrl::load(Restorer &rs)
-{
-    flat_.load(rs);
-    if (!params_.banked)
-        return;
-    tag(rs, snapVersion);
-    smtos_assert(rs.u64() == banks_.size());
-    for (Bank &b : banks_) {
-        b.openRow = rs.i64();
-        b.readyAt = rs.u64();
-        b.nextColAt = rs.u64();
-    }
-    smtos_assert(rs.u64() == rankWin_.size());
-    for (RankWindow &r : rankWin_) {
-        for (Cycle &a : r.act)
-            a = rs.u64();
-        r.pos = rs.i32();
-        r.count = rs.i32();
-    }
-    smtos_assert(rs.u64() == channels_.size());
+    ar.expect(snapVersion);
+    ar.expect(banks_.size());
+    ar.pod(banks_);
+    ar.expect(rankWin_.size());
+    ar.pod(rankWin_);
+    ar.expect(channels_.size());
     for (Channel &c : channels_) {
-        c.busy.clear();
-        const std::uint64_t n = rs.u64();
-        c.busy.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Interval iv;
-            iv.start = rs.u64();
-            iv.end = rs.u64();
-            c.busy.push_back(iv);
-        }
-        vecIn(rs, c.inflight);
+        ar.vec(c.busy);
+        ar.vec(c.inflight);
     }
-    accesses_ = rs.u64();
-    rowHits_ = rs.u64();
-    rowEmpties_ = rs.u64();
-    rowConflicts_ = rs.u64();
-    latencyCycles_ = rs.u64();
-    queueStallCycles_ = rs.u64();
-    queueFullStalls_ = rs.u64();
-    queueOccupancy_ = rs.u64();
-    vecIn(rs, chAccesses_);
-    vecIn(rs, chBusyCycles_);
-    vecIn(rs, bankRowHits_);
-    vecIn(rs, bankRowConflicts_);
-    smtos_assert(chAccesses_.size() == channels_.size());
-    smtos_assert(bankRowHits_.size() == banks_.size());
+    ar.io(accesses_);
+    ar.io(rowHits_);
+    ar.io(rowEmpties_);
+    ar.io(rowConflicts_);
+    ar.io(latencyCycles_);
+    ar.io(queueStallCycles_);
+    ar.io(queueFullStalls_);
+    ar.io(queueOccupancy_);
+    for (auto *v : {&chAccesses_, &chBusyCycles_, &bankRowHits_,
+                    &bankRowConflicts_}) {
+        ar.expect(v->size());
+        ar.pod(*v);
+    }
 }
+SMTOS_SNAP_INSTANTIATE(MemCtrl);
 
 // --- mem/hierarchy.h ---
 
+template <typename Ar>
 void
-Uncore::save(Snapshotter &sp) const
+Uncore::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    l2_.save(sp);
-    l2Mshr_.save(sp);
-    l1l2Bus_.save(sp);
-    memBus_.save(sp);
-    memctrl_.save(sp);
-    sp.f64(l2missIntegral_);
-    hub_.save(sp);
+    ar.expect(snapVersion);
+    l2_.snap(ar);
+    l2Mshr_.snap(ar);
+    l1l2Bus_.snap(ar);
+    memBus_.snap(ar);
+    memctrl_.snap(ar);
+    ar.io(l2missIntegral_);
+    hub_.snap(ar);
 }
+SMTOS_SNAP_INSTANTIATE(Uncore);
 
+template <typename Ar>
 void
-Uncore::load(Restorer &rs)
+Hierarchy::snap(Ar &ar)
 {
-    tag(rs, snapVersion);
-    l2_.load(rs);
-    l2Mshr_.load(rs);
-    l1l2Bus_.load(rs);
-    memBus_.load(rs);
-    memctrl_.load(rs);
-    l2missIntegral_ = rs.f64();
-    hub_.load(rs);
+    ar.expect(snapVersion);
+    l1i_.snap(ar);
+    l1d_.snap(ar);
+    l1Mshr_.snap(ar);
+    storeBuffer_.snap(ar);
+    ar.io(imissIntegral_);
+    ar.io(dmissIntegral_);
 }
-
-void
-Hierarchy::save(Snapshotter &sp) const
-{
-    sp.u32(snapVersion);
-    l1i_.save(sp);
-    l1d_.save(sp);
-    l1Mshr_.save(sp);
-    storeBuffer_.save(sp);
-    sp.f64(imissIntegral_);
-    sp.f64(dmissIntegral_);
-}
-
-void
-Hierarchy::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    l1i_.load(rs);
-    l1d_.load(rs);
-    l1Mshr_.load(rs);
-    storeBuffer_.load(rs);
-    imissIntegral_ = rs.f64();
-    dmissIntegral_ = rs.f64();
-}
+SMTOS_SNAP_INSTANTIATE(Hierarchy);
 
 // --- vm/physmem.h ---
 
+template <typename Ar>
 void
-PhysMem::save(Snapshotter &sp) const
+PhysMem::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.u64(totalFrames_);
-    sp.u64(firstAlloc_);
-    sp.u64(bump_);
-    vecOut(sp, freeList_);
-    sp.u64(allocated_);
+    ar.expect(snapVersion);
+    ar.expect(totalFrames_);
+    ar.expect(firstAlloc_);
+    ar.io(bump_);
+    ar.vec(freeList_);
+    ar.io(allocated_);
 }
-
-void
-PhysMem::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    smtos_assert(rs.u64() == totalFrames_);
-    smtos_assert(rs.u64() == firstAlloc_);
-    bump_ = rs.u64();
-    vecIn(rs, freeList_);
-    allocated_ = rs.u64();
-}
+SMTOS_SNAP_INSTANTIATE(PhysMem);
 
 // --- vm/addrspace.h ---
 
+template <typename Ar>
 void
-AddrSpace::save(Snapshotter &sp) const
+AddrSpace::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.i32(asn_);
-    mapOut(sp, pages_);
-    mapOut(sp, ptPages_);
+    ar.expect(snapVersion);
+    ar.io(asn_);
+    ar.map(pages_);
+    ar.map(ptPages_);
+    if constexpr (Ar::loading) {
+        // The host translation caches were warmed against the
+        // pre-restore maps; restart them cold (they are validated, so
+        // cold vs. warm is bit-identical for simulation results).
+        for (auto &w : pageCache_)
+            w.vpn = invalidVpn;
+        for (auto &w : ptCache_)
+            w.vpn = invalidVpn;
+    }
 }
-
-void
-AddrSpace::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    asn_ = rs.i32();
-    mapIn(rs, pages_);
-    mapIn(rs, ptPages_);
-    // The host translation caches were warmed against the pre-restore
-    // maps; restart them cold (they are validated, so cold vs. warm is
-    // bit-identical for simulation results).
-    for (auto &w : pageCache_)
-        w.vpn = invalidVpn;
-    for (auto &w : ptCache_)
-        w.vpn = invalidVpn;
-}
+SMTOS_SNAP_INSTANTIATE(AddrSpace);
 
 // --- vm/tlb.h ---
 
+template <typename Ar>
 void
-Tlb::save(Snapshotter &sp) const
+Tlb::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.u64(entries_.size());
-    for (const Entry &e : entries_) {
-        sp.b(e.valid);
-        sp.b(e.global);
-        sp.i32(e.asn);
-        sp.u64(e.vpn);
-        sp.u64(e.frame);
-        sp.i32(e.filler);
-        sp.b(e.fillerKernel);
-        sp.u64(e.touchedMask);
-    }
-    sp.i32(replacePtr_);
-    classifier_.save(sp);
-    statsOut(sp, stats_);
-}
-
-void
-Tlb::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    smtos_assert(rs.u64() == entries_.size());
+    ar.expect(snapVersion);
+    ar.expect(entries_.size());
     for (Entry &e : entries_) {
-        e.valid = rs.b();
-        e.global = rs.b();
-        e.asn = rs.i32();
-        e.vpn = rs.u64();
-        e.frame = rs.u64();
-        e.filler = rs.i32();
-        e.fillerKernel = rs.b();
-        e.touchedMask = rs.u64();
+        ar.io(e.valid);
+        ar.io(e.global);
+        ar.io(e.asn);
+        ar.io(e.vpn);
+        ar.io(e.frame);
+        ar.io(e.filler);
+        ar.io(e.fillerKernel);
+        ar.io(e.touchedMask);
     }
-    replacePtr_ = rs.i32();
-    classifier_.load(rs);
-    statsIn(rs, stats_);
-    rebuildTags();
-    // Lookup hints are validated accelerators; restart them cold.
-    std::fill(hint_.begin(), hint_.end(), 0u);
+    ar.io(replacePtr_);
+    classifier_.snap(ar);
+    ar.pod(stats_);
+    if constexpr (Ar::loading) {
+        rebuildTags();
+        // Lookup hints are validated accelerators; restart them cold.
+        std::fill(hint_.begin(), hint_.end(), 0u);
+    }
 }
+SMTOS_SNAP_INSTANTIATE(Tlb);
 
 // --- bp/mcfarling.h ---
 
+template <typename Ar>
 void
-McFarling::save(Snapshotter &sp) const
+McFarling::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    vecOut(sp, localHist_);
-    vecOut(sp, localPred_);
-    vecOut(sp, global_);
-    vecOut(sp, chooser_);
-    sp.u64(ghr_);
-    sp.u64(localPicks_);
-    sp.u64(globalPicks_);
+    ar.expect(snapVersion);
+    ar.expect(localHist_.size());
+    ar.pod(localHist_);
+    ar.expect(localPred_.size());
+    ar.pod(localPred_);
+    ar.expect(global_.size());
+    ar.pod(global_);
+    ar.expect(chooser_.size());
+    ar.pod(chooser_);
+    ar.io(ghr_);
+    ar.io(localPicks_);
+    ar.io(globalPicks_);
 }
-
-void
-McFarling::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    const std::size_t lh = localHist_.size(), lp = localPred_.size();
-    const std::size_t g = global_.size(), ch = chooser_.size();
-    vecIn(rs, localHist_);
-    vecIn(rs, localPred_);
-    vecIn(rs, global_);
-    vecIn(rs, chooser_);
-    smtos_assert(localHist_.size() == lh && localPred_.size() == lp);
-    smtos_assert(global_.size() == g && chooser_.size() == ch);
-    ghr_ = rs.u64();
-    localPicks_ = rs.u64();
-    globalPicks_ = rs.u64();
-}
+SMTOS_SNAP_INSTANTIATE(McFarling);
 
 // --- bp/btb.h ---
 
+template <typename Ar>
 void
-Btb::save(Snapshotter &sp) const
+Btb::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.u64(entries_.size());
-    for (const Entry &e : entries_) {
-        sp.b(e.valid);
-        sp.u64(e.pc);
-        sp.u64(e.target);
-        sp.u64(e.lruStamp);
-    }
-    sp.u64(tick_);
-    classifier_.save(sp);
-    statsOut(sp, stats_);
-    sp.u64(wrongTarget_);
-}
-
-void
-Btb::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    smtos_assert(rs.u64() == entries_.size());
+    ar.expect(snapVersion);
+    ar.expect(entries_.size());
     for (Entry &e : entries_) {
-        e.valid = rs.b();
-        e.pc = rs.u64();
-        e.target = rs.u64();
-        e.lruStamp = rs.u64();
+        ar.io(e.valid);
+        ar.io(e.pc);
+        ar.io(e.target);
+        ar.io(e.lruStamp);
     }
-    tick_ = rs.u64();
-    classifier_.load(rs);
-    statsIn(rs, stats_);
-    wrongTarget_ = rs.u64();
+    ar.io(tick_);
+    classifier_.snap(ar);
+    ar.pod(stats_);
+    ar.io(wrongTarget_);
 }
+SMTOS_SNAP_INSTANTIATE(Btb);
 
 // --- bp/ras.h ---
 
+template <typename Ar>
 void
-Ras::save(Snapshotter &sp) const
+Ras::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    vecOut(sp, stack_);
-    sp.i32(sp_);
+    ar.expect(snapVersion);
+    ar.expect(stack_.size());
+    ar.pod(stack_);
+    ar.io(sp_);
 }
-
-void
-Ras::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    const std::size_t depth = stack_.size();
-    vecIn(rs, stack_);
-    smtos_assert(stack_.size() == depth);
-    sp_ = rs.i32();
-}
+SMTOS_SNAP_INSTANTIATE(Ras);
 
 // --- net/network.h ---
 
+template <typename Ar>
 void
-Network::save(Snapshotter &sp) const
+Network::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    auto dequeOut = [&sp](const std::deque<Packet> &q) {
-        sp.u64(q.size());
-        for (const Packet &p : q)
-            packetOut(sp, p);
-    };
-    dequeOut(toServer_);
-    dequeOut(toClient_);
-    sp.u64(delayed_.size());
-    for (const Delayed &d : delayed_) {
-        sp.u64(d.at);
-        sp.b(d.toServer);
-        packetOut(sp, d.pkt);
-    }
-    sp.u64(now_);
-    sp.u64(reqPackets_);
-    sp.u64(respPackets_);
-    sp.u64(reqBytes_);
-    sp.u64(respBytes_);
+    ar.expect(snapVersion);
+    const auto packet = [&ar](Packet &p) { p.snap(ar); };
+    ar.seq(toServer_, packet);
+    ar.seq(toClient_, packet);
+    ar.seq(delayed_, [&ar](Delayed &d) {
+        ar.io(d.at);
+        ar.io(d.toServer);
+        d.pkt.snap(ar);
+    });
+    ar.io(now_);
+    ar.io(reqPackets_);
+    ar.io(respPackets_);
+    ar.io(reqBytes_);
+    ar.io(respBytes_);
 }
-
-void
-Network::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    auto dequeIn = [&rs](std::deque<Packet> &q) {
-        q.clear();
-        const std::uint64_t n = rs.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            q.push_back(packetIn(rs));
-    };
-    dequeIn(toServer_);
-    dequeIn(toClient_);
-    delayed_.clear();
-    const std::uint64_t n = rs.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Delayed d;
-        d.at = rs.u64();
-        d.toServer = rs.b();
-        d.pkt = packetIn(rs);
-        delayed_.push_back(d);
-    }
-    now_ = rs.u64();
-    reqPackets_ = rs.u64();
-    respPackets_ = rs.u64();
-    reqBytes_ = rs.u64();
-    respBytes_ = rs.u64();
-}
+SMTOS_SNAP_INSTANTIATE(Network);
 
 // --- net/clients.h ---
 
+template <typename Ar>
 void
-ClientPopulation::save(Snapshotter &sp) const
+ClientPopulation::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.u64(rng_.rawState());
-    sp.u64(clients_.size());
-    for (const Client &c : clients_) {
-        sp.u8(static_cast<std::uint8_t>(c.state));
-        sp.u64(c.nextRequestAt);
-        sp.u64(c.respRemaining);
-        packetOut(sp, c.lastRequest);
-        sp.u64(c.issuedAt);
-        sp.u64(c.timeoutAt);
-        sp.i32(c.retries);
-        sp.u32(c.reqSeq);
-        sp.b(c.slow);
-        sp.u64(c.drainDoneAt);
+    ar.expect(snapVersion);
+    rng_.snap(ar);
+    ar.expect(clients_.size());
+    for (Client &c : clients_) {
+        ar.io(c.state);
+        ar.io(c.nextRequestAt);
+        ar.io(c.respRemaining);
+        c.lastRequest.snap(ar);
+        ar.io(c.issuedAt);
+        ar.io(c.timeoutAt);
+        ar.io(c.retries);
+        ar.io(c.reqSeq);
+        ar.io(c.slow);
+        ar.io(c.drainDoneAt);
     }
-    sp.b(recovery_);
-    sp.u64(requestsIssued_);
-    sp.u64(responses_);
-    sp.u64(retransmits_);
-    sp.u64(aborts_);
-    sp.u64(retried_);
-    latency_.save(sp);
-    retriedLatency_.save(sp);
+    ar.io(recovery_);
+    ar.io(requestsIssued_);
+    ar.io(responses_);
+    ar.io(retransmits_);
+    ar.io(aborts_);
+    ar.io(retried_);
+    latency_.snap(ar);
+    retriedLatency_.snap(ar);
 
     // Open-loop generator.
-    sp.b(arrivalInit_);
-    sp.u64(nextArrivalAt_);
-    sp.u64(rampStartAt_);
-    sp.i32(nextPort_);
-    sp.u64(arrivalRng_.rawState());
-    sp.u64(arrivals_);
-    sp.u64(arrivalOverflows_);
-    sp.u64(slowCompletions_);
+    ar.io(arrivalInit_);
+    ar.io(nextArrivalAt_);
+    ar.io(rampStartAt_);
+    ar.io(nextPort_);
+    arrivalRng_.snap(ar);
+    ar.io(arrivals_);
+    ar.io(arrivalOverflows_);
+    ar.io(slowCompletions_);
 }
-
-void
-ClientPopulation::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    rng_.setRawState(rs.u64());
-    smtos_assert(rs.u64() == clients_.size());
-    for (Client &c : clients_) {
-        c.state = static_cast<Client::State>(rs.u8());
-        c.nextRequestAt = rs.u64();
-        c.respRemaining = rs.u64();
-        c.lastRequest = packetIn(rs);
-        c.issuedAt = rs.u64();
-        c.timeoutAt = rs.u64();
-        c.retries = rs.i32();
-        c.reqSeq = rs.u32();
-        c.slow = rs.b();
-        c.drainDoneAt = rs.u64();
-    }
-    recovery_ = rs.b();
-    requestsIssued_ = rs.u64();
-    responses_ = rs.u64();
-    retransmits_ = rs.u64();
-    aborts_ = rs.u64();
-    retried_ = rs.u64();
-    latency_.load(rs);
-    retriedLatency_.load(rs);
-
-    arrivalInit_ = rs.b();
-    nextArrivalAt_ = rs.u64();
-    rampStartAt_ = rs.u64();
-    nextPort_ = rs.i32();
-    arrivalRng_.setRawState(rs.u64());
-    arrivals_ = rs.u64();
-    arrivalOverflows_ = rs.u64();
-    slowCompletions_ = rs.u64();
-}
+SMTOS_SNAP_INSTANTIATE(ClientPopulation);
 
 // --- fault/fault.h ---
 
+template <typename Ar>
 void
-FaultPlan::save(Snapshotter &sp) const
+FaultPlan::snap(Ar &ar)
 {
-    sp.u32(snapVersion);
-    sp.u64(rngLink_.rawState());
-    sp.u64(rngMce_.rawState());
-    sp.u64(nextMceAt_);
-    sp.u64(log_.size());
-    for (const FaultEvent &e : log_) {
-        sp.u64(e.cycle);
-        sp.u8(static_cast<std::uint8_t>(e.kind));
-        sp.u64(e.a);
-        sp.u64(e.b);
-    }
-    sp.u64(logOverflow_);
-    // FaultCounters: all-u64 aggregate, no padding.
-    sp.bytes(&c_, sizeof c_);
+    ar.expect(snapVersion);
+    rngLink_.snap(ar);
+    rngMce_.snap(ar);
+    ar.io(nextMceAt_);
+    ar.seq(log_, [&ar](FaultEvent &e) {
+        ar.io(e.cycle);
+        ar.io(e.kind);
+        ar.io(e.a);
+        ar.io(e.b);
+    });
+    ar.io(logOverflow_);
+    ar.pod(c_);
 }
-
-void
-FaultPlan::load(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    rngLink_.setRawState(rs.u64());
-    rngMce_.setRawState(rs.u64());
-    nextMceAt_ = rs.u64();
-    log_.clear();
-    const std::uint64_t n = rs.u64();
-    log_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        FaultEvent e;
-        e.cycle = rs.u64();
-        e.kind = static_cast<FaultKind>(rs.u8());
-        e.a = rs.u64();
-        e.b = rs.u64();
-        log_.push_back(e);
-    }
-    logOverflow_ = rs.u64();
-    rs.bytes(&c_, sizeof c_);
-}
+SMTOS_SNAP_INSTANTIATE(FaultPlan);
 
 } // namespace smtos

@@ -19,79 +19,49 @@ collectImages(System &sys)
     return images;
 }
 
+template <typename Ar>
 void
-saveMachineSections(Snapshotter &sp, System &sys, FaultPlan *plan)
-{
-    const SnapImages images = collectImages(sys);
-
-    sp.beginSection("PHYS", PhysMem::snapVersion);
-    sys.physMem().save(sp);
-    sp.endSection();
-
-    sp.beginSection("KERN", Kernel::snapVersion);
-    sys.kernel().save(sp, images);
-    sp.endSection();
-
-    for (int c = 0; c < sys.numCores(); ++c) {
-        sp.beginSection("PIPE", Pipeline::snapVersion);
-        sys.pipeline(c).save(sp, images);
-        sp.endSection();
-
-        sp.beginSection("HIER", Hierarchy::snapVersion);
-        sys.hierarchy(c).save(sp);
-        sp.endSection();
-    }
-
-    sp.beginSection("UNCR", Uncore::snapVersion);
-    sys.uncore().save(sp);
-    sp.endSection();
-
-    sp.beginSection("FLTP", FaultPlan::snapVersion);
-    sp.b(plan != nullptr);
-    if (plan)
-        plan->save(sp);
-    sp.endSection();
-}
-
-void
-loadMachineSections(Restorer &rs, System &sys, FaultPlan *plan)
+snapMachineSections(Ar &ar, System &sys, FaultPlan *plan)
 {
     const SnapImages images = collectImages(sys);
     Kernel &k = sys.kernel();
 
-    rs.enterSection("PHYS");
-    sys.physMem().load(rs);
-    rs.leaveSection();
+    ar.beginSection("PHYS", PhysMem::snapVersion);
+    sys.physMem().snap(ar);
+    ar.endSection();
 
-    rs.enterSection("KERN");
-    k.load(rs, images);
-    rs.leaveSection();
+    ar.beginSection("KERN", Kernel::snapVersion);
+    k.snap(ar, images);
+    ar.endSection();
 
     for (int c = 0; c < sys.numCores(); ++c) {
-        rs.enterSection("PIPE");
-        sys.pipeline(c).load(rs, images, [&k](ThreadId tid) {
+        ar.beginSection("PIPE", Pipeline::snapVersion);
+        sys.pipeline(c).snap(ar, images, [&k](ThreadId tid) {
             return &k.proc(tid).ts;
         });
-        rs.leaveSection();
+        ar.endSection();
 
-        rs.enterSection("HIER");
-        sys.hierarchy(c).load(rs);
-        rs.leaveSection();
+        ar.beginSection("HIER", Hierarchy::snapVersion);
+        sys.hierarchy(c).snap(ar);
+        ar.endSection();
     }
 
-    rs.enterSection("UNCR");
-    sys.uncore().load(rs);
-    rs.leaveSection();
+    ar.beginSection("UNCR", Uncore::snapVersion);
+    sys.uncore().snap(ar);
+    ar.endSection();
 
-    rs.enterSection("FLTP");
-    const bool hadPlan = rs.b();
-    smtos_assert(hadPlan == (plan != nullptr));
+    ar.beginSection("FLTP", FaultPlan::snapVersion);
+    ar.expect(plan != nullptr);
     if (plan)
-        plan->load(rs);
-    rs.leaveSection();
+        plan->snap(ar);
+    ar.endSection();
 
-    for (Pipeline *p : sys.pipes())
-        p->resyncThreads();
+    if constexpr (Ar::loading)
+        for (Pipeline *p : sys.pipes())
+            p->resyncThreads();
 }
+
+template void snapMachineSections(Snapshotter &, System &, FaultPlan *);
+template void snapMachineSections(Restorer &, System &, FaultPlan *);
 
 } // namespace smtos

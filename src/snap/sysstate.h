@@ -29,12 +29,11 @@
 #ifndef SMTOS_SNAP_SYSSTATE_H
 #define SMTOS_SNAP_SYSSTATE_H
 
-#include "snap/fwd.h"
-
 namespace smtos {
 
 class System;
 class FaultPlan;
+class SnapImages;
 
 /**
  * Deterministic image registry of @p sys: the kernel image first,
@@ -43,14 +42,13 @@ class FaultPlan;
  */
 SnapImages collectImages(System &sys);
 
-/** Append the machine sections (PHYS..FLTP) of @p sys to @p sp. */
-void saveMachineSections(Snapshotter &sp, System &sys, FaultPlan *plan);
-
 /**
- * Restore the machine sections over a freshly built-and-started @p sys
- * (workloads installed, same fault plan shape attached, start() run).
+ * The machine sections (PHYS..FLTP) of @p sys. Loading restores them
+ * over a freshly built-and-started @p sys (workloads installed, same
+ * fault plan shape attached, start() run).
  */
-void loadMachineSections(Restorer &rs, System &sys, FaultPlan *plan);
+template <typename Ar>
+void snapMachineSections(Ar &ar, System &sys, FaultPlan *plan);
 
 } // namespace smtos
 

@@ -23,7 +23,6 @@
 #include <unordered_map>
 
 #include "common/types.h"
-#include "snap/fwd.h"
 #include "vm/physmem.h"
 
 namespace smtos {
@@ -100,9 +99,9 @@ class AddrSpace
     }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    /** Overwrites the page maps and resets the host caches cold. */
-    void load(Restorer &rs);
+    /** Loading overwrites the page maps and restarts the host
+     *  caches cold. */
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     static constexpr Addr invalidVpn = ~Addr{0};

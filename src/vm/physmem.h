@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "snap/fwd.h"
 
 namespace smtos {
 
@@ -55,8 +54,7 @@ class PhysMem
     std::uint64_t allocated() const { return allocated_; }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     std::uint64_t totalFrames_;

@@ -18,7 +18,6 @@
 
 #include "common/types.h"
 #include "mem/missclass.h"
-#include "snap/fwd.h"
 #include "vm/physmem.h"
 
 namespace smtos {
@@ -81,8 +80,7 @@ class Tlb
     void resetStats() { stats_.reset(); }
 
     static constexpr std::uint32_t snapVersion = 1;
-    void save(Snapshotter &sp) const;
-    void load(Restorer &rs);
+    template <typename Ar> void snap(Ar &ar);
 
   private:
     struct Entry

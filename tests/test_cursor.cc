@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <new>
 #include <set>
 
 #include "isa/codegen.h"
@@ -386,4 +388,20 @@ TEST_F(CursorTest, IndirectTargetsWithinFan)
         EXPECT_GE(bp.targetBlock, 1);
         EXPECT_LE(bp.targetBlock, 3);
     }
+}
+
+// Snapshots copy a cursor as raw bytes, so its object bytes must be a
+// function of its state: no padding byte may keep whatever the storage
+// held before construction.
+TEST(CursorBytes, ObjectBytesAreAFunctionOfState)
+{
+    alignas(Cursor) unsigned char a[sizeof(Cursor)];
+    alignas(Cursor) unsigned char b[sizeof(Cursor)];
+    std::memset(a, 0xAA, sizeof a);
+    std::memset(b, 0x55, sizeof b);
+    Cursor *ca = new (a) Cursor;
+    Cursor *cb = new (b) Cursor;
+    ca->reset(3, true, 11);
+    cb->reset(3, true, 11);
+    EXPECT_EQ(std::memcmp(ca, cb, sizeof(Cursor)), 0);
 }

@@ -250,21 +250,21 @@ TEST(MemCtrl, SnapshotRoundTripsMidFlightQueues)
     stream(a, 0, 20); // queues and bus reservations still in flight
     Snapshotter sa;
     sa.beginSection("DRAM", 1);
-    a.save(sa);
+    a.snap(sa);
     sa.endSection();
     const std::vector<std::uint8_t> bytesA = sa.finish();
 
     MemCtrl b(defaultMemLatency, p);
     Restorer rb(bytesA);
     ASSERT_TRUE(rb.ok()) << rb.error();
-    rb.enterSection("DRAM");
-    b.load(rb);
-    rb.leaveSection();
+    rb.beginSection("DRAM", 1);
+    b.snap(rb);
+    rb.endSection();
 
     // Re-serialization is byte-identical…
     Snapshotter sb;
     sb.beginSection("DRAM", 1);
-    b.save(sb);
+    b.snap(sb);
     sb.endSection();
     EXPECT_EQ(bytesA, sb.finish());
 
@@ -272,10 +272,10 @@ TEST(MemCtrl, SnapshotRoundTripsMidFlightQueues)
     EXPECT_EQ(stream(a, 20, 40), stream(b, 20, 40));
     Snapshotter sa2, sb2;
     sa2.beginSection("DRAM", 1);
-    a.save(sa2);
+    a.snap(sa2);
     sa2.endSection();
     sb2.beginSection("DRAM", 1);
-    b.save(sb2);
+    b.snap(sb2);
     sb2.endSection();
     EXPECT_EQ(sa2.finish(), sb2.finish());
 }
@@ -293,10 +293,10 @@ TEST(MemCtrl, FlatSnapshotMatchesPlainDramBytes)
     }
     Snapshotter s1, s2;
     s1.beginSection("DRAM", 1);
-    mc.save(s1);
+    mc.snap(s1);
     s1.endSection();
     s2.beginSection("DRAM", 1);
-    d.save(s2);
+    d.snap(s2);
     s2.endSection();
     EXPECT_EQ(s1.finish(), s2.finish());
 }

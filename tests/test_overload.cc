@@ -217,6 +217,22 @@ TEST(OverloadParse, EnvOverridesCarryBoth)
     EXPECT_EQ(ov.admit->queueCap, 24);
 }
 
+// The ambient open-loop override faces Session::validate like the
+// config itself: SPECInt has no clients to drive. (The death test runs
+// in a child, so the installed ambient does not leak.)
+TEST(OverloadEnvDeathTest, OpenLoopOnSpecIntIsRejected)
+{
+    EXPECT_EXIT(
+        {
+            EnvOverrides::fromLookup([](const char *name) -> const char * {
+                return std::strcmp(name, "SMTOS_OPENLOOP") == 0 ? "rate=4"
+                                                                : nullptr;
+            }).install();
+            Session s(Session::Config{});
+        },
+        testing::ExitedWithCode(1), "open-loop arrivals need the Apache");
+}
+
 // --- admission decisions (closed-form) ---
 
 TEST(Admission, DropTailRefusesExactlyAtCap)

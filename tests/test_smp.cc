@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/cosim.h"
@@ -542,4 +543,82 @@ TEST(SmpEnv, SmtosCoresParsesAndValidates)
     const EnvOverrides none = EnvOverrides::fromLookup(
         [](const char *) -> const char * { return nullptr; });
     EXPECT_FALSE(none.cores.has_value());
+}
+
+namespace {
+
+/** Install @p vars as the ambient SMTOS_* environment. */
+void
+installAmbient(std::vector<std::pair<const char *, const char *>> vars)
+{
+    EnvOverrides::fromLookup([vars](const char *name) -> const char * {
+        for (const auto &[k, v] : vars)
+            if (std::strcmp(name, k) == 0)
+                return v;
+        return nullptr;
+    }).install();
+}
+
+/** A 2-core start-up artifact, for the resume-override checks. */
+std::vector<std::uint8_t>
+cmpArtifact()
+{
+    Session::Config cfg = smpSpec(2, 2);
+    cfg.phases.startupInstrs = 20'000;
+    Session s(cfg);
+    s.runStartup();
+    return s.snapshot();
+}
+
+} // namespace
+
+// Ambient overrides face Session::validate like the config itself: the
+// environment cannot turn a multicore chip into a mode that models one
+// core. (Each death test runs in a child, so the installed ambient
+// does not leak into later tests.)
+TEST(SmpEnvDeathTest, CoresWithFunctionalFidelityIsRejected)
+{
+    EXPECT_EXIT(
+        {
+            installAmbient(
+                {{"SMTOS_CORES", "2"}, {"SMTOS_FIDELITY", "functional"}});
+            Session s(Session::Config{});
+        },
+        testing::ExitedWithCode(1), "detailed only");
+}
+
+TEST(SmpEnvDeathTest, CoresWithSamplingIsRejected)
+{
+    EXPECT_EXIT(
+        {
+            installAmbient({{"SMTOS_CORES", "2"},
+                            {"SMTOS_SAMPLE",
+                             "period=20000,warm=2000,interval=2000"}});
+            Session s(Session::Config{});
+        },
+        testing::ExitedWithCode(1), "sampled measurement is single-core");
+}
+
+// Resume-time overrides are validated too, after all of them apply.
+TEST(SmpResumeDeathTest, FunctionalOverrideIsRejected)
+{
+    const std::vector<std::uint8_t> art = cmpArtifact();
+    Session::ResumeOptions opts;
+    opts.fidelity = Fidelity::Functional;
+    EXPECT_EXIT(Session::resume(art, opts), testing::ExitedWithCode(1),
+                "detailed only");
+}
+
+TEST(SmpResumeDeathTest, SampleOverrideIsRejected)
+{
+    const std::vector<std::uint8_t> art = cmpArtifact();
+    Session::ResumeOptions opts;
+    SampleParams sp;
+    sp.enabled = true;
+    sp.periodInstrs = 20'000;
+    sp.warmInstrs = 2'000;
+    sp.intervalInstrs = 2'000;
+    opts.sample = sp;
+    EXPECT_EXIT(Session::resume(art, opts), testing::ExitedWithCode(1),
+                "sampled measurement is single-core");
 }

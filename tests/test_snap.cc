@@ -165,13 +165,15 @@ TEST(SnapTimeline, ResumedTimelineIsByteIdentical)
     const std::string straightPath = "snap_tl_straight.json";
     const std::string replayPath = "snap_tl_replay.json";
 
-    Session origin(cfg);
-    origin.runStartup();
-    const std::vector<std::uint8_t> artifact = origin.snapshot();
+    std::vector<std::uint8_t> artifact;
     {
         ObsConfig oc;
         oc.timelinePath = straightPath;
+        // Declared before origin: ~Session calls finish() on it.
         ObsSession obs(oc);
+        Session origin(cfg);
+        origin.runStartup();
+        artifact = origin.snapshot();
         origin.attachObs(obs);
         origin.runMeasurement();
     }

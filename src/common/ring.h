@@ -97,6 +97,13 @@ class FixedRing
         return buf_[(head_ + i) & mask_];
     }
 
+    /** Backing-slot index of @p pos, for side arrays of capacity()
+     *  entries that run parallel to the ring. */
+    std::size_t slotOf(std::uint64_t pos) const
+    {
+        return static_cast<std::size_t>(pos & mask_);
+    }
+
     /** Access by absolute position (caller checked livePos()). */
     T &atPos(std::uint64_t pos) { return buf_[pos & mask_]; }
     const T &atPos(std::uint64_t pos) const

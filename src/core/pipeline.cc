@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 
 #include "common/logging.h"
 #include "common/trace.h"
@@ -11,6 +12,13 @@
 #include "ref/refvalue.h"
 
 namespace smtos {
+
+namespace {
+
+/** A cycle that never comes: a parked waiting entry's notBefore. */
+constexpr Cycle never = ~Cycle{0};
+
+} // namespace
 
 Pipeline::Pipeline(const CoreParams &params, Hierarchy &hier,
                    const CodeImage *kernel_image)
@@ -21,6 +29,9 @@ Pipeline::Pipeline(const CoreParams &params, Hierarchy &hier,
     smtos_assert(params_.numContexts >= 1);
     ctxs_.resize(static_cast<size_t>(params_.numContexts));
     q_.resize(ctxs_.size());
+    cps_.resize(ctxs_.size());
+    waiting_.resize(ctxs_.size());
+    waitDue_.assign(ctxs_.size(), never);
     waitBranch_.assign(ctxs_.size(), 0);
     writerSeq_.resize(ctxs_.size());
     writerPos_.resize(ctxs_.size());
@@ -31,10 +42,14 @@ Pipeline::Pipeline(const CoreParams &params, Hierarchy &hier,
         writerSeq_[i].fill(0);
         writerPos_[i].fill(0);
         q_[i].init(static_cast<size_t>(params_.maxInflightPerCtx));
+        cps_[i].resize(q_[i].capacity());
+        waiting_[i].reserve(q_[i].capacity());
     }
     fetchCands_.reserve(ctxs_.size());
     issueCands_.reserve(
         static_cast<size_t>(params_.intQueue + params_.fpQueue));
+    completions_.reserve(ctxs_.size() * q_.front().capacity());
+    dueNow_.reserve(completions_.capacity());
     // Trace lines read the cycle straight from this counter, so
     // emissions between ticks (OS hooks, tests) carry the live cycle
     // rather than a stale per-tick copy.
@@ -194,6 +209,9 @@ Pipeline::fetchFrom(Context &c, int budget)
         }
 
         const Instr &in = cur.currentInstr(is);
+        const std::size_t ci = static_cast<size_t>(c.id);
+        FixedRing<Uop> &rq = q_[ci];
+        const std::uint64_t pos = rq.tailPos();
         Uop u;
         u.instr = &in;
         u.pc = pc;
@@ -209,12 +227,13 @@ Pipeline::fetchFrom(Context &c, int budget)
         }
         if (in.dest != regNone)
             u.destType = isFpReg(in.dest) ? 2 : 1;
+        u.fpQueue = usesFpQueue(in);
 
         // Rename: bind sources to their producing uops (seq for
         // identity, ring position for O(1) readiness checks).
         {
-            auto &ws = writerSeq_[static_cast<size_t>(c.id)];
-            auto &wp = writerPos_[static_cast<size_t>(c.id)];
+            auto &ws = writerSeq_[ci];
+            auto &wp = writerPos_[ci];
             if (in.srcA != regNone) {
                 u.depA = ws[in.srcA];
                 u.depAPos = wp[in.srcA];
@@ -225,7 +244,7 @@ Pipeline::fetchFrom(Context &c, int budget)
             }
             if (in.dest != regNone) {
                 ws[in.dest] = u.seq;
-                wp[in.dest] = q_[static_cast<size_t>(c.id)].tailPos();
+                wp[in.dest] = pos;
             }
         }
 
@@ -272,10 +291,11 @@ Pipeline::fetchFrom(Context &c, int budget)
                     // successor, then fetch down the wrong path.
                     u.mispredicted = true;
                     u.hasCheckpoint = true;
-                    u.cp = cur;
-                    u.cp.followBranch(is, bp, bp.taken);
-                    u.rasCp = c.ras.save();
-                    u.ghrCp = mcf_.ghr();
+                    UopCheckpoint &k = checkpointAt(ci, pos);
+                    k.cursor = cur;
+                    k.cursor.followBranch(is, bp, bp.taken);
+                    k.ras = c.ras.save();
+                    k.ghr = mcf_.ghr();
                     cur.setWrongPath(true);
                     cur.followBranch(is, bp, pred_taken);
                 } else {
@@ -359,22 +379,29 @@ Pipeline::fetchFrom(Context &c, int budget)
                     // address, so a DTLB trap retries this access
                     // rather than generating a fresh one.
                     u.hasCheckpoint = true;
-                    u.cp = cur;
-                    u.cp.setRetryVaddr(u.vaddr);
-                    u.rasCp = c.ras.save();
-                    u.ghrCp = mcf_.ghr();
+                    UopCheckpoint &k = checkpointAt(ci, pos);
+                    k.cursor = cur;
+                    k.cursor.setRetryVaddr(u.vaddr);
+                    k.ras = c.ras.save();
+                    k.ghr = mcf_.ghr();
                 }
             }
             cur.stepSequential(is);
         }
 
-        q_[static_cast<size_t>(c.id)].push_back(u);
+        rq.push_back(u);
         ++c.inflight;
         ++c.unissued;
-        if (u.destType == 2 || in.op == Op::FpAdd || in.op == Op::FpMul)
+        if (u.fpQueue)
             ++unissuedFp_;
         else
             ++unissuedInt_;
+        if (!u.serializing) {
+            std::vector<Waiting> &wl = waiting_[ci];
+            wl.push_back(Waiting{pos, u.eligibleAt});
+            if (wl.size() <= issueWindow)
+                waitDue_[ci] = std::min(waitDue_[ci], u.eligibleAt);
+        }
         if (u.destType == 1)
             ++intRegsUsed_;
         else if (u.destType == 2)
@@ -606,6 +633,88 @@ Pipeline::profileFetchSlots(
     prof->fetchLost(cause, lost, gid, tag);
 }
 
+namespace {
+
+/**
+ * The producer bound at rename as (@p dep, @p pos), or null when that
+ * dependence is resolved. Readiness is read straight off the
+ * producer's ring slot: a dead position (committed, squashed, or
+ * reused by a later uop) means the producer is no longer pending —
+ * committed producers are ready, and a squashed producer's consumer
+ * is doomed anyway.
+ */
+const Uop *
+pendingProducer(const FixedRing<Uop> &rq, std::uint64_t dep,
+                std::uint64_t pos)
+{
+    if (dep == 0 || !rq.livePos(pos))
+        return nullptr;
+    const Uop &p = rq.atPos(pos);
+    return p.seq == dep ? &p : nullptr;
+}
+
+/**
+ * The earliest cycle @p u can issue, judged from its producers' state
+ * now: its eligibility or its latest producer's completion, or never
+ * while a producer is unissued — @p parked_on then names that
+ * producer's position, and @p u parks until it issues. (A serializing
+ * producer never issues, but nothing younger than it enters its
+ * window before it commits: fetch stops behind it.)
+ */
+Cycle
+readyAt(const FixedRing<Uop> &rq, const Uop &u, std::uint64_t &parked_on)
+{
+    Cycle at = u.eligibleAt;
+    for (const auto &[dep, pos] : {std::pair{u.depA, u.depAPos},
+                                   std::pair{u.depB, u.depBPos}}) {
+        const Uop *p = pendingProducer(rq, dep, pos);
+        if (!p)
+            continue;
+        if (p->stage == Uop::Stage::Fetched) {
+            parked_on = pos;
+            return never;
+        }
+        at = std::max(at, p->doneAt);
+    }
+    return at;
+}
+
+/** Completion-heap order: earliest doneAt on top. */
+constexpr auto laterDone = [](const auto &a, const auto &b) {
+    return a.doneAt > b.doneAt;
+};
+
+} // namespace
+
+void
+Pipeline::wake(std::size_t ctx, std::size_t first, std::uint64_t pos,
+               Cycle at)
+{
+    // Parked entries only ever sit in the window: an entry is first
+    // evaluated there, and it only moves toward the front.
+    std::vector<Waiting> &wl = waiting_[ctx];
+    const std::size_t n = std::min(wl.size(), issueWindow);
+    for (std::size_t i = first; i < n; ++i)
+        if (wl[i].notBefore == never && wl[i].parkedOn == pos)
+            wl[i].notBefore = at;
+}
+
+void
+Pipeline::pushCompletion(const Completion &d)
+{
+    completions_.push_back(d);
+    std::push_heap(completions_.begin(), completions_.end(),
+                   laterDone);
+}
+
+void
+Pipeline::popCompletion()
+{
+    std::pop_heap(completions_.begin(), completions_.end(),
+                  laterDone);
+    completions_.pop_back();
+}
+
 void
 Pipeline::issueStage()
 {
@@ -619,72 +728,48 @@ Pipeline::issueStage()
     bool sawMemWait = false;
     bool sawDepWait = false;
 
-    // Gather ready candidates oldest-first across contexts.
+    // Gather ready candidates from each context's issue window, then
+    // issue oldest-first across contexts. Entries (and whole
+    // contexts) whose cached cycle has not come are skipped; with a
+    // profiler attached every examined entry is evaluated instead, so
+    // the dep-wait/mem-wait attribution sees each one.
     std::vector<IssueCand> &cands = issueCands_;
     cands.clear();
     for (Context &c : ctxs_) {
-        auto &rq = q_[static_cast<size_t>(c.id)];
-        if (c.unissued == 0)
+        const std::size_t ci = static_cast<size_t>(c.id);
+        std::vector<Waiting> &wl = waiting_[ci];
+        if (wl.empty() || (!prof && waitDue_[ci] > now_))
             continue;
-        int examined = 0;
-        const std::uint32_t qsize =
-            static_cast<std::uint32_t>(rq.size());
-        for (std::uint32_t i = 0; i < qsize && examined < 24; ++i) {
-            Uop &u = rq[i];
-            if (u.stage != Uop::Stage::Fetched || u.serializing)
-                continue;
-            ++examined;
-            if (u.eligibleAt > now_)
-                continue;
-            // Operand readiness straight off the producer's ring
-            // slot. A dead position (committed, squashed, or reused
-            // by a later uop) means the producer is no longer
-            // pending: committed producers are ready, and a
-            // squashed producer's consumer is doomed anyway.
-            auto op_ready = [&](std::uint64_t dep,
-                                std::uint64_t pos) {
-                if (dep == 0)
-                    return true;
-                if (!rq.livePos(pos))
-                    return true;
-                const Uop &p = rq.atPos(pos);
-                if (p.seq != dep)
-                    return true;
-                if (p.stage == Uop::Stage::Fetched)
-                    return false;
-                return p.doneAt <= now_;
-            };
-            if (!op_ready(u.depA, u.depAPos) ||
-                !op_ready(u.depB, u.depBPos)) {
-                if (prof) {
+        const FixedRing<Uop> &rq = q_[ci];
+        const std::size_t n = std::min(wl.size(), issueWindow);
+        Cycle due = never;
+        for (std::size_t i = 0; i < n; ++i) {
+            Waiting &w = wl[i];
+            if (prof || w.notBefore <= now_) {
+                const Uop &u = rq.atPos(w.pos);
+                w.notBefore = readyAt(rq, u, w.parkedOn);
+                if (w.notBefore <= now_) {
+                    cands.push_back(IssueCand{u.seq, c.id, w.pos});
+                } else if (prof && u.eligibleAt <= now_) {
                     // Attribution only: is the uop waiting on a
                     // long-latency (memory-like) producer or a
                     // short one still in flight?
-                    auto classify = [&](std::uint64_t dep,
-                                        std::uint64_t pos) {
-                        if (dep == 0 || !rq.livePos(pos))
-                            return;
-                        const Uop &p = rq.atPos(pos);
-                        if (p.seq != dep)
-                            return;
-                        if (p.stage == Uop::Stage::Fetched) {
+                    for (const Uop *p :
+                         {pendingProducer(rq, u.depA, u.depAPos),
+                          pendingProducer(rq, u.depB, u.depBPos)}) {
+                        if (!p)
+                            continue;
+                        if (p->stage == Uop::Stage::Fetched)
                             sawDepWait = true;
-                            return;
-                        }
-                        if (p.doneAt <= now_)
-                            return;
-                        if (p.doneAt - now_ <= 2)
-                            sawDepWait = true;
-                        else
-                            sawMemWait = true;
-                    };
-                    classify(u.depA, u.depAPos);
-                    classify(u.depB, u.depBPos);
+                        else if (p->doneAt > now_)
+                            (p->doneAt - now_ <= 2 ? sawDepWait
+                                                   : sawMemWait) = true;
+                    }
                 }
-                continue;
             }
-            cands.push_back(IssueCand{u.seq, c.id, i});
+            due = std::min(due, w.notBefore);
         }
+        waitDue_[ci] = due;
     }
     std::sort(cands.begin(), cands.end(),
               [](const IssueCand &a, const IssueCand &b) {
@@ -693,8 +778,9 @@ Pipeline::issueStage()
 
     int issued = 0;
     for (const IssueCand &cd : cands) {
-        Context &c = ctx(cd.ctx);
-        Uop &u = q_[static_cast<size_t>(cd.ctx)][cd.idx];
+        const std::size_t ci = static_cast<size_t>(cd.ctx);
+        Context &c = ctxs_[ci];
+        Uop &u = q_[ci].atPos(cd.pos);
         const Instr &in = *u.instr;
         const bool is_fp = (in.op == Op::FpAdd || in.op == Op::FpMul);
         const bool is_mem = in.isMem();
@@ -782,12 +868,23 @@ Pipeline::issueStage()
         u.stage = Uop::Stage::Issued;
         u.doneAt = done;
         --c.unissued;
-        if (is_fp)
+        if (u.fpQueue)
             --unissuedFp_;
         else
             --unissuedInt_;
         ++issued;
         ++stats_.issued;
+        pushCompletion(Completion{done, cd.ctx, u.seq, cd.pos});
+        // Leave the waiting list (the next waiting uop slides into
+        // the window) and release consumers parked on this uop.
+        std::vector<Waiting> &wl = waiting_[ci];
+        const auto at = std::lower_bound(
+            wl.begin(), wl.end(), cd.pos,
+            [](const Waiting &w, std::uint64_t pos) {
+                return w.pos < pos;
+            });
+        wake(ci, static_cast<std::size_t>(wl.erase(at) - wl.begin()),
+             cd.pos, done);
     }
 
     if (issued == 0)
@@ -829,13 +926,13 @@ Pipeline::squashTail(Context &c, std::uint64_t from_seq)
         --c.inflight;
         if (u.stage == Uop::Stage::Fetched) {
             --c.unissued;
-            const bool is_fp = (u.instr->op == Op::FpAdd ||
-                                u.instr->op == Op::FpMul ||
-                                u.destType == 2);
-            if (is_fp)
+            if (u.fpQueue)
                 --unissuedFp_;
             else
                 --unissuedInt_;
+            // The youngest waiting uop, if any, is this one.
+            if (!u.serializing)
+                waiting_[static_cast<size_t>(c.id)].pop_back();
         }
         if (u.instr->dest != regNone) {
             if (ws[u.instr->dest] == u.seq)
@@ -850,69 +947,80 @@ Pipeline::squashTail(Context &c, std::uint64_t from_seq)
 void
 Pipeline::executeStage()
 {
-    for (Context &c : ctxs_) {
-        auto &dq = q_[static_cast<size_t>(c.id)];
-        for (std::uint32_t i = 0; i < dq.size(); ++i) {
-            Uop &u = dq[i];
-            if (u.stage != Uop::Stage::Issued || u.doneAt > now_)
-                continue;
-            u.stage = Uop::Stage::Done;
+    // Resolve every completion due by now in the order a walk of the
+    // windows would meet them: by context, then program order.
+    std::vector<Completion> &due = dueNow_;
+    due.clear();
+    while (!completions_.empty() && completions_.front().doneAt <= now_) {
+        due.push_back(completions_.front());
+        popCompletion();
+    }
+    std::sort(due.begin(), due.end(),
+              [](const Completion &a, const Completion &b) {
+                  return a.ctx != b.ctx ? a.ctx < b.ctx : a.seq < b.seq;
+              });
+    CtxId stopped = invalidCtx;
+    for (const Completion &d : due) {
+        // A squash ends its context's turn; a squashed uop's entry is
+        // stale.
+        if (d.ctx == stopped || !live(d))
+            continue;
+        const std::size_t ci = static_cast<size_t>(d.ctx);
+        Context &c = ctxs_[ci];
+        Uop &u = q_[ci].atPos(d.pos);
+        u.stage = Uop::Stage::Done;
 
-            if (u.trapDtlb && !u.wrongPath) {
-                // Precise DTLB trap: rewind to re-execute this op,
-                // then enter the PAL refill path.
-                ThreadState &t = *c.thread;
-                const int cls = u.mode == Mode::User ? 0 : 1;
-                (void)cls;
-                smtos_assert(u.hasCheckpoint);
-                const Addr fault_vaddr = u.vaddr;
-                t.cursor = u.cp;
-                c.ras.restore(u.rasCp);
-                mcf_.setGhr(u.ghrCp);
-                squashTail(c, u.seq);
-                c.fetchResumeAt = now_ + params_.redirectPenalty();
-                c.stallReason = FetchStall::TrapDrain;
-                stats_.kernelEntries.add("dtlb_miss");
-                smtos_trace(TraceCat::Tlb,
-                            "ctx%d dtlb miss vaddr=0x%llx", c.id,
-                            (unsigned long long)fault_vaddr);
+        if (u.trapDtlb && !u.wrongPath) {
+            // Precise DTLB trap: rewind to re-execute this op,
+            // then enter the PAL refill path.
+            ThreadState &t = *c.thread;
+            smtos_assert(u.hasCheckpoint);
+            const Addr fault_vaddr = u.vaddr;
+            const UopCheckpoint &k = checkpointAt(ci, d.pos);
+            t.cursor = k.cursor;
+            c.ras.restore(k.ras);
+            mcf_.setGhr(k.ghr);
+            squashTail(c, u.seq);
+            c.fetchResumeAt = now_ + params_.redirectPenalty();
+            c.stallReason = FetchStall::TrapDrain;
+            stats_.kernelEntries.add("dtlb_miss");
+            smtos_trace(TraceCat::Tlb, "ctx%d dtlb miss vaddr=0x%llx",
+                        c.id, (unsigned long long)fault_vaddr);
+            if (probes_)
+                probes_->squash(c.gid, u.thread, u.pc, "dtlb-trap");
+            os_->dtlbMiss(t, fault_vaddr);
+            if (obs_)
+                obs_->onThreadStateSync(t, *seqPtr_);
+            stopped = d.ctx;
+            continue;
+        }
+
+        if (u.instr->isBranch() && !u.wrongPath) {
+            const int cls = u.mode == Mode::User ? 0 : 1;
+            if (u.mispredicted) {
+                ++stats_.condMispred[cls];
+                smtos_trace(TraceCat::Squash,
+                            "ctx%d mispredict pc=0x%llx seq=%llu", c.id,
+                            (unsigned long long)u.pc,
+                            (unsigned long long)u.seq);
                 if (probes_)
                     probes_->squash(c.gid, u.thread, u.pc,
-                                    "dtlb-trap");
-                os_->dtlbMiss(t, fault_vaddr);
-                if (obs_)
-                    obs_->onThreadStateSync(t, *seqPtr_);
-                break; // queue shape changed; next context
+                                    "mispredict");
+                ThreadState &t = *c.thread;
+                const UopCheckpoint &k = checkpointAt(ci, d.pos);
+                t.cursor = k.cursor;
+                c.ras.restore(k.ras);
+                mcf_.setGhr(k.ghr);
+                squashTail(c, u.seq + 1);
+                c.fetchResumeAt = now_ + params_.redirectPenalty();
+                c.stallReason = FetchStall::Redirect;
+                stopped = d.ctx;
+                continue;
             }
-
-            if (u.instr->isBranch() && !u.wrongPath) {
-                const int cls = u.mode == Mode::User ? 0 : 1;
-                if (u.mispredicted) {
-                    ++stats_.condMispred[cls];
-                    smtos_trace(TraceCat::Squash,
-                                "ctx%d mispredict pc=0x%llx seq=%llu",
-                                c.id,
-                                (unsigned long long)u.pc,
-                                (unsigned long long)u.seq);
-                    if (probes_)
-                        probes_->squash(c.gid, u.thread, u.pc,
-                                        "mispredict");
-                    ThreadState &t = *c.thread;
-                    t.cursor = u.cp;
-                    c.ras.restore(u.rasCp);
-                    mcf_.setGhr(u.ghrCp);
-                    squashTail(c, u.seq + 1);
-                    c.fetchResumeAt =
-                        now_ + params_.redirectPenalty();
-                    c.stallReason = FetchStall::Redirect;
-                    break;
-                }
-                if (u.redirectOnly) {
-                    ++stats_.targetMispred[cls];
-                    waitBranch_[static_cast<size_t>(c.id)] = 0;
-                    c.fetchResumeAt = std::max(c.fetchResumeAt,
-                                               now_ + 1);
-                }
+            if (u.redirectOnly) {
+                ++stats_.targetMispred[cls];
+                waitBranch_[ci] = 0;
+                c.fetchResumeAt = std::max(c.fetchResumeAt, now_ + 1);
             }
         }
     }
@@ -946,7 +1054,10 @@ Pipeline::commitStage()
                 commitUop(c, u);
                 --c.inflight;
                 --c.unissued;
-                --unissuedInt_;
+                if (u.fpQueue)
+                    --unissuedFp_;
+                else
+                    --unissuedInt_;
                 --budget;
                 const Instr in = *u.instr;
                 dq.pop_front();
@@ -1075,7 +1186,7 @@ Pipeline::quiescent() const
 }
 
 Cycle
-Pipeline::nextEventHorizon() const
+Pipeline::nextEventHorizon()
 {
     Cycle h = ~Cycle{0};
     for (const Context &c : ctxs_) {
@@ -1085,13 +1196,12 @@ Pipeline::nextEventHorizon() const
         // the batched profiler attribution is exact.
         if (c.fetchResumeAt > now_ && c.fetchResumeAt < h)
             h = c.fetchResumeAt;
-        const auto &rq = q_[static_cast<size_t>(c.id)];
-        for (std::size_t i = 0; i < rq.size(); ++i) {
-            const Uop &u = rq[i];
-            if (u.stage == Uop::Stage::Issued && u.doneAt < h)
-                h = u.doneAt;
-        }
     }
+    // A stale top (squashed after issue) would pull the horizon in.
+    while (!completions_.empty() && !live(completions_.front()))
+        popCompletion();
+    if (!completions_.empty() && completions_.front().doneAt < h)
+        h = completions_.front().doneAt;
     if (os_) {
         const Cycle osAt = os_->nextEventAt();
         if (osAt < h)
@@ -1161,7 +1271,7 @@ Pipeline::skipToHorizon(std::span<Pipeline *const> chip, Cycle limit)
             !p->quiescent())
             return;
     Cycle h = limit;
-    for (const Pipeline *p : chip)
+    for (Pipeline *p : chip)
         h = std::min(h, p->nextEventHorizon());
     // Skip so the next cycle() lands exactly on the horizon. A
     // horizon at now+1 (or earlier) means the next tick may do real
@@ -1235,8 +1345,15 @@ Pipeline::auditInvariants() const
     std::ostringstream os;
     std::uint64_t inflight_total = 0;
     int unissued_total = 0;
+    // Completion entries by (ctx, pos, seq, doneAt), for lookups.
+    std::vector<std::tuple<CtxId, std::uint64_t, std::uint64_t, Cycle>>
+        done;
+    for (const Completion &d : completions_)
+        done.emplace_back(d.ctx, d.pos, d.seq, d.doneAt);
+    std::sort(done.begin(), done.end());
     for (const Context &c : ctxs_) {
-        const auto &q = q_[static_cast<size_t>(c.id)];
+        const std::size_t ci = static_cast<size_t>(c.id);
+        const auto &q = q_[ci];
         if (c.inflight != static_cast<int>(q.size()))
             os << "ctx" << c.id << ": inflight counter " << c.inflight
                << " != window size " << q.size() << "\n";
@@ -1245,9 +1362,53 @@ Pipeline::auditInvariants() const
                << " outside [0, " << params_.maxInflightPerCtx
                << "]\n";
         int fetched = 0;
-        for (std::size_t i = 0; i < q.size(); ++i)
-            if (q[i].stage == Uop::Stage::Fetched)
+        // The scheduler state derived from this window: the waiting
+        // list (with cached cycles that never postpone a ready uop)
+        // and one completion entry per issued uop.
+        const std::vector<Waiting> &wl = waiting_[ci];
+        bool list_ok = true;
+        std::size_t k = 0;
+        Cycle window_due = never;
+        for (std::uint64_t p = q.headPos(); p < q.tailPos(); ++p) {
+            const Uop &u = q.atPos(p);
+            if (u.stage == Uop::Stage::Fetched)
                 ++fetched;
+            if (u.stage == Uop::Stage::Fetched && !u.serializing) {
+                if (k >= wl.size() || wl[k].pos != p) {
+                    list_ok = false;
+                    continue;
+                }
+                std::uint64_t parked_on = 0;
+                const Cycle ready = readyAt(q, u, parked_on);
+                if (wl[k].notBefore > now_ &&
+                    (ready < wl[k].notBefore ||
+                     (wl[k].notBefore == never &&
+                      wl[k].parkedOn != parked_on)))
+                    os << "ctx" << c.id << ": waiting uop seq " << u.seq
+                       << " held until " << wl[k].notBefore
+                       << " but ready at " << ready << "\n";
+                if (k < issueWindow)
+                    window_due = std::min(window_due, wl[k].notBefore);
+                ++k;
+            } else if (u.stage == Uop::Stage::Issued) {
+                if (u.doneAt < now_)
+                    os << "ctx" << c.id << ": issued uop seq " << u.seq
+                       << " overdue: done at " << u.doneAt << "\n";
+                if (!std::binary_search(
+                        done.begin(), done.end(),
+                        std::tuple{c.id, p, u.seq, u.doneAt}))
+                    os << "ctx" << c.id << ": issued uop seq " << u.seq
+                       << " has no completion entry at " << u.doneAt
+                       << "\n";
+            }
+        }
+        if (!list_ok || k != wl.size())
+            os << "ctx" << c.id << ": waiting list of " << wl.size()
+               << " does not match the window's unissued uops\n";
+        if (waitDue_[ci] > now_ && window_due < waitDue_[ci])
+            os << "ctx" << c.id << ": issue skips the context until "
+               << waitDue_[ci] << " but an entry is due at "
+               << window_due << "\n";
         if (c.unissued != fetched)
             os << "ctx" << c.id << ": unissued counter " << c.unissued
                << " != unissued uops in window " << fetched << "\n";

@@ -34,7 +34,12 @@ namespace smtos {
 
 class SnapImages;
 
-/** An in-flight instruction. */
+/**
+ * An in-flight instruction: the hot record every stage touches. Its
+ * recovery checkpoint (UopCheckpoint, ~760 bytes) lives beside the
+ * window at the same ring position, so the stages move ~120 bytes per
+ * uop instead of ~880.
+ */
 struct Uop
 {
     const Instr *instr = nullptr;
@@ -59,6 +64,9 @@ struct Uop
     bool actualTaken = false;
     bool trapDtlb = false;     ///< correct-path DTLB miss: trap at resolve
     std::uint8_t destType = 0; ///< 0 none, 1 int, 2 fp
+    /** Occupies the FP issue queue (else the int queue); decided once
+     *  at fetch so fetch, issue, squash and commit agree. */
+    bool fpQueue = false;
 
     Cycle eligibleAt = 0;
     Cycle doneAt = 0;
@@ -76,11 +84,17 @@ struct Uop
      */
     std::uint64_t depAPos = 0;
     std::uint64_t depBPos = 0;
+};
 
-    // Recovery state (valid when hasCheckpoint).
-    Cursor cp;
-    Ras::Checkpoint rasCp{0, 0};
-    std::uint64_t ghrCp = 0;
+static_assert(sizeof(Uop) <= 128, "the hot uop record stays two lines");
+
+/** Recovery state of a uop with hasCheckpoint: where a mispredict or a
+ *  DTLB trap rewinds the fetch cursor, RAS and global history. */
+struct UopCheckpoint
+{
+    Cursor cursor;
+    Ras::Checkpoint ras{0, 0};
+    std::uint64_t ghr = 0;
 };
 
 /**
@@ -335,9 +349,25 @@ class Pipeline
         return ImageSet{t.userImage, kernelImage_};
     }
 
+    /** Issue-queue class: FP operations and uops that write an FP
+     *  register wait in the FP queue, everything else in the int
+     *  queue. */
+    static bool
+    usesFpQueue(const Instr &in)
+    {
+        return isFpReg(in.dest) || in.op == Op::FpAdd ||
+               in.op == Op::FpMul;
+    }
+
     bool canFetch(const Context &c) const;
     void fetchStage();
     int fetchFrom(Context &c, int budget);
+    /**
+     * Issue considers only the oldest issueWindow waiting uops of
+     * each context per cycle (DESIGN.md §3): a ready uop behind them
+     * waits. A modelled limit, so it shapes simulated results.
+     */
+    static constexpr std::size_t issueWindow = 24;
     void issueStage();
     void executeStage();
     void commitStage();
@@ -359,9 +389,10 @@ class Pipeline
     /**
      * Earliest future cycle at which anything can happen: the minimum
      * over in-flight completion times, fetch wakeups, and the OS
-     * model's next scheduled event.
+     * model's next scheduled event. Drops stale completions from the
+     * top of the heap first.
      */
-    Cycle nextEventHorizon() const;
+    Cycle nextEventHorizon();
     /**
      * When every core of @p chip is quiescent, jump the clock forward
      * so the next cycle() lands on min(earliest horizon, @p limit),
@@ -411,6 +442,60 @@ class Pipeline
     std::vector<Context> ctxs_;
     /** Per-context instruction windows (program order, front=oldest). */
     std::vector<FixedRing<Uop>> q_;
+    /** Per-context recovery checkpoints, slot-parallel to q_. */
+    std::vector<std::vector<UopCheckpoint>> cps_;
+    UopCheckpoint &
+    checkpointAt(std::size_t ctx, std::uint64_t pos)
+    {
+        return cps_[ctx][q_[ctx].slotOf(pos)];
+    }
+
+    // --- scheduler state derived from the windows (DESIGN.md §10):
+    // never serialized; restore rebuilds it from the windows ---
+
+    /** An unissued, non-serializing uop waiting to issue. */
+    struct Waiting
+    {
+        std::uint64_t pos; ///< ring position
+        /** It cannot issue before this cycle; ~0 (parked) while the
+         *  producer at parkedOn is unissued, until that one issues. */
+        Cycle notBefore;
+        std::uint64_t parkedOn = 0;
+    };
+    /** Per-context waiting uops, program order (positions ascend). */
+    std::vector<std::vector<Waiting>> waiting_;
+    /**
+     * Per-context cycle before which the issue stage may skip the
+     * context: when it exceeds the cycle, no entry in the context's
+     * issue window is due.
+     */
+    std::vector<Cycle> waitDue_;
+    /** The uop at @p pos issued, completing at @p at: entries of
+     *  @p ctx's window from index @p first on parked on it wake. */
+    void wake(std::size_t ctx, std::size_t first, std::uint64_t pos,
+              Cycle at);
+
+    /** An issued uop's completion. Entries of uops squashed after
+     *  issue go stale and are dropped when they surface. */
+    struct Completion
+    {
+        Cycle doneAt;
+        CtxId ctx;
+        std::uint64_t seq;
+        std::uint64_t pos;
+    };
+    /** Every issued uop's completion: a min-heap on doneAt. */
+    std::vector<Completion> completions_;
+    /** Scratch: the completions one execute stage resolves. */
+    std::vector<Completion> dueNow_;
+    bool
+    live(const Completion &d) const
+    {
+        const FixedRing<Uop> &q = q_[static_cast<size_t>(d.ctx)];
+        return q.livePos(d.pos) && q.atPos(d.pos).seq == d.seq;
+    }
+    void pushCompletion(const Completion &d);
+    void popCompletion();
     /** Per-context wait-for-branch-resolve fetch hold (0 = none). */
     std::vector<std::uint64_t> waitBranch_;
     /**
@@ -431,7 +516,7 @@ class Pipeline
     {
         std::uint64_t seq;
         CtxId ctx;
-        std::uint32_t idx;
+        std::uint64_t pos;
     };
     std::vector<IssueCand> issueCands_;
 

@@ -8,7 +8,10 @@
  * Restore contract: the pipeline was freshly constructed with the
  * identical CoreParams (the artifact's config section drives the
  * rebuild), threads exist again at the same ids, and not a single
- * cycle has run. Loading then overwrites every mutable field.
+ * cycle has run. Loading then overwrites every mutable field and
+ * rebuilds the scheduler state derived from the windows (each uop's
+ * issue-queue class, the waiting lists, the completion heap), which
+ * is never written.
  * `const Instr *` round-trips as (image id, flat index) through the
  * deterministic SnapImages registry; thread bindings round-trip by
  * thread id.
@@ -47,9 +50,11 @@ snapInstr(Ar &ar, const SnapImages &images, const Instr *&in)
         in = id < 0 ? nullptr : images.byId(id)->instrPtr(flat);
 }
 
+/** A window uop with its recovery checkpoint (a default one on the
+ *  wire when the uop has none). */
 template <typename Ar>
 void
-snapUop(Ar &ar, const SnapImages &images, Uop &u)
+snapUop(Ar &ar, const SnapImages &images, Uop &u, UopCheckpoint &cp)
 {
     snapInstr(ar, images, u.instr);
     ar.io(u.pc);
@@ -80,10 +85,12 @@ snapUop(Ar &ar, const SnapImages &images, Uop &u)
     ar.io(u.depB);
     ar.io(u.depAPos);
     ar.io(u.depBPos);
-    ar.pod(u.cp);
-    ar.io(u.rasCp.sp);
-    ar.io(u.rasCp.top);
-    ar.io(u.ghrCp);
+    UopCheckpoint none;
+    UopCheckpoint &k = Ar::loading || u.hasCheckpoint ? cp : none;
+    ar.pod(k.cursor);
+    ar.io(k.ras.sp);
+    ar.io(k.ras.top);
+    ar.io(k.ghr);
 }
 
 } // namespace
@@ -104,6 +111,8 @@ Pipeline::snap(Ar &ar, const SnapImages &images,
     ar.io(fetchStop_);
 
     ar.expect(static_cast<std::int32_t>(ctxs_.size()));
+    if constexpr (Ar::loading)
+        completions_.clear();
     for (std::size_t i = 0; i < ctxs_.size(); ++i) {
         Context &c = ctxs_[i];
         ThreadId tid = c.thread ? c.thread->id : invalidThread;
@@ -127,10 +136,24 @@ Pipeline::snap(Ar &ar, const SnapImages &images,
         std::uint64_t tail = q.tailPos();
         ar.io(head);
         ar.io(tail);
-        if constexpr (Ar::loading)
+        if constexpr (Ar::loading) {
             q.restoreSpan(head, tail);
-        for (std::uint64_t p = head; p < tail; ++p)
-            snapUop(ar, images, q.atPos(p));
+            waiting_[i].clear();
+            // Nothing is known to be not due: walk on the next issue.
+            waitDue_[i] = 0;
+        }
+        for (std::uint64_t p = head; p < tail; ++p) {
+            Uop &u = q.atPos(p);
+            snapUop(ar, images, u, checkpointAt(i, p));
+            if constexpr (Ar::loading) {
+                // Rebuild what the pipeline derives from the window.
+                u.fpQueue = usesFpQueue(*u.instr);
+                if (u.stage == Uop::Stage::Fetched && !u.serializing)
+                    waiting_[i].push_back(Waiting{p, u.eligibleAt});
+                else if (u.stage == Uop::Stage::Issued)
+                    pushCompletion(Completion{u.doneAt, c.id, u.seq, p});
+            }
+        }
 
         ar.io(waitBranch_[i]);
         ar.pod(writerSeq_[i]);

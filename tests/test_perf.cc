@@ -4,11 +4,12 @@
  *
  * The fast path (DESIGN.md §10) must be invisible in simulated
  * results: quiescence fast-forward and the host translation caches
- * are toggled on and off here and every artifact — metrics JSON,
- * Perfetto timeline, fault log — must come out byte-identical, across
- * both workloads and 1/2/4/8 contexts. The parallel experiment
- * runner must reproduce the sequential runner's results exactly, and
- * the co-simulation oracle must hold with the fast path enabled.
+ * are toggled on and off here, a profiler is attached, and every
+ * artifact — metrics JSON, Perfetto timeline, fault log — must come
+ * out byte-identical, across both workloads, 1/2/4/8 contexts and
+ * 1/2/4 cores. The parallel experiment runner must reproduce the
+ * sequential runner's results exactly, and the co-simulation oracle
+ * must hold with the fast path enabled.
  */
 
 #include <gtest/gtest.h>
@@ -127,32 +128,52 @@ TEST(FixedRing, PopBackReleasesPosition)
     EXPECT_EQ(r.atPos(pos), 3);
 }
 
-// --- bit-identity: fast path on vs off ---
+// --- bit-identity: every host path simulates the same machine ---
 
 class PerfIdentity
-    : public ::testing::TestWithParam<std::tuple<int, bool>>
+    : public ::testing::TestWithParam<std::tuple<int, int, bool>>
 {
 };
 
-TEST_P(PerfIdentity, MetricsIdenticalFastPathOnOff)
+/** "Apache_4x2": workload, cores x contexts per core. */
+std::string
+identityName(const ::testing::TestParamInfo<PerfIdentity::ParamType> &i)
 {
-    const int contexts = std::get<0>(GetParam());
-    const bool apache = std::get<1>(GetParam());
-    const Session::Config spec = perfSpec(apache ? WorkloadConfig::Kind::Apache
-                                         : WorkloadConfig::Kind::SpecInt,
-                                  contexts);
+    const auto [cores, contexts, apache] = i.param;
+    return std::string(apache ? "Apache" : "SpecInt") + "_" +
+           std::to_string(cores) + "x" + std::to_string(contexts);
+}
 
+// Three legs per configuration: the fast path on, the fast path off,
+// and the fast path on with a profiler attached. The profiled issue
+// stage evaluates every examined uop (for exact stall attribution)
+// where the plain one skips uops on their cached not-before cycle;
+// both must make the same decisions.
+TEST_P(PerfIdentity, MetricsIdenticalAcrossHostPaths)
+{
+    const auto [cores, contexts, apache] = GetParam();
+    Session::Config spec = perfSpec(apache ? WorkloadConfig::Kind::Apache
+                                           : WorkloadConfig::Kind::SpecInt,
+                                    contexts);
+    spec.system.topology.cores = cores;
     const std::string fast = metricsJson(spec, true, true);
-    const std::string slow = metricsJson(spec, false, false);
-    EXPECT_EQ(fast, slow)
-        << (apache ? "apache" : "specint") << " @ " << contexts
-        << " contexts: fast path changed the metrics";
+    EXPECT_EQ(fast, metricsJson(spec, false, false))
+        << "fast path changed the metrics";
+
+    ObsConfig oc;
+    oc.profile = true;
+    oc.reportPath = ::testing::TempDir() + "/perf_identity_report.txt";
+    ObsSession obs(oc);
+    spec.obs = &obs;
+    EXPECT_EQ(fast, metricsJson(spec, true, true))
+        << "the profiler changed the metrics";
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllWidths, PerfIdentity,
-    ::testing::Combine(::testing::Values(1, 2, 4, 8),
-                       ::testing::Bool()));
+    Matrix, PerfIdentity,
+    ::testing::Combine(::testing::Values(1, 2, 4),
+                       ::testing::Values(1, 2, 4, 8), ::testing::Bool()),
+    identityName);
 
 TEST(PerfIdentityArtifacts, TimelineAndFaultLogIdentical)
 {

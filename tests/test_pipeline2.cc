@@ -427,3 +427,86 @@ TEST_F(Pipeline2, SuperscalarHasSevenStagePenalty)
     const Cycle c7 = pipe->now();
     EXPECT_LT(c7, c9);
 }
+
+TEST_F(Pipeline2, FpDestinationUopsKeepIssueQueueAccounting)
+{
+    // Loads and a syscall that write FP registers wait in the FP issue
+    // queue. Fetch, issue, squash (the loads' first-touch DTLB traps)
+    // and serializing commit must all agree on that, or an issue-queue
+    // count drifts out of range.
+    user->beginFunction("main", -1);
+    user->beginBlock();
+    for (int k = 0; k < 8; ++k) {
+        Instr ld = gu.makeLoad(MemPattern::SeqStream, 1, 0, 64, false);
+        ld.dest = static_cast<std::uint8_t>(numIntRegs + k);
+        user->emit(ld);
+    }
+    Instr sc = gu.makeSyscall(1);
+    sc.dest = numIntRegs + 8;
+    user->emit(sc);
+    user->emit(gu.makeJump(0));
+    user->finalize();
+    wire();
+    pipe->bindThread(0, &makeThread(0));
+    for (int i = 0; i < 3000; ++i) {
+        pipe->runCycles(1);
+        ASSERT_EQ(pipe->auditInvariants(), "") << "cycle " << pipe->now();
+    }
+    EXPECT_GT(os->dtlbMisses, 0);
+    EXPECT_GE(os->order.size(), 2u);
+}
+
+TEST_F(Pipeline2, IssueExaminesTheOldest24WaitingUopsOfAContext)
+{
+    // Each pass: a syscall (which drains the window, so every pass
+    // starts empty), a physical load that misses to DRAM, N ALU ops
+    // that depend on it, one independent ALU op, and the loop jump.
+    // Issue only looks at a context's oldest 24 unissued,
+    // non-serializing uops, so the independent op issues a few cycles
+    // after the load when N = 23, but waits for the load's dependents
+    // (a DRAM latency later) when N = 24.
+    auto pass = [&](const char *name, int dependents) {
+        const int f = user->beginFunction(name, -1);
+        user->beginBlock();
+        user->emit(gu.makeSyscall(1));
+        Instr ld = gu.makeLoad(MemPattern::SeqStream, 1, 0, 64, true);
+        ld.srcA = regNone;
+        ld.dest = 1;
+        user->emit(ld);
+        for (int k = 0; k < dependents; ++k) {
+            Instr dep;
+            dep.op = Op::IntAlu;
+            dep.srcA = 1;
+            dep.dest = static_cast<std::uint8_t>(2 + k);
+            user->emit(dep);
+        }
+        Instr ready;
+        ready.op = Op::IntAlu;
+        ready.dest = 31;
+        user->emit(ready);
+        user->emit(gu.makeJump(0));
+        return f;
+    };
+    const int behind23 = pass("behind23", 23);
+    const int behind24 = pass("behind24", 24);
+    user->finalize();
+
+    // Cycles from the load's issue to the next issue, in the second
+    // pass (the first warms the I-cache and ITLB).
+    auto gapAfterLoad = [&](int func, ThreadId tid) {
+        wire();
+        pipe->bindThread(0, &makeThread(func, tid));
+        while (os->order.size() < 2)
+            pipe->runCycles(1);
+        const std::uint64_t base = pipe->stats().issued;
+        while (pipe->stats().issued == base)
+            pipe->runCycles(1);
+        EXPECT_EQ(pipe->stats().issued, base + 1); // the load alone
+        const Cycle load_at = pipe->now();
+        while (pipe->stats().issued == base + 1)
+            pipe->runCycles(1);
+        return pipe->now() - load_at;
+    };
+    EXPECT_LT(gapAfterLoad(behind23, 0), 10u);
+    EXPECT_GT(gapAfterLoad(behind24, 1), 60u);
+}

@@ -21,6 +21,7 @@
 #include "obs/profiler.h"
 #include "obs/session.h"
 #include "sim/export.h"
+#include "sim/system.h"
 
 using namespace smtos;
 
@@ -456,6 +457,11 @@ TEST_P(SnapshotLayout, OneSectionSequenceAtEveryWidth)
     std::string err;
     auto resumed = Session::resume(artifact, opts, &err);
     ASSERT_NE(resumed, nullptr) << err;
+    // Restore rebuilds the scheduler state derived from the windows
+    // rather than reading it; every core audits clean at once.
+    for (int c = 0; c < resumed->system().numCores(); ++c)
+        EXPECT_EQ(resumed->system().pipeline(c).auditInvariants(), "")
+            << "core " << c;
     EXPECT_EQ(artifact, resumed->snapshot());
     if (lc.everyField) {
         EXPECT_EQ(toJson(origin.runMeasurement().steady),

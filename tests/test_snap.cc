@@ -21,6 +21,7 @@
 #include "harness/sweep.h"
 #include "obs/session.h"
 #include "sim/export.h"
+#include "sim/system.h"
 #include "snap/snapshot.h"
 
 using namespace smtos;
@@ -127,6 +128,11 @@ TEST_P(SnapRoundTrip, ResumedRunIsByteIdentical)
     std::string err;
     auto resumed = Session::resume(artifact, opts, &err);
     ASSERT_NE(resumed, nullptr) << err;
+    // Restore rebuilds the scheduler state derived from the windows
+    // rather than reading it; every core audits clean at once.
+    for (int c = 0; c < resumed->system().numCores(); ++c)
+        EXPECT_EQ(resumed->system().pipeline(c).auditInvariants(), "")
+            << "core " << c;
     const Observed replay =
         observe(*resumed, resumed->runMeasurement());
 

@@ -7,11 +7,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "bp/mcfarling.h"
 #include "common/ring.h"
 #include "harness/session.h"
+#include "isa/program.h"
 #include "mem/cache.h"
 #include "vm/addrspace.h"
 #include "vm/physmem.h"
@@ -161,6 +163,35 @@ BM_TlbLookup(benchmark::State &state)
 }
 
 void
+BM_TlbLookupSharedVpns(benchmark::State &state)
+{
+    // The multiprogrammed shape: eight address spaces mapping the same
+    // VPNs (every SPECInt image sits at userTextBase), looked up with
+    // the ASNs interleaved as SMT fetch interleaves contexts.
+    Tlb tlb("bench-itlb", 128);
+    constexpr Addr pages = 12;
+    constexpr Asn spaces = 8;
+    const Addr base = pageOf(userTextBase);
+    for (Asn asn = 1; asn <= spaces; ++asn)
+        for (Addr v = 0; v < pages; ++v)
+            tlb.insert(base + v, asn, static_cast<Frame>(asn * 100 + v),
+                       AccessInfo{asn, Mode::User, 0});
+    Rng rng(5);
+    std::vector<std::pair<Addr, Asn>> stream(4096);
+    for (std::size_t k = 0; k < stream.size(); ++k)
+        stream[k] = {base + rng.below(pages),
+                     static_cast<Asn>(1 + k % spaces)};
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const auto [vpn, asn] = stream[i];
+        benchmark::DoNotOptimize(
+            tlb.lookup(vpn, asn, AccessInfo{asn, Mode::User, 0}));
+        i = (i + 1) & (stream.size() - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+void
 BM_AddrSpaceTranslate(benchmark::State &state)
 {
     PhysMem mem;
@@ -211,6 +242,7 @@ BENCHMARK(BM_CacheAccess);
 BENCHMARK(BM_PredictorTrain);
 BENCHMARK(BM_FixedRing);
 BENCHMARK(BM_TlbLookup);
+BENCHMARK(BM_TlbLookupSharedVpns);
 BENCHMARK(BM_AddrSpaceTranslate);
 
 BENCHMARK_MAIN();

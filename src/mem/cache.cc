@@ -1,6 +1,6 @@
 #include "mem/cache.h"
 
-#include <algorithm>
+#include <memory>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -26,8 +26,13 @@ Cache::Cache(const CacheParams &params) : params_(params)
     SMTOS_CHECK(num_lines % params_.assoc == 0);
     numSets_ = static_cast<int>(num_lines / params_.assoc);
     SMTOS_CHECK(numSets_ >= 1);
-    lines_.assign(num_lines, Line{});
-    tags_.assign(num_lines, noTag);
+    constexpr std::size_t hostLine = 64;
+    std::size_t room = num_lines * sizeof(Line) + hostLine;
+    wayBytes_ = std::make_unique_for_overwrite<std::byte[]>(room);
+    void *first = wayBytes_.get();
+    std::align(hostLine, num_lines * sizeof(Line), first, room);
+    lines_ = {static_cast<Line *>(first), num_lines};
+    std::uninitialized_fill(lines_.begin(), lines_.end(), Line{});
 
     auto pow2 = [](std::uint64_t v) { return (v & (v - 1)) == 0; };
     fastGeom_ = pow2(static_cast<std::uint64_t>(params_.lineBytes)) &&
@@ -44,21 +49,15 @@ Cache::access(Addr addr, const AccessInfo &who, bool is_write)
 {
     CacheOutcome out;
     const Addr block = blockOf(addr);
-    const int set = setOf(block);
-    const size_t setBase = static_cast<size_t>(set) *
-                           static_cast<size_t>(params_.assoc);
-    Line *base = &lines_[setBase];
-    const Addr *tagBase = &tags_[setBase];
+    Line *base = &lines_[setBase(block)];
     ++tick_;
 
     const int cls = who.isKernel() ? 1 : 0;
     ++stats_.accesses[cls];
 
-    // Search the set (tags_ mirrors lines_ validity: noTag never
-    // matches a real block).
     for (int w = 0; w < params_.assoc; ++w) {
-        if (tagBase[w] == block) {
-            Line &ln = base[w];
+        Line &ln = base[w];
+        if (ln.valid && ln.blockAddr == block) {
             // Hit. Detect constructive sharing: first touch by this
             // thread on a block another thread filled.
             if (ln.fillerThread != who.thread &&
@@ -98,7 +97,6 @@ Cache::access(Addr addr, const AccessInfo &who, bool is_write)
         classifier_.recordEviction(victim->blockAddr, who);
         out.dirtyEviction = victim->dirty;
     }
-    tags_[static_cast<size_t>(victim - lines_.data())] = block;
     victim->valid = true;
     victim->dirty = is_write;
     victim->blockAddr = block;
@@ -113,11 +111,9 @@ bool
 Cache::probe(Addr addr) const
 {
     const Addr block = blockOf(addr);
-    const int set = setOf(block);
-    const Addr *tagBase = &tags_[static_cast<size_t>(set) *
-                                 static_cast<size_t>(params_.assoc)];
+    const Line *base = &lines_[setBase(block)];
     for (int w = 0; w < params_.assoc; ++w)
-        if (tagBase[w] == block)
+        if (base[w].valid && base[w].blockAddr == block)
             return true;
     return false;
 }
@@ -132,23 +128,18 @@ Cache::invalidateAll()
             ln.dirty = false;
         }
     }
-    std::fill(tags_.begin(), tags_.end(), noTag);
 }
 
 void
 Cache::invalidateBlock(Addr addr)
 {
     const Addr block = blockOf(addr);
-    const int set = setOf(block);
-    const size_t setBase = static_cast<size_t>(set) *
-                           static_cast<size_t>(params_.assoc);
-    Line *base = &lines_[setBase];
+    Line *base = &lines_[setBase(block)];
     for (int w = 0; w < params_.assoc; ++w) {
         if (base[w].valid && base[w].blockAddr == block) {
             classifier_.recordInvalidation(block);
             base[w].valid = false;
             base[w].dirty = false;
-            tags_[setBase + static_cast<size_t>(w)] = noTag;
         }
     }
 }
@@ -157,10 +148,7 @@ bool
 Cache::snoopInvalidate(Addr addr)
 {
     const Addr block = blockOf(addr);
-    const int set = setOf(block);
-    const size_t setBase = static_cast<size_t>(set) *
-                           static_cast<size_t>(params_.assoc);
-    Line *base = &lines_[setBase];
+    Line *base = &lines_[setBase(block)];
     bool was_dirty = false;
     for (int w = 0; w < params_.assoc; ++w) {
         if (base[w].valid && base[w].blockAddr == block) {
@@ -168,7 +156,6 @@ Cache::snoopInvalidate(Addr addr)
             classifier_.recordInvalidation(block);
             base[w].valid = false;
             base[w].dirty = false;
-            tags_[setBase + static_cast<size_t>(w)] = noTag;
         }
     }
     return was_dirty;
@@ -178,10 +165,7 @@ bool
 Cache::snoopDowngrade(Addr addr)
 {
     const Addr block = blockOf(addr);
-    const int set = setOf(block);
-    const size_t setBase = static_cast<size_t>(set) *
-                           static_cast<size_t>(params_.assoc);
-    Line *base = &lines_[setBase];
+    Line *base = &lines_[setBase(block)];
     bool was_dirty = false;
     for (int w = 0; w < params_.assoc; ++w) {
         if (base[w].valid && base[w].blockAddr == block &&
@@ -197,10 +181,7 @@ bool
 Cache::probeDirty(Addr addr) const
 {
     const Addr block = blockOf(addr);
-    const int set = setOf(block);
-    const size_t setBase = static_cast<size_t>(set) *
-                           static_cast<size_t>(params_.assoc);
-    const Line *base = &lines_[setBase];
+    const Line *base = &lines_[setBase(block)];
     for (int w = 0; w < params_.assoc; ++w)
         if (base[w].valid && base[w].blockAddr == block &&
             base[w].dirty)
@@ -217,7 +198,6 @@ Cache::invalidateIndex(std::uint64_t idx)
         classifier_.recordInvalidation(ln.blockAddr);
         ln.valid = false;
         ln.dirty = false;
-        tags_[idx] = noTag;
     }
     return idx;
 }

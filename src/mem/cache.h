@@ -11,9 +11,11 @@
 #ifndef SMTOS_MEM_CACHE_H
 #define SMTOS_MEM_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 #include "mem/missclass.h"
@@ -126,17 +128,20 @@ class Cache
     template <typename Ar> void snap(Ar &ar);
 
   private:
+    /** One way: 32 bytes, so a 2-way set is one 64-byte host line and
+     *  a direct-mapped probe reads half of one. */
     struct Line
     {
-        bool valid = false;
-        bool dirty = false;
         Addr blockAddr = 0;
         std::uint64_t lruStamp = 0;
-        ThreadId fillerThread = invalidThread;
-        bool fillerKernel = false;
         /** Threads (id mod 64) that touched the block since fill. */
         std::uint64_t touchedMask = 0;
+        ThreadId fillerThread = invalidThread;
+        bool valid = false;
+        bool dirty = false;
+        bool fillerKernel = false;
     };
+    static_assert(sizeof(Line) == 32);
 
     int setOf(Addr blockAddr) const
     {
@@ -145,18 +150,11 @@ class Cache
                       : blockAddr % static_cast<Addr>(numSets_));
     }
 
-    /** Sentinel in tags_ marking an invalid way (block addresses are
-     *  byte addresses >> line shift, so ~0 is unreachable). */
-    static constexpr Addr noTag = ~0ull;
-
-    /** Rebuild tags_ from lines_ after a snapshot load. */
-    void
-    rebuildTags()
+    /** Index in lines_ of the first way of @p block's set. */
+    std::size_t setBase(Addr block) const
     {
-        tags_.assign(lines_.size(), noTag);
-        for (std::size_t i = 0; i < lines_.size(); ++i)
-            if (lines_[i].valid)
-                tags_[i] = lines_[i].blockAddr;
+        return static_cast<std::size_t>(setOf(block)) *
+               static_cast<std::size_t>(params_.assoc);
     }
 
     CacheParams params_;
@@ -168,11 +166,15 @@ class Cache
     bool fastGeom_ = false;
     int lineShift_ = 0;
     Addr setMask_ = 0;
-    std::vector<Line> lines_; // numSets_ * assoc, set-major
-    /** tags_[i] mirrors lines_[i].blockAddr while valid, noTag when
-     *  not: the way scan compares a dense 8-byte array instead of
-     *  pulling each Line's 40-byte metadata through the host cache. */
-    std::vector<Addr> tags_;
+    /** Backing bytes of lines_, one host line longer than the ways.
+     *  A plain allocation, not an aligned one: glibc's aligned
+     *  allocator leaves heap fragments that keep freed L2 arrays
+     *  resident. */
+    std::unique_ptr<std::byte[]> wayBytes_;
+    /** numSets_ * assoc ways, set-major, from the first 64-byte
+     *  boundary of wayBytes_. An invalidated way keeps its stale
+     *  blockAddr, so matches test valid first. */
+    std::span<Line> lines_;
     std::uint64_t tick_ = 0;
     MissClassifier classifier_;
     InterferenceStats stats_;

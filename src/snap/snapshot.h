@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -46,6 +47,9 @@ constexpr char snapshotMagic[8] = {'S', 'M', 'T', 'O', 'S', 'N', 'P',
 
 /** Bumped whenever the section list or header layout changes. */
 constexpr std::uint32_t snapshotFormatVersion = 1;
+
+/** Magic, format version, payload length and checksum. */
+constexpr std::size_t snapshotHeaderBytes = 8 + 4 + 8 + 8;
 
 /** FNV-1a over the payload; cheap and order-sensitive. */
 inline std::uint64_t
@@ -195,7 +199,13 @@ class Snapshotter : public Archive<Snapshotter>
   public:
     static constexpr bool loading = false;
 
-    Snapshotter() { buf_.reserve(1 << 16); }
+    /** The header's bytes are reserved up front and filled in by
+     *  finish(), so sealing never copies the payload. */
+    Snapshotter()
+    {
+        buf_.reserve(1 << 16);
+        buf_.resize(snapshotHeaderBytes);
+    }
 
     template <typename T>
     void
@@ -241,26 +251,23 @@ class Snapshotter : public Archive<Snapshotter>
         lenAt_ = npos;
     }
 
-    /** Seal the payload into the final artifact. */
+    /** Seal the payload into the final artifact, handing over the
+     *  buffer: call once, as the writer's last use. */
     std::vector<std::uint8_t>
-    finish() const
+    finish()
     {
         smtos_assert(lenAt_ == npos);
-        std::vector<std::uint8_t> out;
-        out.reserve(buf_.size() + 28);
-        out.insert(out.end(), snapshotMagic, snapshotMagic + 8);
-        auto push = [&out](const void *p, std::size_t n) {
-            const auto *b = static_cast<const std::uint8_t *>(p);
-            out.insert(out.end(), b, b + n);
-        };
+        smtos_assert(buf_.size() >= snapshotHeaderBytes);
+        std::uint8_t *h = buf_.data();
         const std::uint32_t fv = snapshotFormatVersion;
-        push(&fv, sizeof fv);
-        const std::uint64_t n = buf_.size();
-        push(&n, sizeof n);
-        const std::uint64_t sum = snapshotChecksum(buf_.data(), n);
-        push(&sum, sizeof sum);
-        out.insert(out.end(), buf_.begin(), buf_.end());
-        return out;
+        const std::uint64_t n = buf_.size() - snapshotHeaderBytes;
+        const std::uint64_t sum =
+            snapshotChecksum(h + snapshotHeaderBytes, n);
+        std::memcpy(h, snapshotMagic, 8);
+        std::memcpy(h + 8, &fv, sizeof fv);
+        std::memcpy(h + 12, &n, sizeof n);
+        std::memcpy(h + 20, &sum, sizeof sum);
+        return std::move(buf_);
     }
 
   private:
@@ -278,17 +285,19 @@ class Snapshotter : public Archive<Snapshotter>
     std::size_t lenAt_ = npos;
 };
 
-/** Cursor over a validated artifact payload. */
+/** Cursor over a validated artifact payload. It reads the caller's
+ *  bytes in place, so the artifact must outlive the Restorer. */
 class Restorer : public Archive<Restorer>
 {
   public:
     static constexpr bool loading = true;
 
-    explicit Restorer(std::vector<std::uint8_t> artifact)
-        : buf_(std::move(artifact))
+    explicit Restorer(std::span<const std::uint8_t> artifact)
+        : buf_(artifact)
     {
         validate();
     }
+    Restorer(std::vector<std::uint8_t> &&) = delete; // would dangle
 
     /** False when the artifact was rejected; see error(). */
     bool ok() const { return error_.empty(); }
@@ -381,8 +390,7 @@ class Restorer : public Archive<Restorer>
     void
     validate()
     {
-        constexpr std::size_t headerBytes = 8 + 4 + 8 + 8;
-        if (buf_.size() < headerBytes) {
+        if (buf_.size() < snapshotHeaderBytes) {
             error_ = "snapshot rejected: truncated header";
             return;
         }
@@ -406,18 +414,18 @@ class Restorer : public Archive<Restorer>
         }
         std::uint64_t payload;
         std::memcpy(&payload, buf_.data() + 12, sizeof payload);
-        if (buf_.size() - headerBytes != payload) {
+        if (buf_.size() - snapshotHeaderBytes != payload) {
             error_ = "snapshot rejected: payload length mismatch";
             return;
         }
         std::uint64_t sum;
         std::memcpy(&sum, buf_.data() + 20, sizeof sum);
-        if (snapshotChecksum(buf_.data() + headerBytes, payload) !=
+        if (snapshotChecksum(buf_.data() + snapshotHeaderBytes, payload) !=
             sum) {
             error_ = "snapshot rejected: checksum mismatch";
             return;
         }
-        pos_ = headerBytes;
+        pos_ = snapshotHeaderBytes;
     }
 
     void
@@ -436,7 +444,7 @@ class Restorer : public Archive<Restorer>
         smtos_assert(sectionEnd_ == 0 || pos_ + n <= sectionEnd_);
     }
 
-    std::vector<std::uint8_t> buf_;
+    std::span<const std::uint8_t> buf_;
     std::size_t pos_ = 0;
     std::size_t sectionEnd_ = 0;
     std::string error_;

@@ -135,8 +135,6 @@ Cache::snap(Ar &ar)
         ar.io(l.fillerKernel);
         ar.io(l.touchedMask);
     }
-    if constexpr (Ar::loading)
-        rebuildTags();
     ar.io(tick_);
     classifier_.snap(ar);
     ar.pod(stats_);

@@ -82,7 +82,26 @@ class Tlb
     static constexpr std::uint32_t snapVersion = 1;
     template <typename Ar> void snap(Ar &ar);
 
+    /**
+     * Host-side lookup accelerator: remembers which entry index last
+     * held a given (vpn, asn) so lookup() can skip the linear scan.
+     * Hints are validated against the entry before use, so a stale
+     * hint only costs the scan it would have cost anyway — no
+     * invalidation protocol is needed, and hit/miss results and all
+     * statistics are identical with or without it. The slot hashes
+     * the ASN too: SPECInt images all sit at userTextBase and Apache
+     * processes share one layout, so VPNs alone collide.
+     */
+    static std::size_t hintSlot(Addr vpn, Asn asn)
+    {
+        return static_cast<std::size_t>(
+            (key(vpn, asn) * 0x9E3779B97F4A7C15ull) >> (64 - hintBits));
+    }
+
   private:
+    static constexpr int hintBits = 13;
+    static constexpr std::size_t hintSlots = std::size_t{1} << hintBits;
+
     struct Entry
     {
         bool valid = false;
@@ -100,23 +119,6 @@ class Tlb
     {
         return (static_cast<Addr>(static_cast<std::uint32_t>(asn))
                 << 44) | vpn;
-    }
-
-    /**
-     * Host-side lookup accelerator: remembers which entry index last
-     * held a given (vpn, asn) so lookup() can skip the linear scan.
-     * Hints are validated against the entry before use, so a stale
-     * hint only costs the scan it would have cost anyway — no
-     * invalidation protocol is needed, and hit/miss results and all
-     * statistics are identical with or without it.
-     */
-    static constexpr std::size_t hintSlots = 8192; // power of two
-
-    static std::size_t hintSlot(Addr vpn, Asn asn)
-    {
-        const Addr k = key(vpn, asn);
-        return static_cast<std::size_t>((k ^ (k >> 17)) &
-                                        (hintSlots - 1));
     }
 
     /** tag_[i] mirrors entries_[i].vpn while valid (noTag when not):

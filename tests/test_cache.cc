@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+
 #include "common/rng.h"
 #include "mem/cache.h"
+#include "snap/snapshot.h"
 
 using namespace smtos;
 
@@ -148,6 +152,61 @@ TEST(Cache, InvalidateBlockOnlyKillsThatBlock)
     c.invalidateBlock(0x1000);
     EXPECT_FALSE(c.probe(0x1000));
     EXPECT_TRUE(c.probe(0x2000));
+}
+
+// An invalidated way keeps its stale blockAddr; only the valid bit keeps
+// it from matching. Every invalidation path must leave the block
+// missing, classified as an OS invalidation — also in a fresh cache
+// restored from a snapshot, whose re-snapshot is byte-identical.
+TEST(Cache, InvalidatedWaysNeverMatchTheirStaleTag)
+{
+    constexpr Addr x = 0x1000;
+    const std::pair<const char *, std::function<void(Cache &)>> paths[] = {
+        {"invalidateBlock", [](Cache &c) { c.invalidateBlock(x); }},
+        {"snoopInvalidate", [](Cache &c) { c.snoopInvalidate(x); }},
+        {"invalidateIndex",
+         [](Cache &c) {
+             // X filled the first (invalid) way of its set.
+             const Addr set =
+                 c.blockOf(x) % static_cast<Addr>(c.numSets());
+             c.invalidateIndex(set *
+                               static_cast<Addr>(c.params().assoc));
+         }},
+        {"invalidateAll", [](Cache &c) { c.invalidateAll(); }},
+    };
+    auto image = [](Cache &c) {
+        Snapshotter s;
+        s.beginSection("HIER", Cache::snapVersion);
+        c.snap(s);
+        s.endSection();
+        return s.finish();
+    };
+    auto expectXMisses = [&](Cache &c) {
+        EXPECT_FALSE(c.probe(x));
+        EXPECT_FALSE(c.probeDirty(x));
+        const CacheOutcome out = c.access(x, user(2), false);
+        EXPECT_FALSE(out.hit);
+        EXPECT_EQ(out.cause, MissCause::OsInvalidation);
+    };
+    for (const auto &[name, invalidate] : paths) {
+        SCOPED_TRACE(name);
+        Cache a(tiny());
+        a.access(x, user(1), true);
+        a.access(x + 0x2000, user(1), false); // same set, other way
+        invalidate(a);
+
+        const std::vector<std::uint8_t> bytes = image(a);
+        Cache b(tiny());
+        Restorer r(bytes);
+        ASSERT_TRUE(r.ok()) << r.error();
+        r.beginSection("HIER", Cache::snapVersion);
+        b.snap(r);
+        r.endSection();
+        EXPECT_EQ(image(b), bytes);
+
+        expectXMisses(a);
+        expectXMisses(b);
+    }
 }
 
 TEST(Cache, ConstructiveSharingDetected)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "isa/program.h"
 #include "vm/addrspace.h"
 #include "vm/physmem.h"
 #include "vm/tlb.h"
@@ -209,6 +212,62 @@ TEST(Tlb, FlushPageRemovesOneTranslation)
     t.flushPage(1, 1);
     EXPECT_LT(t.lookup(1, 1, user(1)), 0);
     EXPECT_EQ(t.lookup(2, 1, user(1)), 20);
+}
+
+// The SPECInt images all sit at userTextBase, so their address spaces
+// map the same VPNs; the lookup hint must give each (vpn, asn) its own
+// slot rather than one slot per VPN.
+TEST(Tlb, HintSlotsSeparateAddressSpaces)
+{
+    std::set<std::size_t> slots;
+    const Addr base = pageOf(userTextBase);
+    for (Addr vpn = base; vpn < base + 96; ++vpn)
+        for (Asn asn = 1; asn <= 8; ++asn)
+            slots.insert(Tlb::hintSlot(vpn, asn));
+    EXPECT_GE(slots.size(), 700u);
+}
+
+// One VPN under eight ASNs, looked up round-robin as SMT fetch
+// interleaves address spaces: every lookup finds its own entry
+// whatever its hint slot last pointed at, including after flushes
+// leave hints pointing at dead entries.
+TEST(Tlb, SameVpnAcrossAsnsInterleaved)
+{
+    Tlb t("T", 16);
+    const Addr vpn = pageOf(userTextBase);
+    const Addr globalVpn = vpn + 1;
+    for (Asn asn = 1; asn <= 8; ++asn) // entry index asn - 1
+        t.insert(vpn, asn, 100 + asn, user(asn));
+    t.insert(globalVpn, 0, 99, user(0), true);
+
+    std::uint64_t lookups = 0;
+    for (int i = 0; i < 1000; ++i, ++lookups) {
+        const Asn asn = 1 + i % 8;
+        if (i % 3 == 0)
+            ASSERT_EQ(t.lookup(globalVpn, asn, user(asn)), 99);
+        else
+            ASSERT_EQ(t.lookup(vpn, asn, user(asn)), 100 + asn);
+    }
+    EXPECT_EQ(t.stats().totalAccesses(), lookups);
+    EXPECT_EQ(t.stats().totalMisses(), 0u);
+
+    auto missing = [&] {
+        std::set<Asn> out;
+        for (int round = 0; round < 3; ++round)
+            for (Asn asn = 1; asn <= 8; ++asn) {
+                const std::int64_t f = t.lookup(vpn, asn, user(asn));
+                if (f < 0)
+                    out.insert(asn);
+                else
+                    EXPECT_EQ(f, 100 + asn);
+                EXPECT_EQ(t.lookup(globalVpn, asn, user(asn)), 99);
+            }
+        return out;
+    };
+    t.flushAsn(3);
+    EXPECT_EQ(missing(), std::set<Asn>({3}));
+    EXPECT_EQ(t.invalidateIndex(4), 4u); // ASN 5's entry
+    EXPECT_EQ(missing(), std::set<Asn>({3, 5}));
 }
 
 TEST(Tlb, KernelClassCounted)

@@ -1,10 +1,7 @@
 #include "fault/fault.h"
 
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
-
-#include "common/logging.h"
 
 namespace smtos {
 
@@ -12,28 +9,6 @@ namespace {
 
 /** Bound the in-memory fault log so long soaks stay cheap. */
 constexpr std::size_t maxLogEvents = 1u << 16;
-
-double
-parseDouble(const std::string &key, const std::string &v)
-{
-    char *end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-        smtos_fatal("SMTOS_FAULTS: bad value '%s' for %s", v.c_str(),
-                    key.c_str());
-    return d;
-}
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &v)
-{
-    char *end = nullptr;
-    const std::uint64_t u = std::strtoull(v.c_str(), &end, 0);
-    if (end == v.c_str() || *end != '\0')
-        smtos_fatal("SMTOS_FAULTS: bad value '%s' for %s", v.c_str(),
-                    key.c_str());
-    return u;
-}
 
 } // namespace
 
@@ -43,58 +18,6 @@ FaultParams::any() const
     return lossPct > 0.0 || reorderPct > 0.0 || delayMax > 0 ||
            nicDropPct > 0.0 || mcePeriod > 0 || mceBreakRecovery ||
            connTableSize > 0 || listenBacklog > 0 || auditEvery > 0;
-}
-
-FaultParams
-FaultParams::fromString(const std::string &spec)
-{
-    FaultParams p;
-    std::stringstream ss(spec);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            continue;
-        const auto eq = item.find('=');
-        if (eq == std::string::npos)
-            smtos_fatal("SMTOS_FAULTS: expected key=value, got '%s'",
-                        item.c_str());
-        const std::string key = item.substr(0, eq);
-        const std::string val = item.substr(eq + 1);
-        if (key == "seed") {
-            p.seed = parseU64(key, val);
-        } else if (key == "loss") {
-            p.lossPct = parseDouble(key, val);
-        } else if (key == "reorder") {
-            p.reorderPct = parseDouble(key, val);
-        } else if (key == "delay") {
-            const auto colon = val.find(':');
-            if (colon == std::string::npos) {
-                p.delayMin = p.delayMax = parseU64(key, val);
-            } else {
-                p.delayMin = parseU64(key, val.substr(0, colon));
-                p.delayMax = parseU64(key, val.substr(colon + 1));
-            }
-            if (p.delayMin > p.delayMax)
-                smtos_fatal("SMTOS_FAULTS: delay min > max");
-        } else if (key == "nicdrop") {
-            p.nicDropPct = parseDouble(key, val);
-        } else if (key == "mce") {
-            p.mcePeriod = parseU64(key, val);
-        } else if (key == "mceretry") {
-            p.mceRetryLimit = static_cast<int>(parseU64(key, val));
-        } else if (key == "breakrecovery") {
-            p.mceBreakRecovery = parseU64(key, val) != 0;
-        } else if (key == "conntable") {
-            p.connTableSize = static_cast<int>(parseU64(key, val));
-        } else if (key == "backlog") {
-            p.listenBacklog = static_cast<int>(parseU64(key, val));
-        } else if (key == "audit") {
-            p.auditEvery = parseU64(key, val);
-        } else {
-            smtos_fatal("SMTOS_FAULTS: unknown key '%s'", key.c_str());
-        }
-    }
-    return p;
 }
 
 const char *

@@ -67,14 +67,33 @@ struct FaultParams
     /** True when any injection, override, or audit is configured. */
     bool any() const;
 
-    /**
-     * Parse "key=value,key=value" (the SMTOS_FAULTS syntax; the value
-     * reaches this function through EnvOverrides, never getenv):
-     *   seed, loss, reorder, delay (min:max or single value), nicdrop,
-     *   mce, mceretry, breakrecovery, conntable, backlog, audit.
-     * Unknown keys are a fatal configuration error.
-     */
-    static FaultParams fromString(const std::string &spec);
+    /** The field list (common/params.h): SMTOS_FAULTS keys, CFG order. */
+    template <typename P, typename F>
+    static void
+    fields(P &p, F &&f)
+    {
+        f("seed", p.seed);
+        f("loss", p.lossPct);
+        f("reorder", p.reorderPct);
+        f("delay", p.delayMin, p.delayMax); // "a" or "min:max"
+        f("nicdrop", p.nicDropPct);
+        f("mce", p.mcePeriod);
+        f("mceretry", p.mceRetryLimit);
+        f("breakrecovery", p.mceBreakRecovery);
+        f("conntable", p.connTableSize);
+        f("backlog", p.listenBacklog);
+        f("audit", p.auditEvery);
+    }
+
+    /** Range rules (common/params.h): empty when valid. */
+    std::string
+    check() const
+    {
+        if (delayMin > delayMax)
+            return "delay min " + std::to_string(delayMin) + " > max " +
+                   std::to_string(delayMax);
+        return {};
+    }
 };
 
 /** What one fault-log entry records. */

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/params.h"
 #include "common/trace.h"
 #include "fault/diag.h"
 #include "harness/parallel.h"
@@ -26,6 +27,25 @@ truthy(const char *v)
            std::strcmp(v, "false") != 0 && std::strcmp(v, "no") != 0;
 }
 
+/** Variable @p var: a key=value grammar when T is a parameter struct,
+ *  else one value (common/params.h). Fatal when malformed. */
+template <typename T>
+std::optional<T>
+parseVar(const EnvOverrides::Lookup &get, const char *var)
+{
+    const char *v = get(var);
+    if (!v)
+        return std::nullopt;
+    Parsed<T> r;
+    if constexpr (std::is_class_v<T>)
+        r = parseParams<T>(v);
+    else if (!parseValue(v, r.value))
+        r.error = std::string("bad value '") + v + "'";
+    if (!r.error.empty())
+        smtos_fatal("%s: %s", var, r.error.c_str());
+    return r.value;
+}
+
 } // namespace
 
 EnvOverrides
@@ -38,33 +58,21 @@ EnvOverrides::fromLookup(const Lookup &get)
         ov.traceFile = v;
     if (const char *v = get("SMTOS_DIAG_DIR"))
         ov.diagDir = v;
-    if (const char *v = get("SMTOS_JOBS")) {
-        const long n = std::strtol(v, nullptr, 10);
-        ov.jobs = n >= 1 ? static_cast<unsigned>(n) : 1;
-    }
-    if (const char *v = get("SMTOS_FAULTS"))
-        ov.faults = FaultParams::fromString(v);
-    if (const char *v = get("SMTOS_OPENLOOP"))
-        ov.openLoop = OpenLoopParams::fromString(v);
-    if (const char *v = get("SMTOS_ADMIT"))
-        ov.admit = AdmitParams::fromString(v);
+    ov.jobs = parseVar<unsigned>(get, "SMTOS_JOBS").value_or(0);
+    ov.faults = parseVar<FaultParams>(get, "SMTOS_FAULTS");
+    ov.openLoop = parseVar<OpenLoopParams>(get, "SMTOS_OPENLOOP");
+    ov.admit = parseVar<AdmitParams>(get, "SMTOS_ADMIT");
     if (const char *v = get("SMTOS_FIDELITY")) {
-        if (std::strcmp(v, "functional") == 0)
-            ov.fidelity = Fidelity::Functional;
-        else if (std::strcmp(v, "detailed") == 0)
-            ov.fidelity = Fidelity::Detailed;
-        else
-            smtos_fatal("SMTOS_FIDELITY: expected 'detailed' or "
-                        "'functional', got '%s'", v);
+        for (Fidelity f : {Fidelity::Detailed, Fidelity::Functional})
+            if (std::strcmp(v, fidelityName(f)) == 0)
+                ov.fidelity = f;
+        if (!ov.fidelity)
+            smtos_fatal("SMTOS_FIDELITY: bad value '%s'", v);
     }
-    if (const char *v = get("SMTOS_SAMPLE"))
-        ov.sample = SampleParams::fromString(v);
-    if (const char *v = get("SMTOS_CORES")) {
-        const long n = std::strtol(v, nullptr, 10);
-        if (n < 1 || n > 16)
-            smtos_fatal("SMTOS_CORES: expected 1..16, got '%s'", v);
-        ov.cores = static_cast<int>(n);
-    }
+    ov.sample = parseVar<SampleParams>(get, "SMTOS_SAMPLE");
+    ov.cores = parseVar<int>(get, "SMTOS_CORES");
+    if (ov.cores && (*ov.cores < 1 || *ov.cores > 16))
+        smtos_fatal("SMTOS_CORES: expected 1..16, got %d", *ov.cores);
     if (const char *v = get("SMTOS_PROFILE"); truthy(v)) {
         ov.obs.profile = true;
         // Any value other than a plain switch is the report path.
@@ -72,9 +80,8 @@ EnvOverrides::fromLookup(const Lookup &get)
         if (s != "1" && s != "true" && s != "yes")
             ov.obs.reportPath = s;
     }
-    if (const char *v = get("SMTOS_INTERVAL"))
-        ov.obs.intervalCycles =
-            static_cast<Cycle>(std::strtoull(v, nullptr, 10));
+    if (const auto iv = parseVar<Cycle>(get, "SMTOS_INTERVAL"))
+        ov.obs.intervalCycles = *iv;
     if (const char *v = get("SMTOS_INTERVAL_JSONL"))
         ov.obs.intervalJsonlPath = v;
     if (const char *v = get("SMTOS_INTERVAL_CSV"))

@@ -9,19 +9,20 @@
  * and publishes the ambient observability/fault defaults that Session
  * falls back to when a run configures neither explicitly.
  *
- * Variables:
+ * Variables (numbers and grammars follow common/params.h's value rules;
+ * a malformed value is fatal, exit 1, and names the variable):
  *   SMTOS_TRACE / SMTOS_TRACE_FILE   trace categories and sink path
  *   SMTOS_DIAG_DIR                   crash-bundle directory
  *   SMTOS_JOBS                       parallel runner worker count
- *   SMTOS_FAULTS                     fault plan (FaultParams syntax)
+ *   SMTOS_FAULTS                     fault plan (FaultParams::fields)
  *   SMTOS_OPENLOOP                   open-loop client arrivals
- *                                    (OpenLoopParams syntax)
+ *                                    (OpenLoopParams::fields)
  *   SMTOS_ADMIT                      accept-queue admission control
- *                                    (AdmitParams syntax)
+ *                                    (AdmitParams::fields)
  *   SMTOS_FIDELITY                   execution fidelity
  *                                    ("detailed" | "functional")
  *   SMTOS_SAMPLE                     SMARTS sampled measurement
- *                                    (SampleParams syntax)
+ *                                    (SampleParams::fields)
  *   SMTOS_CORES                      chip width (TopologyConfig.cores;
  *                                    applies when the config left it
  *                                    at its default of one core)
@@ -58,7 +59,7 @@ struct EnvOverrides
     std::optional<Fidelity> fidelity;
     std::optional<SampleParams> sample;
     std::optional<int> cores; ///< chip width
-    unsigned jobs = 0;        ///< 0: unset
+    unsigned jobs = 0;        ///< 0: unset, or the default count
     std::optional<std::string> diagDir;
     std::optional<std::uint32_t> traceMask;
     std::string traceFile;

@@ -1,8 +1,6 @@
 #include "harness/sample.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <sstream>
 
 #include "common/logging.h"
 #include "core/pipeline.h"
@@ -12,29 +10,6 @@
 namespace smtos {
 
 namespace {
-
-double
-parseDouble(const std::string &key, const std::string &val)
-{
-    char *end = nullptr;
-    const double v = std::strtod(val.c_str(), &end);
-    if (end == val.c_str() || *end != '\0')
-        smtos_fatal("SMTOS_SAMPLE: bad number for '%s': '%s'",
-                    key.c_str(), val.c_str());
-    return v;
-}
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &val)
-{
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(val.c_str(), &end, 10);
-    if (end == val.c_str() || *end != '\0')
-        smtos_fatal("SMTOS_SAMPLE: bad integer for '%s': '%s'",
-                    key.c_str(), val.c_str());
-    return static_cast<std::uint64_t>(v);
-}
 
 /** Mean ± z·s/√n over @p xs (sample std-dev; half-width 0 for n<2). */
 SampleEstimate
@@ -60,47 +35,6 @@ estimate(const std::vector<double> &xs, double z)
 
 } // namespace
 
-SampleParams
-SampleParams::fromString(const std::string &spec)
-{
-    SampleParams p;
-    std::stringstream ss(spec);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            continue;
-        const auto eq = item.find('=');
-        if (eq == std::string::npos)
-            smtos_fatal("SMTOS_SAMPLE: expected key=value, got '%s'",
-                        item.c_str());
-        const std::string key = item.substr(0, eq);
-        const std::string val = item.substr(eq + 1);
-        if (key == "period") {
-            p.periodInstrs = parseU64(key, val);
-        } else if (key == "warm") {
-            p.warmInstrs = parseU64(key, val);
-        } else if (key == "interval") {
-            p.intervalInstrs = parseU64(key, val);
-        } else if (key == "conf") {
-            p.confidence = parseDouble(key, val);
-        } else {
-            smtos_fatal("SMTOS_SAMPLE: unknown key '%s'", key.c_str());
-        }
-    }
-    if (p.intervalInstrs == 0)
-        smtos_fatal("SMTOS_SAMPLE: interval must be > 0");
-    if (p.periodInstrs < p.warmInstrs + p.intervalInstrs)
-        smtos_fatal("SMTOS_SAMPLE: period (%llu) must cover "
-                    "warm + interval (%llu)",
-                    static_cast<unsigned long long>(p.periodInstrs),
-                    static_cast<unsigned long long>(p.warmInstrs +
-                                                    p.intervalInstrs));
-    if (p.confidence < 0.5 || p.confidence >= 1.0)
-        smtos_fatal("SMTOS_SAMPLE: conf must be in [0.5, 1)");
-    p.enabled = true;
-    return p;
-}
-
 double
 confidenceZ(double confidence)
 {
@@ -116,8 +50,7 @@ runSampledMeasurement(System &sys, const SampleParams &p,
                       std::uint64_t totalInstrs)
 {
     Pipeline &pipe = sys.pipeline();
-    smtos_assert(p.intervalInstrs > 0);
-    smtos_assert(p.periodInstrs >= p.warmInstrs + p.intervalInstrs);
+    smtos_assert(p.check().empty());
     const std::uint64_t ffInstrs =
         p.periodInstrs - p.warmInstrs - p.intervalInstrs;
 

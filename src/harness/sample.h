@@ -24,8 +24,7 @@ namespace smtos {
 
 class System;
 
-/** Sampling-regime knobs (SMTOS_SAMPLE syntax: comma-separated
- *  key=value out of period=, warm=, interval=, conf=). */
+/** Sampling-regime knobs (the SMTOS_SAMPLE grammar). */
 struct SampleParams
 {
     bool enabled = false;
@@ -41,9 +40,33 @@ struct SampleParams
      *  quantized to the 0.90 / 0.95 / 0.99 z ladder. */
     double confidence = 0.95;
 
-    /** Parse "period=50000,warm=3000,interval=2000,conf=0.95"; every
-     *  key optional, enabled set true. Fatal on malformed input. */
-    static SampleParams fromString(const std::string &s);
+    /** The field list (common/params.h): SMTOS_SAMPLE keys, CFG order. */
+    template <typename P, typename F>
+    static void
+    fields(P &p, F &&f)
+    {
+        f("", p.enabled);
+        f("period", p.periodInstrs);
+        f("warm", p.warmInstrs);
+        f("interval", p.intervalInstrs);
+        f("conf", p.confidence);
+    }
+
+    /** Range rules (common/params.h), enabled only: empty when valid. */
+    std::string
+    check() const
+    {
+        if (!enabled)
+            return {};
+        if (intervalInstrs == 0)
+            return "interval must be > 0";
+        if (warmInstrs > periodInstrs ||
+            intervalInstrs > periodInstrs - warmInstrs)
+            return "period must cover warm + interval";
+        if (!(confidence >= 0.5 && confidence < 1.0))
+            return "conf must be in [0.5, 1)";
+        return {};
+    }
 };
 
 /** A sampled metric: mean over intervals ± CI half-width. */

@@ -33,12 +33,14 @@ constexpr std::uint32_t reqtraceSectionVersion = 1;
  * rebuilds the machine, its workload, fault plan, overload knobs and
  * fidelity. Both snapshot() and resume() walk this one list, @p f
  * writing or reading each field through the archive's io(), so the
- * two sides cannot drift.
+ * two sides cannot drift. The parameter structs bring their own lists
+ * (common/params.h).
  */
 template <typename C, typename F>
 void
 configFields(C &cfg, F &&f)
 {
+    auto members = [&f](const char *, auto &...m) { (f(m), ...); };
     auto &sc = cfg.system;
     f(sc.smt);
     f(sc.withOs);
@@ -65,14 +67,7 @@ configFields(C &cfg, F &&f)
     f(dp.tCas);
     f(dp.tBurst);
     f(dp.tFaw);
-    auto &ap = sc.admit;
-    f(ap.policy);
-    f(ap.queueCap);
-    f(ap.redMinDepth);
-    f(ap.redMaxProb);
-    f(ap.shedDeadline);
-    f(ap.seed);
-    f(ap.mbufAccounting);
+    AdmitParams::fields(sc.admit, members);
 
     auto &wc = cfg.workload;
     f(wc.kind);
@@ -84,44 +79,13 @@ configFields(C &cfg, F &&f)
     f(wc.apache.numServers);
     f(wc.apache.heapBytes);
     f(wc.apache.seed);
-    auto &ol = wc.openLoop;
-    f(ol.enabled);
-    f(ol.kind);
-    f(ol.ratePerMcycle);
-    f(ol.burstFactor);
-    f(ol.burstDuty);
-    f(ol.burstPeriod);
-    f(ol.rampStartFactor);
-    f(ol.rampCycles);
-    f(ol.slowPct);
-    f(ol.slowDrainPerKb);
-    f(ol.keepAlivePct);
-    f(ol.retryTimeout);
-    f(ol.maxRetries);
-    f(ol.seed);
+    OpenLoopParams::fields(wc.openLoop, members);
     f(wc.seed);
 
-    auto &fp = cfg.faults;
-    f(fp.seed);
-    f(fp.lossPct);
-    f(fp.reorderPct);
-    f(fp.delayMin);
-    f(fp.delayMax);
-    f(fp.nicDropPct);
-    f(fp.mcePeriod);
-    f(fp.mceRetryLimit);
-    f(fp.mceBreakRecovery);
-    f(fp.connTableSize);
-    f(fp.listenBacklog);
-    f(fp.auditEvery);
+    FaultParams::fields(cfg.faults, members);
 
     f(cfg.fidelity);
-    auto &smp = cfg.sample;
-    f(smp.enabled);
-    f(smp.periodInstrs);
-    f(smp.warmInstrs);
-    f(smp.intervalInstrs);
-    f(smp.confidence);
+    SampleParams::fields(cfg.sample, members);
 }
 
 MachineConfig
@@ -185,14 +149,14 @@ Session::Session(const Config &cfg, bool consultAmbient, bool forcePlan)
         if (!cfg_.sample.enabled && env.sample)
             cfg_.sample = *env.sample;
     }
-    validate();
 
     // Fault injection: an explicit plan wins, then the config's
-    // params.
-    if (cfg_.faultPlan) {
-        plan_ = cfg_.faultPlan;
-        cfg_.faults = plan_->params();
-    } else if (cfg_.faults.any() || forcePlan) {
+    // params. The plan's params face validate() like the config's.
+    if (cfg_.faultPlan)
+        cfg_.faults = cfg_.faultPlan->params();
+    validate();
+    plan_ = cfg_.faultPlan;
+    if (!plan_ && (cfg_.faults.any() || forcePlan)) {
         ownedPlan_ = std::make_unique<FaultPlan>(cfg_.faults);
         plan_ = ownedPlan_.get();
     }
@@ -316,34 +280,17 @@ Session::validate() const
                     dp.rowBytes, dp.burstBytes);
     if (dp.queueDepth <= 0)
         smtos_fatal("Session: DRAM queueDepth must be nonzero");
+    // The parameter structs' range rules, as their grammars apply them.
+    for (const std::string &err :
+         {cfg_.faults.check(), sc.admit.check(),
+          cfg_.workload.openLoop.check(), cfg_.sample.check()})
+        if (!err.empty())
+            smtos_fatal("Session: %s", err.c_str());
     if (cfg_.workload.openLoop.enabled &&
         cfg_.workload.kind != WorkloadConfig::Kind::Apache)
         smtos_fatal("Session: open-loop arrivals need the Apache "
                     "workload (there are no clients otherwise)");
-    if (cfg_.workload.openLoop.enabled &&
-        cfg_.workload.openLoop.ratePerMcycle <= 0.0)
-        smtos_fatal("Session: open-loop rate must be positive");
-    const AdmitParams &ap = sc.admit;
-    if (ap.policy != AdmitPolicy::None && ap.queueCap <= 0)
-        smtos_fatal("Session: admission policy needs queueCap > 0");
-    if (ap.redMaxProb < 0.0 || ap.redMaxProb > 1.0)
-        smtos_fatal("Session: redMaxProb must be within [0,1]");
-    if (ap.policy == AdmitPolicy::RandomEarlyDrop &&
-        ap.redMinDepth >= ap.queueCap)
-        smtos_fatal("Session: RED needs redMinDepth < queueCap");
-    if (ap.policy == AdmitPolicy::OldestFirst && ap.shedDeadline == 0)
-        smtos_fatal("Session: oldest-first shedding needs a nonzero "
-                    "shedDeadline");
-    const SampleParams &smp = cfg_.sample;
-    if (smp.enabled) {
-        if (smp.intervalInstrs == 0)
-            smtos_fatal("Session: sampling needs intervalInstrs > 0");
-        if (smp.periodInstrs < smp.warmInstrs + smp.intervalInstrs)
-            smtos_fatal("Session: sampling period must cover "
-                        "warm + interval");
-        if (smp.confidence < 0.5 || smp.confidence >= 1.0)
-            smtos_fatal("Session: sampling confidence must be in "
-                        "[0.5, 1)");
+    if (cfg_.sample.enabled) {
         if (cfg_.phases.windowInstrs > 0)
             smtos_fatal("Session: sampled measurement and windowed "
                         "measurement are mutually exclusive");
@@ -542,8 +489,6 @@ Session::resume(const std::vector<std::uint8_t> &artifact,
         cfg.system.affinitySched = *opts.affinitySched;
     if (opts.sharedTlbIpr)
         cfg.system.sharedTlbIpr = *opts.sharedTlbIpr;
-    if (opts.fastForward)
-        cfg.system.fastForward = *opts.fastForward;
     if (opts.dramClosedPage)
         cfg.system.dram.closedPage = *opts.dramClosedPage;
 

@@ -17,7 +17,7 @@
  * after restore produces byte-identical metrics, timeline, and fault
  * log to running them straight through. ResumeOptions supplies the
  * new phases/sinks and may flip policy-only knobs (fetch policy,
- * scheduler affinity, TLB-IPR sharing, host fast path).
+ * scheduler affinity, TLB-IPR sharing, DRAM row-buffer policy).
  */
 
 #ifndef SMTOS_HARNESS_SESSION_H
@@ -190,7 +190,6 @@ class Session
         std::optional<bool> roundRobinFetch;
         std::optional<bool> affinitySched;
         std::optional<bool> sharedTlbIpr;
-        std::optional<bool> fastForward;
         /** Row-buffer policy is timing-only: bank/queue state in the
          *  artifact fits either setting. */
         std::optional<bool> dramClosedPage;

@@ -9,7 +9,7 @@
  * only its measurement phase. Points vary anything ResumeOptions can
  * express: phase lengths, observability sinks, co-simulation, and the
  * policy-only knobs (fetch policy, scheduler affinity, TLB-IPR
- * sharing, host fast path).
+ * sharing, DRAM row-buffer policy).
  *
  * Anything structural (topology — core count and contexts per core —
  * workload, fault plan, seed) needs its own group: group keys are

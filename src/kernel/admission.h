@@ -33,6 +33,7 @@
 #ifndef SMTOS_KERNEL_ADMISSION_H
 #define SMTOS_KERNEL_ADMISSION_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -42,6 +43,13 @@
 namespace smtos {
 
 enum class AdmitPolicy { None, DropTail, RandomEarlyDrop, OldestFirst };
+
+/** SMTOS_ADMIT policy names, indexed by AdmitPolicy. */
+constexpr std::array<const char *, 4>
+enumNames(AdmitPolicy)
+{
+    return {"none", "droptail", "red", "oldest"};
+}
 
 /** Admission-control configuration (SystemConfig::admit). */
 struct AdmitParams {
@@ -70,8 +78,33 @@ struct AdmitParams {
         return policy != AdmitPolicy::None || mbufAccounting;
     }
 
-    /** Parse "policy=oldest,cap=64,deadline=120000,..."; fatal on error. */
-    static AdmitParams fromString(const std::string &s);
+    /** The field list (common/params.h): SMTOS_ADMIT keys, CFG order. */
+    template <typename P, typename F>
+    static void fields(P &p, F &&f)
+    {
+        f("policy", p.policy);
+        f("cap", p.queueCap);
+        f("redmin", p.redMinDepth);
+        f("redmaxp", p.redMaxProb);
+        f("deadline", p.shedDeadline);
+        f("seed", p.seed);
+        f("mbufacct", p.mbufAccounting);
+    }
+
+    /** Range rules (common/params.h): empty when valid. */
+    std::string check() const
+    {
+        if (policy != AdmitPolicy::None && queueCap <= 0)
+            return "policy needs cap > 0";
+        if (!(redMaxProb >= 0.0 && redMaxProb <= 1.0))
+            return "redmaxp outside [0, 1]";
+        if (policy == AdmitPolicy::RandomEarlyDrop &&
+            redMinDepth >= queueCap)
+            return "policy=red needs redmin < cap";
+        if (policy == AdmitPolicy::OldestFirst && shedDeadline == 0)
+            return "policy=oldest needs deadline > 0";
+        return {};
+    }
 };
 
 /**

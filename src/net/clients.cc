@@ -2,99 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <sstream>
 
-#include "common/logging.h"
 #include "obs/probes.h"
 
 namespace smtos {
-
-namespace {
-
-double
-parseDouble(const std::string &key, const std::string &v)
-{
-    char *end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-        smtos_fatal("SMTOS_OPENLOOP: bad value '%s' for %s", v.c_str(),
-                    key.c_str());
-    return d;
-}
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &v)
-{
-    char *end = nullptr;
-    const std::uint64_t u = std::strtoull(v.c_str(), &end, 0);
-    if (end == v.c_str() || *end != '\0')
-        smtos_fatal("SMTOS_OPENLOOP: bad value '%s' for %s", v.c_str(),
-                    key.c_str());
-    return u;
-}
-
-} // namespace
-
-OpenLoopParams
-OpenLoopParams::fromString(const std::string &spec)
-{
-    OpenLoopParams p;
-    std::stringstream ss(spec);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            continue;
-        const auto eq = item.find('=');
-        if (eq == std::string::npos)
-            smtos_fatal("SMTOS_OPENLOOP: expected key=value, got '%s'",
-                        item.c_str());
-        const std::string key = item.substr(0, eq);
-        const std::string val = item.substr(eq + 1);
-        if (key == "rate") {
-            p.ratePerMcycle = parseDouble(key, val);
-        } else if (key == "kind") {
-            if (val == "poisson")
-                p.kind = ArrivalKind::Poisson;
-            else if (val == "bursty")
-                p.kind = ArrivalKind::Bursty;
-            else if (val == "ramp")
-                p.kind = ArrivalKind::Ramp;
-            else
-                smtos_fatal("SMTOS_OPENLOOP: unknown kind '%s'",
-                            val.c_str());
-        } else if (key == "burstfactor") {
-            p.burstFactor = parseDouble(key, val);
-        } else if (key == "burstduty") {
-            p.burstDuty = parseDouble(key, val);
-        } else if (key == "burstperiod") {
-            p.burstPeriod = parseU64(key, val);
-        } else if (key == "rampstart") {
-            p.rampStartFactor = parseDouble(key, val);
-        } else if (key == "rampcycles") {
-            p.rampCycles = parseU64(key, val);
-        } else if (key == "slowpct") {
-            p.slowPct = parseDouble(key, val);
-        } else if (key == "slowdrain") {
-            p.slowDrainPerKb = parseU64(key, val);
-        } else if (key == "keepalive") {
-            p.keepAlivePct = parseDouble(key, val);
-        } else if (key == "retry") {
-            p.retryTimeout = parseU64(key, val);
-        } else if (key == "maxretries") {
-            p.maxRetries = static_cast<int>(parseU64(key, val));
-        } else if (key == "seed") {
-            p.seed = parseU64(key, val);
-        } else {
-            smtos_fatal("SMTOS_OPENLOOP: unknown key '%s'",
-                        key.c_str());
-        }
-    }
-    if (p.ratePerMcycle <= 0.0)
-        smtos_fatal("SMTOS_OPENLOOP: rate must be > 0");
-    p.enabled = true;
-    return p;
-}
 
 std::uint32_t
 specWebFileBytes(int file_id)

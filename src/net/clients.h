@@ -39,6 +39,7 @@
 #ifndef SMTOS_NET_CLIENTS_H
 #define SMTOS_NET_CLIENTS_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -69,6 +70,13 @@ struct SpecWebParams
 /** Open-loop arrival schedules. */
 enum class ArrivalKind { Poisson, Bursty, Ramp };
 
+/** SMTOS_OPENLOOP kind names, indexed by ArrivalKind. */
+constexpr std::array<const char *, 3>
+enumNames(ArrivalKind)
+{
+    return {"poisson", "bursty", "ramp"};
+}
+
 /** Open-loop load-generation configuration (WorkloadConfig::openLoop). */
 struct OpenLoopParams
 {
@@ -96,8 +104,33 @@ struct OpenLoopParams
     /** Seed for the arrival RNG stream (never the closed-loop RNG). */
     std::uint64_t seed = 0x09e41ULL;
 
-    /** Parse "rate=4.0,kind=bursty,slowpct=0.1,..."; fatal on error. */
-    static OpenLoopParams fromString(const std::string &s);
+    /** The field list (common/params.h): SMTOS_OPENLOOP keys, CFG order. */
+    template <typename P, typename F>
+    static void
+    fields(P &p, F &&f)
+    {
+        f("", p.enabled);
+        f("kind", p.kind);
+        f("rate", p.ratePerMcycle);
+        f("burstfactor", p.burstFactor);
+        f("burstduty", p.burstDuty);
+        f("burstperiod", p.burstPeriod);
+        f("rampstart", p.rampStartFactor);
+        f("rampcycles", p.rampCycles);
+        f("slowpct", p.slowPct);
+        f("slowdrain", p.slowDrainPerKb);
+        f("keepalive", p.keepAlivePct);
+        f("retry", p.retryTimeout);
+        f("maxretries", p.maxRetries);
+        f("seed", p.seed);
+    }
+
+    /** Range rules (common/params.h): empty when valid. */
+    std::string
+    check() const
+    {
+        return enabled && !(ratePerMcycle > 0.0) ? "rate must be > 0" : "";
+    }
 };
 
 /** Deterministic size of a file (shared with the server's FS). */

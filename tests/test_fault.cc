@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/params.h"
 #include "fault/auditor.h"
 #include "fault/diag.h"
 #include "fault/fault.h"
@@ -99,10 +100,10 @@ runApache(const FaultParams *fp, Cycle cycles,
 
 TEST(FaultParams, ParseSpecString)
 {
-    const FaultParams p = FaultParams::fromString(
+    const FaultParams p = parseParams<FaultParams>(
         "seed=42,loss=0.01,reorder=0.25,delay=5:20,nicdrop=0.5,"
         "mce=10000,mceretry=5,breakrecovery=1,conntable=64,"
-        "backlog=8,audit=5000");
+        "backlog=8,audit=5000").value;
     EXPECT_EQ(p.seed, 42u);
     EXPECT_DOUBLE_EQ(p.lossPct, 0.01);
     EXPECT_DOUBLE_EQ(p.reorderPct, 0.25);
@@ -118,9 +119,9 @@ TEST(FaultParams, ParseSpecString)
     EXPECT_TRUE(p.any());
 
     EXPECT_FALSE(FaultParams{}.any());
-    EXPECT_FALSE(FaultParams::fromString("").any());
+    EXPECT_FALSE(parseParams<FaultParams>("").value.any());
     // A single-value delay spec sets both bounds.
-    const FaultParams d = FaultParams::fromString("delay=7");
+    const FaultParams d = parseParams<FaultParams>("delay=7").value;
     EXPECT_EQ(d.delayMin, 7u);
     EXPECT_EQ(d.delayMax, 7u);
 }
@@ -140,6 +141,26 @@ TEST(FaultParams, EnvOverridesReadSmtosFaults)
     const EnvOverrides empty = EnvOverrides::fromLookup(
         [](const char *) -> const char * { return nullptr; });
     EXPECT_FALSE(empty.faults.has_value());
+}
+
+// Inverted link-delay bounds would make drawDelay() draw from a
+// wrapped range. Session applies FaultParams::check() to the config's
+// params and to an explicit plan's alike, so neither path gets a run.
+TEST(FaultParams, InvertedDelayIsRejectedBySession)
+{
+    FaultParams inverted;
+    inverted.delayMin = 20;
+    inverted.delayMax = 5;
+    Session::Config viaParams;
+    viaParams.faults = inverted;
+    EXPECT_EXIT(Session s(viaParams), testing::ExitedWithCode(1),
+                "delay min 20 > max 5");
+
+    FaultPlan plan(inverted);
+    Session::Config viaPlan;
+    viaPlan.faultPlan = &plan;
+    EXPECT_EXIT(Session s(viaPlan), testing::ExitedWithCode(1),
+                "delay min 20 > max 5");
 }
 
 // The machine-check schedule is a pure function of (seed, period):

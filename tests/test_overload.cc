@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/params.h"
 #include "harness/cosim.h"
 #include "harness/env.h"
 #include "harness/session.h"
@@ -159,8 +160,8 @@ overloadSession()
 
 TEST(OverloadParse, AdmitFromString)
 {
-    const AdmitParams p = AdmitParams::fromString(
-        "policy=oldest,cap=32,deadline=120000,seed=7,mbufacct=1");
+    const AdmitParams p = parseParams<AdmitParams>(
+        "policy=oldest,cap=32,deadline=120000,seed=7,mbufacct=1").value;
     EXPECT_EQ(p.policy, AdmitPolicy::OldestFirst);
     EXPECT_EQ(p.queueCap, 32);
     EXPECT_EQ(p.shedDeadline, 120000u);
@@ -169,7 +170,8 @@ TEST(OverloadParse, AdmitFromString)
     EXPECT_TRUE(p.enabled());
 
     const AdmitParams red =
-        AdmitParams::fromString("policy=red,cap=64,redmin=16,redmaxp=0.5");
+        parseParams<AdmitParams>("policy=red,cap=64,redmin=16,redmaxp=0.5")
+            .value;
     EXPECT_EQ(red.policy, AdmitPolicy::RandomEarlyDrop);
     EXPECT_EQ(red.redMinDepth, 16);
     EXPECT_DOUBLE_EQ(red.redMaxProb, 0.5);
@@ -179,10 +181,10 @@ TEST(OverloadParse, AdmitFromString)
 
 TEST(OverloadParse, OpenLoopFromString)
 {
-    const OpenLoopParams p = OpenLoopParams::fromString(
+    const OpenLoopParams p = parseParams<OpenLoopParams>(
         "rate=4.5,kind=bursty,burstfactor=3,burstduty=0.5,"
         "burstperiod=100000,slowpct=0.25,slowdrain=2000,"
-        "keepalive=0.1,retry=90000,maxretries=3,seed=42");
+        "keepalive=0.1,retry=90000,maxretries=3,seed=42").value;
     EXPECT_TRUE(p.enabled);
     EXPECT_EQ(p.kind, ArrivalKind::Bursty);
     EXPECT_DOUBLE_EQ(p.ratePerMcycle, 4.5);

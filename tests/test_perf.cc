@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/params.h"
 #include "common/ring.h"
 #include "harness/cosim.h"
 #include "harness/parallel.h"
@@ -185,7 +186,8 @@ TEST(PerfIdentityArtifacts, TimelineAndFaultLogIdentical)
         ObsConfig oc;
         oc.timelinePath = trace_path;
         ObsSession obs(oc);
-        FaultPlan plan(FaultParams::fromString("loss=0.01,mce=40000"));
+        FaultPlan plan(
+            parseParams<FaultParams>("loss=0.01,mce=40000").value);
         Session::Config s = perfSpec(WorkloadConfig::Kind::Apache, 4);
         s.system.fastForward = fast;
         s.obs = &obs;

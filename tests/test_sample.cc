@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/params.h"
 #include "harness/cosim.h"
 #include "harness/env.h"
 #include "harness/parallel.h"
@@ -354,8 +355,8 @@ TEST(Sampled, ApacheWithinErrorBounds)
 
 TEST(SampleParams, FromStringParsesEveryKey)
 {
-    const SampleParams p = SampleParams::fromString(
-        "period=100000,warm=5000,interval=4000,conf=0.99");
+    const SampleParams p = parseParams<SampleParams>(
+        "period=100000,warm=5000,interval=4000,conf=0.99").value;
     EXPECT_TRUE(p.enabled);
     EXPECT_EQ(p.periodInstrs, 100000u);
     EXPECT_EQ(p.warmInstrs, 5000u);
@@ -366,7 +367,7 @@ TEST(SampleParams, FromStringParsesEveryKey)
 TEST(SampleParams, FromStringDefaultsUnmentionedKeys)
 {
     const SampleParams d;
-    const SampleParams p = SampleParams::fromString("period=60000");
+    const SampleParams p = parseParams<SampleParams>("period=60000").value;
     EXPECT_TRUE(p.enabled);
     EXPECT_EQ(p.periodInstrs, 60000u);
     EXPECT_EQ(p.warmInstrs, d.warmInstrs);

@@ -132,11 +132,14 @@ recordEntry(const std::string &path, const std::string &label,
                 break;
             }
         }
-        // Also eat the separating comma, whichever side it is on.
+        // Also eat the separating comma, whichever side it is on, and
+        // the line break and indent before the entry, so the splice
+        // leaves no blank line behind.
         std::size_t from = text.find_last_not_of(" \n", open - 1);
-        if (from != std::string::npos && text[from] == ',')
+        if (from != std::string::npos && text[from] == ',') {
             open = from;
-        else {
+        } else {
+            open = from + 1;
             std::size_t next = text.find_first_not_of(" \n", close + 1);
             if (next != std::string::npos && text[next] == ',')
                 close = next;
@@ -150,14 +153,16 @@ recordEntry(const std::string &path, const std::string &label,
                      "format; not recording\n", path.c_str());
         return;
     }
+    // Append after the last entry (or the '['), before the line break
+    // that precedes the ']'.
     std::size_t last = text.find_last_not_of(" \n", end - 1);
     const bool haveSibling = last != std::string::npos &&
                              text[last] == '}';
-    const std::string entry = std::string(haveSibling ? ",\n" : "") +
-                              "    {\n      \"label\": \"" + label +
+    const std::string entry = std::string(haveSibling ? "," : "") +
+                              "\n    {\n      \"label\": \"" + label +
                               "\",\n      \"benchmarks\": {\n" +
-                              benchmarksJson + "      }\n    }\n  ";
-    text.insert(haveSibling ? last + 1 : end, entry);
+                              benchmarksJson + "      }\n    }";
+    text.insert(last + 1, entry);
     std::ofstream out(path);
     out << text;
 }

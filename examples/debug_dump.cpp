@@ -103,7 +103,8 @@ main(int argc, char **argv)
     dump_struct("L2", d.l2);
     std::printf("fetch stalls:\n");
     for (auto &kv : d.core.kernelEntries.all())
-        std::printf("  %-14s %llu\n", kv.first.c_str(),
-                    (unsigned long long)kv.second);
+        if (kv.second != 0)
+            std::printf("  %-14s %llu\n", kv.first.c_str(),
+                        (unsigned long long)kv.second);
     return 0;
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bp/ras.h"
+#include "common/counters.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "isa/cursor.h"
@@ -156,6 +157,31 @@ struct CoreStats
     /** Kernel entries by reason (counter names set by the kernel). */
     CounterMap kernelEntries;
 
+    /** The field list (common/counters.h), in PIPE snapshot order. */
+    template <typename F, typename... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("cycles", Peak{s.cycles}...);
+        f("fetched", s.fetched...);
+        f("fetched_wrong_path", s.fetchedWrongPath...);
+        f("squashed", s.squashed...);
+        f("issued", s.issued...);
+        f("retired", s.retired...);
+        f("retired_by_tag", s.retiredByTag...);
+        f("mix", s.mix...);
+        f("phys_mem", s.physMem...);
+        f("cond_retired", s.condRetired...);
+        f("cond_taken", s.condTaken...);
+        f("cond_mispred", s.condMispred...);
+        f("target_mispred", s.targetMispred...);
+        f("zero_fetch_cycles", s.zeroFetchCycles...);
+        f("zero_issue_cycles", s.zeroIssueCycles...);
+        f("max_issue_cycles", s.maxIssueCycles...);
+        f("fetchable_contexts", s.fetchableContexts...);
+        f("kernel_entries", s.kernelEntries...);
+    }
+
     std::uint64_t totalRetired() const
     {
         return retired[0] + retired[1] + retired[2] + retired[3];
@@ -166,6 +192,26 @@ struct CoreStats
         return cycles ? static_cast<double>(totalRetired()) /
                             static_cast<double>(cycles)
                       : 0.0;
+    }
+};
+
+/** Switchable-fidelity counters (DESIGN.md §15). */
+struct FidelityStats
+{
+    std::uint64_t funcInstrs = 0; ///< instructions retired functionally
+    std::uint64_t funcCycles = 0; ///< cycles ticked functionally
+    std::uint64_t switches = 0;   ///< fidelity switches (both ways)
+
+    bool enabled() const { return funcInstrs != 0 || funcCycles != 0; }
+
+    /** The field list (common/counters.h). */
+    template <typename F, typename... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("functional_instructions", s.funcInstrs...);
+        f("functional_cycles", s.funcCycles...);
+        f("switches", s.switches...);
     }
 };
 

@@ -46,7 +46,7 @@ Pipeline::setFidelity(Fidelity f)
     // leaves nothing in flight, and the detailed fetch stage resets
     // its per-cycle line tracking itself.
     fidelity_ = f;
-    ++fidelitySwitches_;
+    ++fidelityStats_.switches;
     smtos_trace(TraceCat::Fetch, "fidelity -> %s", fidelityName(f));
 }
 
@@ -80,7 +80,7 @@ Pipeline::funcCycle()
 {
     ++now_;
     ++stats_.cycles;
-    ++funcCycles_;
+    ++fidelityStats_.funcCycles;
     if (probes_)
         probes_->onFunctionalCycle(now_);
     if (os_)
@@ -319,7 +319,7 @@ Pipeline::funcStep(Context &c)
             ++stats_.condTaken[cls];
     }
     cur.retired++;
-    ++funcInstrs_;
+    ++fidelityStats_.funcInstrs;
     const std::uint64_t seq = (*seqPtr_)++;
 
     if (obs_) {

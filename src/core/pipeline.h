@@ -176,12 +176,8 @@ class Pipeline
      */
     void setFidelity(Fidelity f);
     Fidelity fidelity() const { return fidelity_; }
-    /** Instructions retired by the functional engine (lifetime). */
-    std::uint64_t funcInstrs() const { return funcInstrs_; }
-    /** Cycles ticked by the functional engine (lifetime). */
-    Cycle funcCycles() const { return funcCycles_; }
-    /** Fidelity switches performed (both directions). */
-    std::uint64_t fidelitySwitches() const { return fidelitySwitches_; }
+    /** Functional-engine instructions, cycles and switches (lifetime). */
+    const FidelityStats &fidelityStats() const { return fidelityStats_; }
 
     /**
      * The stepping loop. Advance every core of @p chip in lockstep,
@@ -543,9 +539,7 @@ class Pipeline
     Fidelity fidelity_ = Fidelity::Detailed;
     /** Fetch suppressed while draining for a fidelity switch. */
     bool draining_ = false;
-    std::uint64_t funcInstrs_ = 0;
-    Cycle funcCycles_ = 0;
-    std::uint64_t fidelitySwitches_ = 0;
+    FidelityStats fidelityStats_;
 
     CoreStats stats_;
 };

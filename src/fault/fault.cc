@@ -38,35 +38,6 @@ faultKindName(FaultKind k)
     return "?";
 }
 
-FaultCounters
-FaultCounters::delta(const FaultCounters &e) const
-{
-    FaultCounters d;
-    d.pktLost = pktLost - e.pktLost;
-    d.pktDelayed = pktDelayed - e.pktDelayed;
-    d.pktReordered = pktReordered - e.pktReordered;
-    d.nicIntrDrops = nicIntrDrops - e.nicIntrDrops;
-    d.mceRaised = mceRaised - e.mceRaised;
-    d.mceKills = mceKills - e.mceKills;
-    d.synDrops = synDrops - e.synDrops;
-    d.backlogDrops = backlogDrops - e.backlogDrops;
-    d.retransmits = retransmits - e.retransmits;
-    d.clientAborts = clientAborts - e.clientAborts;
-    return d;
-}
-
-bool
-FaultCounters::operator==(const FaultCounters &o) const
-{
-    return pktLost == o.pktLost && pktDelayed == o.pktDelayed &&
-           pktReordered == o.pktReordered &&
-           nicIntrDrops == o.nicIntrDrops &&
-           mceRaised == o.mceRaised && mceKills == o.mceKills &&
-           synDrops == o.synDrops && backlogDrops == o.backlogDrops &&
-           retransmits == o.retransmits &&
-           clientAborts == o.clientAborts;
-}
-
 FaultPlan::FaultPlan(const FaultParams &p)
     : p_(p), rngLink_(mixHash(p.seed, 0x11aaull)),
       rngMce_(mixHash(p.seed, 0x22bbull))

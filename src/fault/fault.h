@@ -144,17 +144,29 @@ struct FaultCounters
     std::uint64_t retransmits = 0;
     std::uint64_t clientAborts = 0;
 
-    /** Counter-wise difference (this minus @p e). */
-    FaultCounters delta(const FaultCounters &e) const;
-
-    bool operator==(const FaultCounters &o) const;
+    /** The field list (common/counters.h). */
+    template <typename F, typename... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("pkt_lost", s.pktLost...);
+        f("pkt_delayed", s.pktDelayed...);
+        f("pkt_reordered", s.pktReordered...);
+        f("nic_intr_drops", s.nicIntrDrops...);
+        f("mce_raised", s.mceRaised...);
+        f("mce_kills", s.mceKills...);
+        f("syn_drops", s.synDrops...);
+        f("backlog_drops", s.backlogDrops...);
+        f("retransmits", s.retransmits...);
+        f("client_aborts", s.clientAborts...);
+    }
 
     std::uint64_t
     total() const
     {
-        return pktLost + pktDelayed + pktReordered + nicIntrDrops +
-               mceRaised + mceKills + synDrops + backlogDrops +
-               retransmits + clientAborts;
+        std::uint64_t n = 0;
+        fields([&n](const char *, std::uint64_t v) { n += v; }, *this);
+        return n;
     }
 };
 

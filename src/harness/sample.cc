@@ -57,8 +57,7 @@ runSampledMeasurement(System &sys, const SampleParams &p,
     SampleReport rep;
     rep.enabled = true;
     rep.confidence = p.confidence;
-    const std::uint64_t func0 = pipe.funcInstrs();
-    const Cycle fcyc0 = pipe.funcCycles();
+    const FidelityStats func0 = pipe.fidelityStats();
     const std::uint64_t ret0 = pipe.stats().totalRetired();
     const Cycle cyc0 = pipe.now();
 
@@ -117,8 +116,8 @@ runSampledMeasurement(System &sys, const SampleParams &p,
     rep.palPct = estimate(pal, z);
     rep.idlePct = estimate(idle, z);
     rep.intervalCpi = std::move(cpi);
-    rep.functionalInstrs = pipe.funcInstrs() - func0;
-    rep.functionalCycles = pipe.funcCycles() - fcyc0;
+    rep.functionalInstrs = pipe.fidelityStats().funcInstrs - func0.funcInstrs;
+    rep.functionalCycles = pipe.fidelityStats().funcCycles - func0.funcCycles;
     const std::uint64_t allInstrs = pipe.stats().totalRetired() - ret0;
     const Cycle allCycles = pipe.now() - cyc0;
     rep.detailedInstrs = allInstrs - rep.functionalInstrs;

@@ -174,20 +174,21 @@ struct OverloadStats {
     std::uint64_t mbufExhausted = 0;  ///< RX allocs backpressured to NIC
     std::uint64_t mbufTxWraps = 0;    ///< TX bump-region wraps (benign)
 
-    OverloadStats delta(const OverloadStats &e) const
+    /** The field list (common/counters.h). */
+    template <typename F, typename... S>
+    static void
+    fields(F &&f, S &...s)
     {
-        OverloadStats d = *this;
-        d.offeredArrivals -= e.offeredArrivals;
-        d.arrivalOverflows -= e.arrivalOverflows;
-        d.goodput -= e.goodput;
-        d.clientAborts -= e.clientAborts;
-        d.slowCompletions -= e.slowCompletions;
-        d.admitDropTail -= e.admitDropTail;
-        d.admitRedDrops -= e.admitRedDrops;
-        d.admitShed -= e.admitShed;
-        d.mbufExhausted -= e.mbufExhausted;
-        d.mbufTxWraps -= e.mbufTxWraps;
-        return d;
+        f("offered_arrivals", s.offeredArrivals...);
+        f("arrival_overflows", s.arrivalOverflows...);
+        f("goodput", s.goodput...);
+        f("client_aborts", s.clientAborts...);
+        f("slow_completions", s.slowCompletions...);
+        f("admit_drop_tail", s.admitDropTail...);
+        f("admit_red_drops", s.admitRedDrops...);
+        f("admit_shed", s.admitShed...);
+        f("mbuf_exhausted", s.mbufExhausted...);
+        f("mbuf_tx_wraps", s.mbufTxWraps...);
     }
 };
 

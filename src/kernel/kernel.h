@@ -102,6 +102,26 @@ struct Process
     }
 };
 
+/** Kernel lock counters for one named lock (DESIGN.md §16). */
+struct LockStats
+{
+    std::uint64_t acquisitions = 0;
+    std::uint64_t contended = 0;  ///< acquisitions that spun
+    std::uint64_t spinCycles = 0; ///< cycles burned waiting
+    std::uint64_t holdCycles = 0; ///< cycles the lock was held
+
+    /** The field list (common/counters.h). */
+    template <typename F, typename... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("acquisitions", s.acquisitions...);
+        f("contended", s.contended...);
+        f("spin_cycles", s.spinCycles...);
+        f("hold_cycles", s.holdCycles...);
+    }
+};
+
 /**
  * A measured kernel lock. Locks are modeled in virtual time, like the
  * shared-TLB-IPR spin in pal.cc: each acquisition advances freeAt by
@@ -114,10 +134,7 @@ struct Process
 struct KLock
 {
     Cycle freeAt = 0;
-    std::uint64_t acquisitions = 0;
-    std::uint64_t contended = 0;
-    std::uint64_t spinCycles = 0;
-    std::uint64_t holdCycles = 0;
+    LockStats stats;
 };
 
 /** Measured lock hold times (virtual cycles), calibrated to the

@@ -19,16 +19,16 @@ Kernel::lockAcquire(KLock &lk, const char *name, Process *p,
     // lock counter (and the spin-wait code path) untouched.
     if (numCores() == 1)
         return;
-    ++lk.acquisitions;
+    ++lk.stats.acquisitions;
     const Cycle wait =
         lk.freeAt > nowCycle_ ? lk.freeAt - nowCycle_ : 0;
     lk.freeAt =
         (lk.freeAt > nowCycle_ ? lk.freeAt : nowCycle_) + hold;
-    lk.holdCycles += hold;
+    lk.stats.holdCycles += hold;
     if (wait == 0)
         return;
-    ++lk.contended;
-    lk.spinCycles += wait;
+    ++lk.stats.contended;
+    lk.stats.spinCycles += wait;
     if (p && p->runningOn != invalidCtx) {
         // Same idiom as the shared-TLB-IPR spin (pal.cc): the holder
         // of the context executes spin-wait kernel code for the
@@ -40,7 +40,7 @@ Kernel::lockAcquire(KLock &lk, const char *name, Process *p,
         p->ts.cursor.push(kc_.spinWait, true);
     }
     if (probes_)
-        probes_->lockEvent(name, wait, hold, nowCycle_);
+        probes_->lockEvent(name, wait, nowCycle_);
 }
 
 void

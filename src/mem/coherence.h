@@ -44,21 +44,22 @@ struct CoherenceStats
 
     bool any() const
     {
-        return snoopProbes != 0 || invalidations != 0 ||
-               downgrades != 0 || interventionWritebacks != 0 ||
-               upgrades != 0;
+        bool seen = false;
+        fields([&seen](const char *, std::uint64_t v) { seen |= v != 0; },
+               *this);
+        return seen;
     }
 
-    CoherenceStats delta(const CoherenceStats &e) const
+    /** The field list (common/counters.h). */
+    template <typename F, typename... S>
+    static void
+    fields(F &&f, S &...s)
     {
-        CoherenceStats d;
-        d.snoopProbes = snoopProbes - e.snoopProbes;
-        d.invalidations = invalidations - e.invalidations;
-        d.downgrades = downgrades - e.downgrades;
-        d.interventionWritebacks =
-            interventionWritebacks - e.interventionWritebacks;
-        d.upgrades = upgrades - e.upgrades;
-        return d;
+        f("snoop_probes", s.snoopProbes...);
+        f("invalidations", s.invalidations...);
+        f("downgrades", s.downgrades...);
+        f("intervention_writebacks", s.interventionWritebacks...);
+        f("upgrades", s.upgrades...);
     }
 };
 

@@ -7,33 +7,6 @@
 
 namespace smtos {
 
-DramStats
-DramStats::delta(const DramStats &e) const
-{
-    DramStats d = *this;
-    d.accesses = accesses - e.accesses;
-    d.rowHits = rowHits - e.rowHits;
-    d.rowEmpties = rowEmpties - e.rowEmpties;
-    d.rowConflicts = rowConflicts - e.rowConflicts;
-    d.latencyCycles = latencyCycles - e.latencyCycles;
-    d.queueStallCycles = queueStallCycles - e.queueStallCycles;
-    d.queueFullStalls = queueFullStalls - e.queueFullStalls;
-    d.queueOccupancy = queueOccupancy - e.queueOccupancy;
-    auto sub = [](std::vector<std::uint64_t> &a,
-                  const std::vector<std::uint64_t> &b) {
-        if (b.empty())
-            return; // earlier snapshot predates the counters
-        smtos_assert(a.size() == b.size());
-        for (std::size_t i = 0; i < a.size(); ++i)
-            a[i] -= b[i];
-    };
-    sub(d.chAccesses, e.chAccesses);
-    sub(d.chBusyCycles, e.chBusyCycles);
-    sub(d.bankRowHits, e.bankRowHits);
-    sub(d.bankRowConflicts, e.bankRowConflicts);
-    return d;
-}
-
 MemCtrl::MemCtrl(Cycle flat_latency, const DramParams &params)
     : params_(params), flat_(flat_latency)
 {
@@ -43,11 +16,14 @@ MemCtrl::MemCtrl(Cycle flat_latency, const DramParams &params)
     rankWin_.resize(
         static_cast<std::size_t>(params_.channels * params_.ranks));
     channels_.resize(static_cast<std::size_t>(params_.channels));
-    chAccesses_.assign(static_cast<std::size_t>(params_.channels), 0);
-    chBusyCycles_.assign(static_cast<std::size_t>(params_.channels), 0);
-    bankRowHits_.assign(static_cast<std::size_t>(params_.totalBanks()),
-                        0);
-    bankRowConflicts_.assign(
+    stats_.banked = true;
+    stats_.chAccesses.assign(static_cast<std::size_t>(params_.channels),
+                             0);
+    stats_.chBusyCycles.assign(
+        static_cast<std::size_t>(params_.channels), 0);
+    stats_.bankRowHits.assign(
+        static_cast<std::size_t>(params_.totalBanks()), 0);
+    stats_.bankRowConflicts.assign(
         static_cast<std::size_t>(params_.totalBanks()), 0);
 }
 
@@ -146,14 +122,14 @@ MemCtrl::access(Addr paddr, const AccessInfo &who, Cycle now)
     Cycle arrival = now;
     purge(c, arrival);
     if (static_cast<int>(c.inflight.size()) >= params_.queueDepth) {
-        ++queueFullStalls_;
+        ++stats_.queueFullStalls;
         while (static_cast<int>(c.inflight.size()) >=
                params_.queueDepth) {
             arrival = *std::min_element(c.inflight.begin(),
                                         c.inflight.end());
             purge(c, arrival);
         }
-        queueStallCycles_ += arrival - now;
+        stats_.queueStallCycles += arrival - now;
     }
 
     const int bank = bankOf(paddr);
@@ -202,24 +178,24 @@ MemCtrl::access(Addr paddr, const AccessInfo &who, Cycle now)
 
     c.inflight.push_back(finish);
 
-    ++accesses_;
-    ++chAccesses_[static_cast<std::size_t>(ch)];
-    chBusyCycles_[static_cast<std::size_t>(ch)] += params_.tBurst;
+    ++stats_.accesses;
+    ++stats_.chAccesses[static_cast<std::size_t>(ch)];
+    stats_.chBusyCycles[static_cast<std::size_t>(ch)] += params_.tBurst;
     switch (out) {
       case DramRowOutcome::Hit:
-        ++rowHits_;
-        ++bankRowHits_[static_cast<std::size_t>(bank)];
+        ++stats_.rowHits;
+        ++stats_.bankRowHits[static_cast<std::size_t>(bank)];
         break;
       case DramRowOutcome::Empty:
-        ++rowEmpties_;
+        ++stats_.rowEmpties;
         break;
       case DramRowOutcome::Conflict:
-        ++rowConflicts_;
-        ++bankRowConflicts_[static_cast<std::size_t>(bank)];
+        ++stats_.rowConflicts;
+        ++stats_.bankRowConflicts[static_cast<std::size_t>(bank)];
         break;
     }
-    latencyCycles_ += finish - now;
-    queueOccupancy_ += c.inflight.size();
+    stats_.latencyCycles += finish - now;
+    stats_.queueOccupancy += c.inflight.size();
 
     if (probes_)
         probes_->dramAccess(who.thread, paddr, ch, bank,
@@ -231,24 +207,10 @@ MemCtrl::access(Addr paddr, const AccessInfo &who, Cycle now)
 DramStats
 MemCtrl::stats() const
 {
+    if (params_.banked)
+        return stats_;
     DramStats s;
-    s.banked = params_.banked;
-    if (!params_.banked) {
-        s.accesses = flat_.accesses();
-        return s;
-    }
-    s.accesses = accesses_;
-    s.rowHits = rowHits_;
-    s.rowEmpties = rowEmpties_;
-    s.rowConflicts = rowConflicts_;
-    s.latencyCycles = latencyCycles_;
-    s.queueStallCycles = queueStallCycles_;
-    s.queueFullStalls = queueFullStalls_;
-    s.queueOccupancy = queueOccupancy_;
-    s.chAccesses = chAccesses_;
-    s.chBusyCycles = chBusyCycles_;
-    s.bankRowHits = bankRowHits_;
-    s.bankRowConflicts = bankRowConflicts_;
+    s.accesses = flat_.accesses();
     return s;
 }
 

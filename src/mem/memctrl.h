@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/types.h"
 #include "mem/dram.h"
 #include "mem/missclass.h"
@@ -106,16 +107,26 @@ struct DramStats
     std::vector<std::uint64_t> bankRowHits;
     std::vector<std::uint64_t> bankRowConflicts;
 
-    double
-    avgLatency() const
-    {
-        return accesses == 0 ? 0.0
-                             : static_cast<double>(latencyCycles) /
-                                   static_cast<double>(accesses);
-    }
+    double avgLatency() const { return ratio(latencyCycles, accesses); }
 
-    /** Counter-wise difference (this minus @p earlier). */
-    DramStats delta(const DramStats &earlier) const;
+    /** The field list (common/counters.h), in UNCR snapshot order. */
+    template <typename F, typename... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("accesses", s.accesses...);
+        f("row_hits", s.rowHits...);
+        f("row_empties", s.rowEmpties...);
+        f("row_conflicts", s.rowConflicts...);
+        f("avg_latency", Per{s.latencyCycles, s.accesses}...);
+        f("queue_stall_cycles", s.queueStallCycles...);
+        f("queue_full_stalls", s.queueFullStalls...);
+        f("queue_occupancy", s.queueOccupancy...);
+        f("ch_accesses", s.chAccesses...);
+        f("ch_busy_cycles", s.chBusyCycles...);
+        f("bank_row_hits", s.bankRowHits...);
+        f("bank_row_conflicts", s.bankRowConflicts...);
+    }
 };
 
 /** The memory controller: flat Dram or the banked model. */
@@ -199,19 +210,8 @@ class MemCtrl
     std::vector<RankWindow> rankWin_;
     std::vector<Channel> channels_;
 
-    // Counters (see DramStats).
-    std::uint64_t accesses_ = 0;
-    std::uint64_t rowHits_ = 0;
-    std::uint64_t rowEmpties_ = 0;
-    std::uint64_t rowConflicts_ = 0;
-    std::uint64_t latencyCycles_ = 0;
-    std::uint64_t queueStallCycles_ = 0;
-    std::uint64_t queueFullStalls_ = 0;
-    std::uint64_t queueOccupancy_ = 0;
-    std::vector<std::uint64_t> chAccesses_;
-    std::vector<std::uint64_t> chBusyCycles_;
-    std::vector<std::uint64_t> bankRowHits_;
-    std::vector<std::uint64_t> bankRowConflicts_;
+    /** The banked model's counters (all zero when flat). */
+    DramStats stats_;
 };
 
 } // namespace smtos

@@ -70,6 +70,17 @@ struct InterferenceStats
     std::uint64_t totalMisses() const { return misses[0] + misses[1]; }
 
     void reset() { *this = InterferenceStats(); }
+
+    /** The field list (common/counters.h). */
+    template <typename F, typename... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("accesses", s.accesses...);
+        f("misses", s.misses...);
+        f("causes", s.cause...);
+        f("avoided", s.avoided...);
+    }
 };
 
 /**

@@ -144,26 +144,9 @@ Probes::faultEvent(const char *kind, Cycle now, std::uint64_t a,
 }
 
 void
-Probes::lockEvent(const char *name, Cycle spin, Cycle hold, Cycle now)
+Probes::lockEvent(const char *name, Cycle spin, Cycle now)
 {
-    LockTally *t = nullptr;
-    for (LockTally &cand : locks_)
-        if (cand.name == name) {
-            t = &cand;
-            break;
-        }
-    if (!t) {
-        locks_.push_back(LockTally{});
-        t = &locks_.back();
-        t->name = name;
-    }
-    ++t->acquisitions;
-    if (spin > 0) {
-        ++t->contended;
-        t->spinCycles += spin;
-    }
-    t->holdCycles += hold;
-    if (timeline_ && timeline_->detail() && spin > 0)
+    if (timeline_ && timeline_->detail())
         timeline_->memInstant(name, invalidThread, spin, now);
 }
 

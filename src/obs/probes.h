@@ -131,19 +131,9 @@ class Probes
     void faultEvent(const char *kind, Cycle now, std::uint64_t a,
                     std::uint64_t b);
 
-    // --- kernel lock hook (SMP contention accounting) ---
-    /** Per-named-lock acquisition tally, accumulated in the hub so
-     *  sinks stay optional. @p spin is 0 on an uncontended acquire. */
-    struct LockTally
-    {
-        std::string name;
-        std::uint64_t acquisitions = 0;
-        std::uint64_t contended = 0;
-        Cycle spinCycles = 0;
-        Cycle holdCycles = 0;
-    };
-    void lockEvent(const char *name, Cycle spin, Cycle hold, Cycle now);
-    const std::vector<LockTally> &lockTallies() const { return locks_; }
+    // --- kernel lock hook: a contended acquire that spun for `spin`
+    // --- cycles (KLock keeps the lock counters) ---
+    void lockEvent(const char *name, Cycle spin, Cycle now);
 
     // --- request-tracing hooks (see obs/reqtrace.h). Producers pass
     // --- their own cycle clock so span stamps match the simulation's
@@ -176,7 +166,6 @@ class Probes
     TimelineExporter *timeline_ = nullptr;
     RequestTracer *reqtrace_ = nullptr;
     Cycle now_ = 0;
-    std::vector<LockTally> locks_;
     /** Last retired mode/thread per context (-1: none yet). */
     std::vector<int> lastMode_;
     std::vector<ThreadId> lastThread_;

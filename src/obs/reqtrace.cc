@@ -49,24 +49,6 @@ reqStageIsQueueing(int stage)
     return stage == 0 || stage == 2 || stage == 3;
 }
 
-ReqTraceStats
-ReqTraceStats::delta(const ReqTraceStats &earlier) const
-{
-    ReqTraceStats d = *this; // keeps `enabled` from the later capture
-    d.tracked -= earlier.tracked;
-    d.completedClean -= earlier.completedClean;
-    d.completedRetried -= earlier.completedRetried;
-    d.completedIrregular -= earlier.completedIrregular;
-    d.aborted -= earlier.aborted;
-    d.retransmitAnnotations -= earlier.retransmitAnnotations;
-    d.dropAnnotations -= earlier.dropAnnotations;
-    for (int i = 0; i < numReqStages; ++i)
-        d.stageCycles[i] -= earlier.stageCycles[i];
-    d.queueingCycles -= earlier.queueingCycles;
-    d.serviceCycles -= earlier.serviceCycles;
-    return d;
-}
-
 RequestTracer::RequestTracer()
     : stage_{Histogram(histLo, histHi, histBuckets),
              Histogram(histLo, histHi, histBuckets),
@@ -310,16 +292,7 @@ void
 RequestTracer::snap(Ar &ar)
 {
     ar.expect(snapVersion);
-    ar.io(stats_.tracked);
-    ar.io(stats_.completedClean);
-    ar.io(stats_.completedRetried);
-    ar.io(stats_.completedIrregular);
-    ar.io(stats_.aborted);
-    ar.io(stats_.retransmitAnnotations);
-    ar.io(stats_.dropAnnotations);
-    ar.pod(stats_.stageCycles);
-    ar.io(stats_.queueingCycles);
-    ar.io(stats_.serviceCycles);
+    snapCounters(ar, stats_);
     for (Histogram &h : stage_)
         h.snap(ar);
     e2e_.snap(ar);

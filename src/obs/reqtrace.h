@@ -45,6 +45,7 @@
 #include <map>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/stats.h"
 #include "common/types.h"
 
@@ -75,9 +76,9 @@ const char *reqStageName(int stage);
 bool reqStageIsQueueing(int stage);
 
 /**
- * Aggregate tracing counters, all u64 so MetricsSnapshot::delta can
- * subtract field-wise. `enabled` marks whether a tracer was attached
- * when the snapshot was captured (kept, not subtracted, in deltas).
+ * Aggregate tracing counters. `enabled` marks whether a tracer was
+ * attached when the snapshot was captured; it stays out of the field
+ * list, so a delta keeps the later capture's.
  */
 struct ReqTraceStats
 {
@@ -93,7 +94,22 @@ struct ReqTraceStats
     std::uint64_t queueingCycles = 0; ///< nic+accept+sched wait
     std::uint64_t serviceCycles = 0;  ///< netstack+service+transmit
 
-    ReqTraceStats delta(const ReqTraceStats &earlier) const;
+    /** The field list (common/counters.h). */
+    template <typename F, typename... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("tracked", s.tracked...);
+        f("completed_clean", s.completedClean...);
+        f("completed_retried", s.completedRetried...);
+        f("completed_irregular", s.completedIrregular...);
+        f("aborted", s.aborted...);
+        f("retransmit_annotations", s.retransmitAnnotations...);
+        f("drop_annotations", s.dropAnnotations...);
+        f("stage_cycles", ByName{s.stageCycles, reqStageName}...);
+        f("queueing_cycles", s.queueingCycles...);
+        f("service_cycles", s.serviceCycles...);
+    }
 };
 
 /**

@@ -9,156 +9,6 @@
 
 namespace smtos {
 
-namespace {
-
-InterferenceStats
-diffInterference(const InterferenceStats &a, const InterferenceStats &b)
-{
-    InterferenceStats d;
-    for (int c = 0; c < 2; ++c) {
-        d.accesses[c] = a.accesses[c] - b.accesses[c];
-        d.misses[c] = a.misses[c] - b.misses[c];
-        for (int k = 0; k < numMissCauses; ++k)
-            d.cause[c][k] = a.cause[c][k] - b.cause[c][k];
-        for (int f = 0; f < 2; ++f)
-            d.avoided[c][f] = a.avoided[c][f] - b.avoided[c][f];
-    }
-    return d;
-}
-
-std::map<std::string, std::uint64_t>
-diffMap(const std::map<std::string, std::uint64_t> &a,
-        const std::map<std::string, std::uint64_t> &b)
-{
-    std::map<std::string, std::uint64_t> d = a;
-    for (const auto &kv : b) {
-        auto it = d.find(kv.first);
-        if (it != d.end())
-            it->second -= kv.second;
-    }
-    return d;
-}
-
-/** Counter-wise CoreStats difference (kernelEntries keeps the later
- *  capture's absolute values, the historical behavior). */
-CoreStats
-diffCore(const CoreStats &a, const CoreStats &b)
-{
-    CoreStats d = a;
-    d.cycles = a.cycles - b.cycles;
-    d.fetched = a.fetched - b.fetched;
-    d.fetchedWrongPath = a.fetchedWrongPath - b.fetchedWrongPath;
-    d.squashed = a.squashed - b.squashed;
-    d.issued = a.issued - b.issued;
-    for (int m = 0; m < numModes; ++m)
-        d.retired[m] = a.retired[m] - b.retired[m];
-    for (int t = 0; t < 64; ++t)
-        d.retiredByTag[t] = a.retiredByTag[t] - b.retiredByTag[t];
-    for (int c = 0; c < 2; ++c) {
-        for (int k = 0; k < numMixClasses; ++k)
-            d.mix[c][k] = a.mix[c][k] - b.mix[c][k];
-        for (int k = 0; k < 2; ++k)
-            d.physMem[c][k] = a.physMem[c][k] - b.physMem[c][k];
-        d.condRetired[c] = a.condRetired[c] - b.condRetired[c];
-        d.condTaken[c] = a.condTaken[c] - b.condTaken[c];
-        d.condMispred[c] = a.condMispred[c] - b.condMispred[c];
-        d.targetMispred[c] = a.targetMispred[c] - b.targetMispred[c];
-    }
-    d.zeroFetchCycles = a.zeroFetchCycles - b.zeroFetchCycles;
-    d.zeroIssueCycles = a.zeroIssueCycles - b.zeroIssueCycles;
-    d.maxIssueCycles = a.maxIssueCycles - b.maxIssueCycles;
-    d.fetchableContexts = Sampler::fromSumCount(
-        a.fetchableContexts.sum() - b.fetchableContexts.sum(),
-        a.fetchableContexts.count() - b.fetchableContexts.count());
-    return d;
-}
-
-/** Sum @p s into @p into for the machine-level aggregate. The chip
- *  runs in lockstep, so cycles takes the max instead of summing. */
-void
-addCore(CoreStats &into, const CoreStats &s)
-{
-    into.cycles = std::max(into.cycles, s.cycles);
-    into.fetched += s.fetched;
-    into.fetchedWrongPath += s.fetchedWrongPath;
-    into.squashed += s.squashed;
-    into.issued += s.issued;
-    for (int m = 0; m < numModes; ++m)
-        into.retired[m] += s.retired[m];
-    for (int t = 0; t < 64; ++t)
-        into.retiredByTag[t] += s.retiredByTag[t];
-    for (int c = 0; c < 2; ++c) {
-        for (int k = 0; k < numMixClasses; ++k)
-            into.mix[c][k] += s.mix[c][k];
-        for (int k = 0; k < 2; ++k)
-            into.physMem[c][k] += s.physMem[c][k];
-        into.condRetired[c] += s.condRetired[c];
-        into.condTaken[c] += s.condTaken[c];
-        into.condMispred[c] += s.condMispred[c];
-        into.targetMispred[c] += s.targetMispred[c];
-    }
-    into.zeroFetchCycles += s.zeroFetchCycles;
-    into.zeroIssueCycles += s.zeroIssueCycles;
-    into.maxIssueCycles += s.maxIssueCycles;
-    into.fetchableContexts = Sampler::fromSumCount(
-        into.fetchableContexts.sum() + s.fetchableContexts.sum(),
-        into.fetchableContexts.count() + s.fetchableContexts.count());
-    for (const auto &kv : s.kernelEntries.all())
-        into.kernelEntries.add(kv.first, kv.second);
-}
-
-void
-addInterference(InterferenceStats &into, const InterferenceStats &s)
-{
-    for (int c = 0; c < 2; ++c) {
-        into.accesses[c] += s.accesses[c];
-        into.misses[c] += s.misses[c];
-        for (int k = 0; k < numMissCauses; ++k)
-            into.cause[c][k] += s.cause[c][k];
-        for (int f = 0; f < 2; ++f)
-            into.avoided[c][f] += s.avoided[c][f];
-    }
-}
-
-LockStats
-lockStatsOf(const KLock &l)
-{
-    LockStats s;
-    s.acquisitions = l.acquisitions;
-    s.contended = l.contended;
-    s.spinCycles = l.spinCycles;
-    s.holdCycles = l.holdCycles;
-    return s;
-}
-
-} // namespace
-
-LockStats
-LockStats::delta(const LockStats &e) const
-{
-    LockStats d;
-    d.acquisitions = acquisitions - e.acquisitions;
-    d.contended = contended - e.contended;
-    d.spinCycles = spinCycles - e.spinCycles;
-    d.holdCycles = holdCycles - e.holdCycles;
-    return d;
-}
-
-SmpStats
-SmpStats::delta(const SmpStats &e) const
-{
-    SmpStats d = *this;
-    d.connLock = connLock.delta(e.connLock);
-    d.mbufLock = mbufLock.delta(e.mbufLock);
-    d.schedLock = schedLock.delta(e.schedLock);
-    d.workSteals = workSteals - e.workSteals;
-    d.shootdownIpis = shootdownIpis - e.shootdownIpis;
-    d.shootdownsDelivered =
-        shootdownsDelivered - e.shootdownsDelivered;
-    d.coherence = coherence.delta(e.coherence);
-    return d;
-}
-
 LatencySummary
 LatencySummary::of(const Histogram &h)
 {
@@ -191,18 +41,16 @@ MetricsSnapshot::capture(System &sys)
         slice.itlb = p.itlb().stats();
         slice.dtlb = p.dtlb().stats();
         slice.lockSpinCycles = k.lockSpinCycles(c);
-        addCore(s.core, slice.core);
-        addInterference(s.btb, slice.btb);
-        addInterference(s.l1i, slice.l1i);
-        addInterference(s.l1d, slice.l1d);
-        addInterference(s.itlb, slice.itlb);
-        addInterference(s.dtlb, slice.dtlb);
+        addCounters(s.core, slice.core);
+        addCounters(s.btb, slice.btb);
+        addCounters(s.l1i, slice.l1i);
+        addCounters(s.l1d, slice.l1d);
+        addCounters(s.itlb, slice.itlb);
+        addCounters(s.dtlb, slice.dtlb);
         s.btbWrongTarget += slice.btbWrongTarget;
         s.imissIntegral += h.imissIntegral();
         s.dmissIntegral += h.dmissIntegral();
-        s.fidelity.funcInstrs += p.funcInstrs();
-        s.fidelity.funcCycles += p.funcCycles();
-        s.fidelity.switches += p.fidelitySwitches();
+        addCounters(s.fidelity, p.fidelityStats());
         s.cores.push_back(std::move(slice));
     }
     const Uncore &u = sys.uncore();
@@ -225,15 +73,10 @@ MetricsSnapshot::capture(System &sys)
     }
     s.overload = k.overloadStats();
 
-    s.smp.connLock = lockStatsOf(k.connLock());
-    s.smp.mbufLock = lockStatsOf(k.mbufLock());
-    for (const KLock &sl : k.schedLocks()) {
-        const LockStats ls = lockStatsOf(sl);
-        s.smp.schedLock.acquisitions += ls.acquisitions;
-        s.smp.schedLock.contended += ls.contended;
-        s.smp.schedLock.spinCycles += ls.spinCycles;
-        s.smp.schedLock.holdCycles += ls.holdCycles;
-    }
+    s.smp.connLock = k.connLock().stats;
+    s.smp.mbufLock = k.mbufLock().stats;
+    for (const KLock &sl : k.schedLocks())
+        addCounters(s.smp.schedLock, sl.stats);
     s.smp.workSteals = k.workSteals();
     s.smp.shootdownIpis = k.shootdownIpis();
     s.smp.shootdownsDelivered = k.shootdownsDelivered();
@@ -244,51 +87,7 @@ MetricsSnapshot::capture(System &sys)
 MetricsSnapshot
 MetricsSnapshot::delta(const MetricsSnapshot &e) const
 {
-    MetricsSnapshot d = *this;
-
-    d.core = diffCore(core, e.core);
-    d.btb = diffInterference(btb, e.btb);
-    d.btbWrongTarget = btbWrongTarget - e.btbWrongTarget;
-    d.l1i = diffInterference(l1i, e.l1i);
-    d.l1d = diffInterference(l1d, e.l1d);
-    d.l2 = diffInterference(l2, e.l2);
-    d.itlb = diffInterference(itlb, e.itlb);
-    d.dtlb = diffInterference(dtlb, e.dtlb);
-    d.imissIntegral = imissIntegral - e.imissIntegral;
-    d.dmissIntegral = dmissIntegral - e.dmissIntegral;
-    d.l2missIntegral = l2missIntegral - e.l2missIntegral;
-    d.mmEntries = diffMap(mmEntries, e.mmEntries);
-    d.syscalls = diffMap(syscalls, e.syscalls);
-    d.requestsServed = requestsServed - e.requestsServed;
-    d.contextSwitches = contextSwitches - e.contextSwitches;
-    d.faults = faults.delta(e.faults);
-    d.dram = dram.delta(e.dram);
-    d.latency.count = latency.count - e.latency.count;
-    d.retriedLatency.count =
-        retriedLatency.count - e.retriedLatency.count;
-    d.reqtrace = reqtrace.delta(e.reqtrace);
-    d.overload = overload.delta(e.overload);
-    d.fidelity.funcInstrs = fidelity.funcInstrs - e.fidelity.funcInstrs;
-    d.fidelity.funcCycles = fidelity.funcCycles - e.fidelity.funcCycles;
-    d.fidelity.switches = fidelity.switches - e.fidelity.switches;
-    if (cores.size() == e.cores.size()) {
-        for (std::size_t c = 0; c < cores.size(); ++c) {
-            CoreSlice &ds = d.cores[c];
-            const CoreSlice &es = e.cores[c];
-            ds.core = diffCore(cores[c].core, es.core);
-            ds.btb = diffInterference(cores[c].btb, es.btb);
-            ds.l1i = diffInterference(cores[c].l1i, es.l1i);
-            ds.l1d = diffInterference(cores[c].l1d, es.l1d);
-            ds.itlb = diffInterference(cores[c].itlb, es.itlb);
-            ds.dtlb = diffInterference(cores[c].dtlb, es.dtlb);
-            ds.btbWrongTarget =
-                cores[c].btbWrongTarget - es.btbWrongTarget;
-            ds.lockSpinCycles =
-                cores[c].lockSpinCycles - es.lockSpinCycles;
-        }
-    }
-    d.smp = smp.delta(e.smp);
-    return d;
+    return counterDelta(*this, e);
 }
 
 ModeShares
@@ -334,6 +133,10 @@ archMetrics(const MetricsSnapshot &d)
 {
     ArchMetrics a;
     const double cycles = static_cast<double>(d.core.cycles);
+    // The fetch and issue counters are summed over the cores.
+    const double coreCycles =
+        cycles * static_cast<double>(std::max<std::size_t>(
+                     d.cores.size(), 1));
     a.ipc = ratio(static_cast<double>(d.core.totalRetired()), cycles);
     a.fetchableContexts = d.core.fetchableContexts.mean();
     a.branchMispredPct =
@@ -354,11 +157,11 @@ archMetrics(const MetricsSnapshot &d)
     a.itlbMissPct = rate(d.itlb);
     a.dtlbMissPct = rate(d.dtlb);
     a.zeroFetchPct =
-        pct(static_cast<double>(d.core.zeroFetchCycles), cycles);
+        pct(static_cast<double>(d.core.zeroFetchCycles), coreCycles);
     a.zeroIssuePct =
-        pct(static_cast<double>(d.core.zeroIssueCycles), cycles);
+        pct(static_cast<double>(d.core.zeroIssueCycles), coreCycles);
     a.maxIssuePct =
-        pct(static_cast<double>(d.core.maxIssueCycles), cycles);
+        pct(static_cast<double>(d.core.maxIssueCycles), coreCycles);
     a.outstandingImiss = ratio(d.imissIntegral, cycles);
     a.outstandingDmiss = ratio(d.dmissIntegral, cycles);
     a.outstandingL2miss = ratio(d.l2missIntegral, cycles);

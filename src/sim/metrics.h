@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "core/context.h"
 #include "fault/fault.h"
 #include "kernel/admission.h"
@@ -29,7 +30,7 @@ class Histogram;
 
 /**
  * Point-in-time histogram summary (client latency quantiles). The
- * quantiles are positional, not counters: delta() subtracts the
+ * quantiles are positional, not counters: a delta subtracts the
  * counts but keeps the later capture's quantiles, which over a
  * measurement interval approximate the interval's own tail well when
  * the interval dominates the sample count.
@@ -44,27 +45,19 @@ struct LatencySummary
     double p999 = 0;
 
     static LatencySummary of(const Histogram &h);
-};
 
-/** Switchable-fidelity counters (DESIGN.md §15). */
-struct FidelityStats
-{
-    std::uint64_t funcInstrs = 0; ///< instructions retired functionally
-    std::uint64_t funcCycles = 0; ///< cycles ticked functionally
-    std::uint64_t switches = 0;   ///< fidelity switches (both ways)
-
-    bool enabled() const { return funcInstrs != 0 || funcCycles != 0; }
-};
-
-/** Kernel lock counters for one named lock (DESIGN.md §16). */
-struct LockStats
-{
-    std::uint64_t acquisitions = 0;
-    std::uint64_t contended = 0;  ///< acquisitions that spun
-    std::uint64_t spinCycles = 0; ///< cycles burned waiting
-    std::uint64_t holdCycles = 0; ///< cycles the lock was held
-
-    LockStats delta(const LockStats &e) const;
+    /** The field list (common/counters.h). */
+    template <typename F, typename... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("count", s.count...);
+        f("mean", Level{s.mean}...);
+        f("p50", Level{s.p50}...);
+        f("p95", Level{s.p95}...);
+        f("p99", Level{s.p99}...);
+        f("p999", Level{s.p999}...);
+    }
 };
 
 /** SMP machine-level counters (all zero on a one-core chip). */
@@ -78,7 +71,19 @@ struct SmpStats
     std::uint64_t shootdownsDelivered = 0;
     CoherenceStats coherence;
 
-    SmpStats delta(const SmpStats &e) const;
+    /** The field list (common/counters.h), in export order. */
+    template <typename F, typename... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("work_steals", s.workSteals...);
+        f("shootdown_ipis", s.shootdownIpis...);
+        f("shootdowns_delivered", s.shootdownsDelivered...);
+        f("conn_lock", s.connLock...);
+        f("mbuf_lock", s.mbufLock...);
+        f("sched_lock", s.schedLock...);
+        f("coherence", s.coherence...);
+    }
 };
 
 /** One core's slice of a capture (private structures only; the
@@ -90,6 +95,21 @@ struct CoreSlice
     std::uint64_t btbWrongTarget = 0;
     /** Kernel lock-spin cycles burned by contexts on this core. */
     std::uint64_t lockSpinCycles = 0;
+
+    /** The field list (common/counters.h). */
+    template <typename F, typename... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("core", s.core...);
+        f("btb", s.btb...);
+        f("l1i", s.l1i...);
+        f("l1d", s.l1d...);
+        f("itlb", s.itlb...);
+        f("dtlb", s.dtlb...);
+        f("btb_wrong_target", s.btbWrongTarget...);
+        f("lock_spin_cycles", s.lockSpinCycles...);
+    }
 };
 
 /**
@@ -135,6 +155,38 @@ struct MetricsSnapshot
 
     /** Counter-wise difference (this minus @p earlier). */
     MetricsSnapshot delta(const MetricsSnapshot &earlier) const;
+
+    /** The field list (common/counters.h), in export order after the
+     *  derived top-level keys (sim/export.cc). */
+    template <typename F, typename... S>
+    static void
+    fields(F &&f, S &...s)
+    {
+        f("l1i", s.l1i...);
+        f("l1d", s.l1d...);
+        f("l2", s.l2...);
+        f("dtlb", s.dtlb...);
+        f("btb", s.btb...);
+        f("requests_served", s.requestsServed...);
+        f("context_switches", s.contextSwitches...);
+        f("faults", s.faults...);
+        f("dram", s.dram...);
+        f("latency", s.latency...);
+        f("retried_latency", s.retriedLatency...);
+        f("reqtrace", s.reqtrace...);
+        f("overload", s.overload...);
+        f("fidelity", s.fidelity...);
+        f("cores", s.cores...);
+        f("smp", s.smp...);
+        f(nullptr, s.core...);
+        f(nullptr, s.itlb...);
+        f(nullptr, s.btbWrongTarget...);
+        f(nullptr, s.imissIntegral...);
+        f(nullptr, s.dmissIntegral...);
+        f(nullptr, s.l2missIntegral...);
+        f(nullptr, s.mmEntries...);
+        f(nullptr, s.syscalls...);
+    }
 };
 
 /** Execution-cycle shares by mode (Figures 1 and 5 series). */

@@ -17,6 +17,7 @@
  * thread id.
  */
 
+#include "common/counters.h"
 #include "core/pipeline.h"
 #include "isa/program.h"
 #include "snap/snapshot.h"
@@ -165,25 +166,7 @@ Pipeline::snap(Ar &ar, const SnapImages &images,
     itlb_.snap(ar);
     dtlb_.snap(ar);
 
-    CoreStats &s = stats_;
-    ar.io(s.cycles);
-    ar.io(s.fetched);
-    ar.io(s.fetchedWrongPath);
-    ar.io(s.squashed);
-    ar.io(s.issued);
-    ar.pod(s.retired);
-    ar.pod(s.retiredByTag);
-    ar.pod(s.mix);
-    ar.pod(s.physMem);
-    ar.pod(s.condRetired);
-    ar.pod(s.condTaken);
-    ar.pod(s.condMispred);
-    ar.pod(s.targetMispred);
-    ar.io(s.zeroFetchCycles);
-    ar.io(s.zeroIssueCycles);
-    ar.io(s.maxIssueCycles);
-    s.fetchableContexts.snap(ar);
-    s.kernelEntries.snap(ar);
+    snapCounters(ar, stats_);
 
     // Reinstated without a drain: a functional-mode artifact was
     // taken with nothing in flight.
@@ -192,9 +175,7 @@ Pipeline::snap(Ar &ar, const SnapImages &images,
         if (fidelity_ == Fidelity::Functional)
             for (const Context &c : ctxs_)
                 smtos_assert(c.inflight == 0);
-    ar.io(funcInstrs_);
-    ar.io(funcCycles_);
-    ar.io(fidelitySwitches_);
+    snapCounters(ar, fidelityStats_);
 }
 SMTOS_SNAP_INSTANTIATE(Pipeline, const SnapImages &,
                        const std::function<ThreadState *(ThreadId)> &);

@@ -18,6 +18,7 @@
 #include "bp/btb.h"
 #include "bp/mcfarling.h"
 #include "bp/ras.h"
+#include "common/counters.h"
 #include "common/stats.h"
 #include "fault/fault.h"
 #include "mem/bus.h"
@@ -227,19 +228,7 @@ MemCtrl::snap(Ar &ar)
         ar.vec(c.busy);
         ar.vec(c.inflight);
     }
-    ar.io(accesses_);
-    ar.io(rowHits_);
-    ar.io(rowEmpties_);
-    ar.io(rowConflicts_);
-    ar.io(latencyCycles_);
-    ar.io(queueStallCycles_);
-    ar.io(queueFullStalls_);
-    ar.io(queueOccupancy_);
-    for (auto *v : {&chAccesses_, &chBusyCycles_, &bankRowHits_,
-                    &bankRowConflicts_}) {
-        ar.expect(v->size());
-        ar.pod(*v);
-    }
+    snapCounters(ar, stats_);
 }
 SMTOS_SNAP_INSTANTIATE(MemCtrl);
 

@@ -1,12 +1,17 @@
 /**
  * @file
- * Unit tests for the common substrate: rng, stats, tables, types.
+ * Unit tests for the common substrate: rng, stats, tables, types, and
+ * the benches' BENCH_simspeed.json ledger splice.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
 
+#include "../bench/bench_common.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -232,6 +237,37 @@ TEST(CounterMap, AddAndTotal)
     EXPECT_EQ(m.get("b"), 5u);
     EXPECT_EQ(m.get("missing"), 0u);
     EXPECT_EQ(m.total(), 8u);
+}
+
+TEST(BenchLedger, RerecordingEqualsOneRound)
+{
+    auto round = [](const std::string &path) {
+        bench::recordEntry(path, "first", "        \"x\": 1\n");
+        bench::recordEntry(path, "second", "        \"y\": 2\n");
+    };
+    auto text = [](const std::string &path) {
+        std::ifstream in(path);
+        std::stringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
+    };
+    const std::string once = testing::TempDir() + "ledger_once.json";
+    const std::string thrice = testing::TempDir() + "ledger_thrice.json";
+    std::remove(once.c_str());
+    std::remove(thrice.c_str());
+    round(once);
+    for (int i = 0; i < 3; ++i)
+        round(thrice);
+    EXPECT_EQ(text(thrice), text(once));
+    EXPECT_EQ(text(once), "{\n  \"entries\": [\n"
+                          "    {\n      \"label\": \"first\",\n"
+                          "      \"benchmarks\": {\n        \"x\": 1\n"
+                          "      }\n    },\n"
+                          "    {\n      \"label\": \"second\",\n"
+                          "      \"benchmarks\": {\n        \"y\": 2\n"
+                          "      }\n    }\n  ]\n}\n");
+    std::remove(once.c_str());
+    std::remove(thrice.c_str());
 }
 
 TEST(TextTable, RendersAllCells)

@@ -1,12 +1,19 @@
 /**
  * @file
  * Metrics tests: snapshot deltas, mode shares, mix rows, miss
- * breakdowns, sharing breakdowns.
+ * breakdowns, sharing breakdowns, and the counter-struct field lists.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <type_traits>
+
 #include "sim/metrics.h"
+#include "workload/apache.h"
 
 using namespace smtos;
 
@@ -143,10 +150,204 @@ TEST(Metrics, CaptureFromLiveSystem)
     EXPECT_GT(a.ipc, 0.0);
 }
 
+TEST(Metrics, DeltaKeepsLaterLatencyQuantiles)
+{
+    MetricsSnapshot a, b;
+    a.latency = {10, 5.0, 4.0, 8.0, 9.0, 9.5};
+    b.latency = {25, 6.0, 3.0, 7.0, 12.0, 20.0};
+    const LatencySummary d = b.delta(a).latency;
+    EXPECT_EQ(d.count, 15u);
+    EXPECT_EQ(d.mean, 6.0);
+    EXPECT_EQ(d.p50, 3.0);
+    EXPECT_EQ(d.p95, 7.0);
+    EXPECT_EQ(d.p99, 12.0);
+    EXPECT_EQ(d.p999, 20.0);
+}
+
+TEST(Metrics, DeltaSubtractsKernelEntries)
+{
+    MachineConfig cfg = smtConfig();
+    cfg.kernel.enableNetwork = true;
+    System sys(cfg);
+    const ApacheWorkload w = buildApache(ApacheParams{});
+    installApache(sys.kernel(), w);
+    sys.start();
+    sys.run(50'000);
+    const MetricsSnapshot s0 = MetricsSnapshot::capture(sys);
+    sys.run(1'000);
+    const MetricsSnapshot s1 = MetricsSnapshot::capture(sys);
+    const MetricsSnapshot d = s1.delta(s0);
+    ASSERT_GT(s0.core.kernelEntries.total(), 0u);
+    for (const auto &[reason, n] : s1.core.kernelEntries.all())
+        EXPECT_EQ(d.core.kernelEntries.get(reason),
+                  n - s0.core.kernelEntries.get(reason))
+            << reason;
+}
+
+TEST(Metrics, FetchSharesArePerCoreCycle)
+{
+    MachineConfig cfg = smtConfig();
+    cfg.cores = 2;
+    System sys(cfg);
+    sys.start();
+    const MetricsSnapshot s0 = MetricsSnapshot::capture(sys);
+    sys.run(20'000);
+    const MetricsSnapshot d = MetricsSnapshot::capture(sys).delta(s0);
+    ASSERT_EQ(d.cores.size(), 2u);
+    const double coreCycles = 2.0 * static_cast<double>(d.core.cycles);
+    const ArchMetrics a = archMetrics(d);
+    EXPECT_GT(d.core.zeroFetchCycles, 0u);
+    EXPECT_LE(a.zeroFetchPct, 100.0);
+    EXPECT_LE(a.zeroIssuePct, 100.0);
+    EXPECT_LE(a.maxIssuePct, 100.0);
+    EXPECT_DOUBLE_EQ(a.zeroFetchPct,
+                     pct(static_cast<double>(d.core.zeroFetchCycles),
+                         coreCycles));
+    EXPECT_DOUBLE_EQ(a.zeroIssuePct,
+                     pct(static_cast<double>(d.core.zeroIssueCycles),
+                         coreCycles));
+    EXPECT_DOUBLE_EQ(a.maxIssuePct,
+                     pct(static_cast<double>(d.core.maxIssueCycles),
+                         coreCycles));
+}
+
 TEST(Metrics, ServiceGroupNamesResolve)
 {
     for (int t = 0; t < NumServiceTags; ++t) {
         EXPECT_STRNE(serviceTagName(t), "?");
         EXPECT_STRNE(serviceGroupName(serviceGroupOf(t)), "?");
     }
+}
+
+// --- The counter-struct field lists (common/counters.h) ---
+
+namespace {
+
+/** Give every counter reachable through the list a distinct value. */
+template <typename T>
+void
+fillCounters(T &s, std::uint64_t &next)
+{
+    if constexpr (std::is_arithmetic_v<T>) {
+        s = static_cast<T>(next++);
+    } else if constexpr (std::is_array_v<T>) {
+        for (auto &e : s)
+            fillCounters(e, next);
+    } else if constexpr (isCounterVector<T>) {
+        s.resize(2);
+        for (auto &e : s)
+            fillCounters(e, next);
+    } else if constexpr (std::is_same_v<T, CounterMap>) {
+        s.add("a", next++);
+        s.add("b", next++);
+    } else if constexpr (std::is_same_v<T, Sampler>) {
+        const double sum = static_cast<double>(next++);
+        s = Sampler::fromSumCount(sum, next++);
+    } else if constexpr (isNamedCounts<T>) {
+        s["a"] = next++;
+        s["b"] = next++;
+    } else {
+        T::fields([&](auto, auto &&m) { fillCounters(counterOf(m), next); },
+                  s);
+    }
+}
+
+std::string
+keyName(const char *key)
+{
+    return key;
+}
+
+std::string
+keyName(std::nullptr_t)
+{
+    return "(unexported)";
+}
+
+/** Expect @p d == @p b field by field, except that the chip cycle of
+ *  a sum a + b is max(a, b), so its delta against a is max(a, b) - a. */
+template <typename T>
+void
+expectDeltaOfSum(const T &d, const T &a, const T &b, const std::string &at)
+{
+    if constexpr (std::is_arithmetic_v<T> || isNamedCounts<T>) {
+        EXPECT_EQ(d, b) << at;
+    } else if constexpr (std::is_array_v<T>) {
+        for (std::size_t i = 0; i < std::size(d); ++i)
+            expectDeltaOfSum(d[i], a[i], b[i],
+                             at + "[" + std::to_string(i) + "]");
+    } else if constexpr (isCounterVector<T>) {
+        ASSERT_EQ(d.size(), b.size()) << at;
+        const typename T::value_type none{};
+        for (std::size_t i = 0; i < d.size(); ++i)
+            expectDeltaOfSum(d[i], a.empty() ? none : a[i], b[i],
+                             at + "[" + std::to_string(i) + "]");
+    } else if constexpr (std::is_same_v<T, CounterMap>) {
+        EXPECT_EQ(d.all(), b.all()) << at;
+    } else if constexpr (std::is_same_v<T, Sampler>) {
+        EXPECT_EQ(d.sum(), b.sum()) << at;
+        EXPECT_EQ(d.count(), b.count()) << at;
+    } else {
+        T::fields(
+            [&](auto key, auto &&dm, auto &&am, auto &&bm) {
+                const std::string name = at + "." + keyName(key);
+                if constexpr (isMarker<std::decay_t<decltype(dm)>, Peak>)
+                    EXPECT_EQ(dm.v, std::max(am.v, bm.v) - am.v) << name;
+                else
+                    expectDeltaOfSum(counterOf(dm), counterOf(am),
+                                     counterOf(bm), name);
+            },
+            d, a, b);
+    }
+}
+
+/** Bytes of a struct's members that its list leaves out (flags). */
+template <typename T>
+constexpr std::size_t unlistedBytes = 0;
+template <>
+constexpr std::size_t unlistedBytes<DramStats> = 8; // banked + padding
+template <>
+constexpr std::size_t unlistedBytes<OverloadStats> = 8; // enabled + pad
+template <>
+constexpr std::size_t unlistedBytes<ReqTraceStats> = 8; // enabled
+
+template <typename T>
+class CounterList : public ::testing::Test
+{
+};
+
+using CounterStructs =
+    ::testing::Types<CoreStats, InterferenceStats, FaultCounters,
+                     DramStats, CoherenceStats, LockStats, SmpStats,
+                     OverloadStats, ReqTraceStats, FidelityStats,
+                     LatencySummary, CoreSlice, MetricsSnapshot>;
+
+} // namespace
+
+TYPED_TEST_SUITE(CounterList, CounterStructs);
+
+TYPED_TEST(CounterList, DeltaOfSumIsTheAddend)
+{
+    TypeParam a, b;
+    std::uint64_t next = 1;
+    fillCounters(a, next);
+    fillCounters(b, next);
+    TypeParam sum = a;
+    addCounters(sum, b);
+    expectDeltaOfSum(counterDelta(sum, a), a, b, "sum");
+    // Against a default capture (empty vectors and maps) a delta keeps
+    // the later values.
+    expectDeltaOfSum(counterDelta(b, TypeParam{}), TypeParam{}, b,
+                     "default");
+}
+
+// A member added to a struct but not to its field list would be
+// skipped by every delta, sum, export and snapshot walk.
+TYPED_TEST(CounterList, ListsEveryMember)
+{
+    TypeParam s;
+    std::size_t listed = 0;
+    TypeParam::fields(
+        [&listed](auto, auto &&m) { listed += sizeof(counterOf(m)); }, s);
+    EXPECT_EQ(sizeof(TypeParam), listed + unlistedBytes<TypeParam>);
 }

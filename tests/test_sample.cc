@@ -163,7 +163,7 @@ TEST(Functional, CoversAllModes)
     EXPECT_GT(cs.retired[static_cast<int>(Mode::Kernel)], 0u);
     EXPECT_GT(cs.retired[static_cast<int>(Mode::Pal)], 0u);
     EXPECT_GT(cs.retired[static_cast<int>(Mode::Idle)], 0u);
-    EXPECT_EQ(cs.totalRetired(), sys.pipeline().funcInstrs());
+    EXPECT_EQ(cs.totalRetired(), sys.pipeline().fidelityStats().funcInstrs);
 }
 
 // Switch-point torture: alternate fidelity every leg across fuzzed
@@ -196,8 +196,8 @@ TEST(FidelitySwitch, TortureStaysCosimClean)
             EXPECT_TRUE(sys.pipeline().auditInvariants().empty())
                 << sys.pipeline().auditInvariants();
         }
-        EXPECT_GT(sys.pipeline().fidelitySwitches(), 8u);
-        EXPECT_GT(sys.pipeline().funcInstrs(), 0u);
+        EXPECT_GT(sys.pipeline().fidelityStats().switches, 8u);
+        EXPECT_GT(sys.pipeline().fidelityStats().funcInstrs, 0u);
     });
 }
 
@@ -230,7 +230,7 @@ TEST(FidelitySwitch, NoOpToggleIsExportInvisible)
             sys.pipeline().setFidelity(Fidelity::Detailed);
         }
         sys.runCycles(10000);
-        EXPECT_EQ(sys.pipeline().funcInstrs(), 0u);
+        EXPECT_EQ(sys.pipeline().fidelityStats().funcInstrs, 0u);
         return exportAll(sys);
     };
     EXPECT_EQ(run(false, false), run(true, false));
@@ -457,7 +457,7 @@ TEST(SampleSnapshot, FunctionalArtifactPreservesFidelity)
 
     Session a(cfg);
     a.runStartup();
-    const std::uint64_t fi = a.system().pipeline().funcInstrs();
+    const std::uint64_t fi = a.system().pipeline().fidelityStats().funcInstrs;
     EXPECT_GT(fi, 0u);
     const std::vector<std::uint8_t> art = a.snapshot();
 
@@ -469,10 +469,10 @@ TEST(SampleSnapshot, FunctionalArtifactPreservesFidelity)
     EXPECT_EQ(b->config().fidelity, Fidelity::Functional);
     EXPECT_EQ(b->system().pipeline().fidelity(),
               Fidelity::Functional);
-    EXPECT_EQ(b->system().pipeline().funcInstrs(), fi);
+    EXPECT_EQ(b->system().pipeline().fidelityStats().funcInstrs, fi);
     // The resumed run keeps executing functionally.
     const RunResult rb = b->runMeasurement();
-    EXPECT_GT(b->system().pipeline().funcInstrs(), fi);
+    EXPECT_GT(b->system().pipeline().fidelityStats().funcInstrs, fi);
     EXPECT_TRUE(rb.steady.fidelity.enabled());
 
     // Resume-time override: force the artifact back to detailed.
@@ -481,7 +481,7 @@ TEST(SampleSnapshot, FunctionalArtifactPreservesFidelity)
     ASSERT_TRUE(c) << err;
     EXPECT_EQ(c->system().pipeline().fidelity(), Fidelity::Detailed);
     c->runMeasurement();
-    EXPECT_EQ(c->system().pipeline().funcInstrs(), fi);
+    EXPECT_EQ(c->system().pipeline().fidelityStats().funcInstrs, fi);
 }
 
 // A detailed start-up artifact resumes into a sampled measurement via

@@ -62,11 +62,11 @@ Kernel::setOpenLoop(const OpenLoopParams &p)
 OverloadStats
 Kernel::overloadStats() const
 {
-    OverloadStats o;
-    o.enabled = params_.admit.enabled() ||
-                (clients_ && clients_->openLoopEnabled());
-    if (!o.enabled)
-        return o;
+    if (!params_.admit.enabled() &&
+        !(clients_ && clients_->openLoopEnabled()))
+        return {};
+    OverloadStats o = overload_;
+    o.enabled = true;
     if (clients_) {
         o.offeredArrivals = clients_->arrivals();
         o.arrivalOverflows = clients_->arrivalOverflows();
@@ -74,11 +74,6 @@ Kernel::overloadStats() const
         o.clientAborts = clients_->aborts();
         o.slowCompletions = clients_->slowCompletions();
     }
-    o.admitDropTail = admitDropTail_;
-    o.admitRedDrops = admitRedDrops_;
-    o.admitShed = admitShed_;
-    o.mbufExhausted = mbufExhausted_;
-    o.mbufTxWraps = mbufTxWraps_;
     return o;
 }
 
@@ -333,7 +328,7 @@ Kernel::interrupt(Context &ctx, ThreadState &t, std::uint16_t vector)
                 conns_[static_cast<size_t>(p.conn)] = Connection{};
                 p.conn = -1;
             }
-            ++mceKills_;
+            ++faultCounts_.mceKills;
             if (faults_)
                 faults_->note(nowCycle_, FaultKind::MceKill,
                               static_cast<std::uint64_t>(p.pid));
@@ -474,14 +469,19 @@ Kernel::injectMce(Cycle now)
 FaultCounters
 Kernel::faultCounters() const
 {
-    FaultCounters c;
-    if (faults_)
-        c = faults_->injected();
-    // The kernel's own counters are authoritative (they also exist
-    // without a plan attached, e.g. conn-table drops under overload).
-    c.synDrops = synDrops_;
-    c.backlogDrops = backlogDrops_;
-    c.mceKills = mceKills_;
+    // The kernel's own counters are authoritative: they also exist
+    // without a plan attached (e.g. conn-table drops under overload).
+    // The plan notes the same three events, so only its injection
+    // counters are taken.
+    FaultCounters c = faultCounts_;
+    if (faults_) {
+        const FaultCounters &p = faults_->injected();
+        c.pktLost = p.pktLost;
+        c.pktDelayed = p.pktDelayed;
+        c.pktReordered = p.pktReordered;
+        c.nicIntrDrops = p.nicIntrDrops;
+        c.mceRaised = p.mceRaised;
+    }
     if (clients_) {
         c.retransmits = clients_->retransmits();
         c.clientAborts = clients_->aborts();

@@ -314,7 +314,7 @@ class Kernel : public OsCallbacks
     bool startupComplete() const;
 
     // --- snapshot/restore (src/snap) ---
-    static constexpr std::uint32_t snapVersion = 2;
+    static constexpr std::uint32_t snapVersion = 3;
     /**
      * All mutable kernel state. Loading requires a freshly booted
      * kernel (createProcess + start() already called with the
@@ -479,9 +479,9 @@ class Kernel : public OsCallbacks
     std::uint64_t diskReads_ = 0;
     std::uint64_t switches_ = 0;
     std::uint64_t wraparounds_ = 0;
-    std::uint64_t synDrops_ = 0;
-    std::uint64_t backlogDrops_ = 0;
-    std::uint64_t mceKills_ = 0;
+    /** The kernel's backpressure counters (synDrops, backlogDrops,
+     *  mceKills); faultCounters() adds the plan's and the clients'. */
+    FaultCounters faultCounts_;
     std::size_t faultLogEmitted_ = 0;
 
     // Overload protection (inert in default runs: admit_ is null and
@@ -490,11 +490,9 @@ class Kernel : public OsCallbacks
     /** RX-region unit bitmap (96 x 2KB units; see netstack.cc). */
     std::array<std::uint64_t, 2> mbufRxMap_{};
     Addr mbufTxCursor_ = 0;
-    std::uint64_t admitDropTail_ = 0;
-    std::uint64_t admitRedDrops_ = 0;
-    std::uint64_t admitShed_ = 0;
-    std::uint64_t mbufExhausted_ = 0;
-    std::uint64_t mbufTxWraps_ = 0;
+    /** The kernel side (admission and mbuf counters); overloadStats()
+     *  adds the client side. */
+    OverloadStats overload_;
 };
 
 } // namespace smtos

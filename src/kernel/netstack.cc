@@ -93,7 +93,7 @@ Kernel::allocTxMbuf(std::uint32_t bytes)
         (static_cast<Addr>(bytes) + mbufUnit - 1) & ~(mbufUnit - 1);
     if (mbufTxCursor_ + need > mbufTxBytes) {
         mbufTxCursor_ = 0;
-        ++mbufTxWraps_;
+        ++overload_.mbufTxWraps;
     }
     const Addr a = mbufPoolBase + mbufTxBase + mbufTxCursor_;
     mbufTxCursor_ += need;
@@ -144,7 +144,7 @@ Kernel::shedStaleAccepts()
         if (cn.acceptedAt + ap.shedDeadline > nowCycle_)
             break;
         acceptQ_.pop_front();
-        ++admitShed_;
+        ++overload_.admitShed;
         if (probes_) {
             probes_->reqDrop("admit-shed", cn.client, cn.reqSeq,
                              nowCycle_);
@@ -211,7 +211,7 @@ Kernel::driverRx(Process &p)
                 // legacy silent recycle. The next NIC tick re-raises
                 // the interrupt while the ring is non-empty, so the
                 // held packets drain as connections close.
-                ++mbufExhausted_;
+                ++overload_.mbufExhausted;
                 if (probes_)
                     probes_->reqDrop("mbuf-backpressure", pkt.client,
                                      pkt.reqSeq, nowCycle_);
@@ -255,7 +255,7 @@ Kernel::netisrDeliver(Process &p)
             faults_ ? faults_->params().listenBacklog : 0;
         if (backlog > 0 &&
             acceptQ_.size() >= static_cast<size_t>(backlog)) {
-            ++backlogDrops_;
+            ++faultCounts_.backlogDrops;
             faults_->note(nowCycle_, FaultKind::BacklogDrop,
                           static_cast<std::uint64_t>(pkt.client));
             if (probes_)
@@ -279,7 +279,7 @@ Kernel::netisrDeliver(Process &p)
                     shedStaleAccepts();
                 if (static_cast<int>(acceptQ_.size()) >=
                     ap.queueCap) {
-                    ++admitDropTail_;
+                    ++overload_.admitDropTail;
                     if (probes_)
                         probes_->reqDrop("admit-drop-tail",
                                          pkt.client, pkt.reqSeq,
@@ -294,9 +294,9 @@ Kernel::netisrDeliver(Process &p)
             } else if (admit_->shouldDrop(depth)) {
                 const bool tail = depth >= ap.queueCap;
                 if (tail)
-                    ++admitDropTail_;
+                    ++overload_.admitDropTail;
                 else
-                    ++admitRedDrops_;
+                    ++overload_.admitRedDrops;
                 if (probes_)
                     probes_->reqDrop(tail ? "admit-drop-tail"
                                           : "admit-red",
@@ -323,7 +323,7 @@ Kernel::netisrDeliver(Process &p)
             // Connection-table exhaustion is measurable backpressure,
             // not a mere log line: count the drop so overload shows up
             // in MetricsSnapshot / the JSON export.
-            ++synDrops_;
+            ++faultCounts_.synDrops;
             if (faults_)
                 faults_->note(nowCycle_, FaultKind::SynDrop,
                               static_cast<std::uint64_t>(pkt.client));

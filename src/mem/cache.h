@@ -124,7 +124,7 @@ class Cache
     /** Reset statistics (not contents). */
     void resetStats() { stats_.reset(); }
 
-    static constexpr std::uint32_t snapVersion = 1;
+    static constexpr std::uint32_t snapVersion = 2;
     template <typename Ar> void snap(Ar &ar);
 
   private:

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 
+#include "common/counters.h"
 #include "kernel/kernel.h"
 #include "snap/snapshot.h"
 
@@ -45,9 +46,7 @@ Kernel::snap(Ar &ar, const SnapImages &images)
     ar.io(diskReads_);
     ar.io(switches_);
     ar.io(wraparounds_);
-    ar.io(synDrops_);
-    ar.io(backlogDrops_);
-    ar.io(mceKills_);
+    snapCounters(ar, faultCounts_);
     ar.io(faultLogEmitted_);
 
     kernelSpace_->snap(ar);
@@ -166,11 +165,7 @@ Kernel::snap(Ar &ar, const SnapImages &images)
         if (admit_)
             admit_->setRngRawState(admitRng);
     ar.io(mbufTxCursor_);
-    ar.io(admitDropTail_);
-    ar.io(admitRedDrops_);
-    ar.io(admitShed_);
-    ar.io(mbufExhausted_);
-    ar.io(mbufTxWraps_);
+    snapCounters(ar, overload_);
     // The RX unit map is derived state, rebuilt from the restored
     // connections and protocol queues.
     if constexpr (Ar::loading)

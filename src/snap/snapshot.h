@@ -5,7 +5,7 @@
  * A snapshot is a single byte artifact:
  *
  *     magic "SMTOSNP2" (8)  | u32 formatVersion | u64 payloadBytes
- *     u64 fnv1a(payload)    | payload
+ *     u64 snapshotChecksum(payload) | payload
  *
  * and the payload is a strict sequence of sections, each
  *
@@ -45,20 +45,36 @@ class CodeImage;
 constexpr char snapshotMagic[8] = {'S', 'M', 'T', 'O', 'S', 'N', 'P',
                                    '2'};
 
-/** Bumped whenever the section list or header layout changes. */
-constexpr std::uint32_t snapshotFormatVersion = 1;
+/** Bumped whenever the section list, a section's layout or the header
+ *  changes; an artifact of any other version is refused. */
+constexpr std::uint32_t snapshotFormatVersion = 2;
 
 /** Magic, format version, payload length and checksum. */
 constexpr std::size_t snapshotHeaderBytes = 8 + 4 + 8 + 8;
 
-/** FNV-1a over the payload; cheap and order-sensitive. */
+/**
+ * FNV-1a over the payload, folding in one 8-byte word (host byte order)
+ * per multiply and then the 0-7 byte tail a byte at a time. Cheap and
+ * order-sensitive; any change confined to one word changes the hash,
+ * since the xor and the multiply by an odd prime are both bijections
+ * mod 2^64. Words are loaded with memcpy: the payload starts 28 bytes
+ * into the artifact, so it is not 8-byte aligned.
+ */
 inline std::uint64_t
 snapshotChecksum(const std::uint8_t *p, std::size_t n)
 {
+    constexpr std::uint64_t prime = 0x100000001b3ull;
     std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < n; ++i) {
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, p + i, sizeof w);
+        h ^= w;
+        h *= prime;
+    }
+    for (; i < n; ++i) {
         h ^= p[i];
-        h *= 0x100000001b3ull;
+        h *= prime;
     }
     return h;
 }
@@ -100,7 +116,9 @@ sectionTag(const char (&fourcc)[5])
  *                gives equal bytes
  *
  * Everything but io is written once here, over the archives' io and
- * raw byte copy.
+ * raw byte copy. A length read from the artifact is checked against
+ * the bytes left in the section (fits) before it sizes anything; seq
+ * cannot be, as its element size is unknown.
  */
 template <typename Ar>
 class Archive
@@ -121,8 +139,10 @@ class Archive
     {
         std::uint64_t n = v.size();
         self().io(n);
-        if constexpr (Ar::loading)
+        if constexpr (Ar::loading) {
+            self().fits(n, sizeof(T));
             v.resize(n);
+        }
         pod(v);
     }
 
@@ -147,6 +167,7 @@ class Archive
         std::uint64_t n = m.size();
         self().io(n);
         if constexpr (Ar::loading) {
+            self().fits(n, 2 * sizeof(std::uint64_t));
             m.clear();
             m.reserve(n);
             for (; n > 0; --n) {
@@ -326,7 +347,7 @@ class Restorer : public Archive<Restorer>
     {
         std::uint64_t n = 0;
         io(n);
-        need(n);
+        fits(n, 1);
         s.assign(reinterpret_cast<const char *>(buf_.data()) + pos_, n);
         pos_ += n;
     }
@@ -344,8 +365,8 @@ class Restorer : public Archive<Restorer>
         smtos_assert(tag == sectionTag(fourcc));
         io(version);
         io(len);
+        fits(len, 1);
         sectionEnd_ = pos_ + len;
-        smtos_assert(sectionEnd_ <= buf_.size());
         return version;
     }
 
@@ -431,17 +452,26 @@ class Restorer : public Archive<Restorer>
     void
     raw(void *p, std::size_t n)
     {
-        need(n);
+        fits(n, 1);
         if (n > 0) // an empty vector's data() may be null
             std::memcpy(p, buf_.data() + pos_, n);
         pos_ += n;
     }
 
+    /** @p n elements of @p elemBytes each fit in what is left: checked
+     *  before a length read from the artifact sizes or reads anything. */
     void
-    need(std::size_t n)
+    fits(std::uint64_t n, std::size_t elemBytes)
     {
-        smtos_assert(pos_ + n <= buf_.size());
-        smtos_assert(sectionEnd_ == 0 || pos_ + n <= sectionEnd_);
+        smtos_assert(n <= left() / elemBytes);
+    }
+
+    /** Bytes left in the current section (in the payload between
+     *  sections). */
+    std::size_t
+    left() const
+    {
+        return (sectionEnd_ != 0 ? sectionEnd_ : buf_.size()) - pos_;
     }
 
     std::span<const std::uint8_t> buf_;

@@ -11,6 +11,7 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <utility>
 #include <vector>
@@ -121,20 +122,42 @@ SMTOS_SNAP_INSTANTIATE(MissClassifier);
 
 // --- mem/cache.h ---
 
+/**
+ * A valid-way bitmap (way i is bit i % 64 of word i / 64), then the records
+ * of the valid ways in index order. An invalid way's fields never reach
+ * the simulation (a hit tests valid first, the victim is the first
+ * invalid way whatever it holds, a fill overwrites every field), so it
+ * is not written and restores as Line{}.
+ */
 template <typename Ar>
 void
 Cache::snap(Ar &ar)
 {
     ar.expect(snapVersion);
-    ar.expect(lines_.size());
-    for (Line &l : lines_) {
-        ar.io(l.valid);
-        ar.io(l.dirty);
-        ar.io(l.blockAddr);
-        ar.io(l.lruStamp);
-        ar.io(l.fillerThread);
-        ar.io(l.fillerKernel);
-        ar.io(l.touchedMask);
+    const std::size_t ways = lines_.size();
+    std::vector<std::uint64_t> valid((ways + 63) / 64);
+    if constexpr (!Ar::loading)
+        for (std::size_t i = 0; i < ways; ++i)
+            valid[i / 64] |= std::uint64_t{lines_[i].valid} << (i % 64);
+    ar.expect(valid.size());
+    ar.pod(valid);
+    if constexpr (Ar::loading) {
+        if (ways % 64 != 0)
+            smtos_assert(valid.back() >> (ways % 64) == 0);
+        std::fill(lines_.begin(), lines_.end(), Line{});
+    }
+    for (std::size_t w = 0; w < valid.size(); ++w) {
+        for (std::uint64_t bits = valid[w]; bits != 0; bits &= bits - 1) {
+            Line &l = lines_[w * 64 + std::countr_zero(bits)];
+            if constexpr (Ar::loading)
+                l.valid = true;
+            ar.io(l.dirty);
+            ar.io(l.blockAddr);
+            ar.io(l.lruStamp);
+            ar.io(l.fillerThread);
+            ar.io(l.fillerKernel);
+            ar.io(l.touchedMask);
+        }
     }
     ar.io(tick_);
     classifier_.snap(ar);

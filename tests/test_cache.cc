@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "mem/cache.h"
@@ -39,6 +41,28 @@ tiny()
     p.assoc = 2;        // 8 sets
     p.lineBytes = 64;
     return p;
+}
+
+/** @p c's snapshot blob, in one section. */
+std::vector<std::uint8_t>
+image(Cache &c)
+{
+    Snapshotter s;
+    s.beginSection("HIER", Cache::snapVersion);
+    c.snap(s);
+    s.endSection();
+    return s.finish();
+}
+
+/** Load @p bytes, written by image(), into @p c. */
+void
+restore(Cache &c, const std::vector<std::uint8_t> &bytes)
+{
+    Restorer r(bytes);
+    ASSERT_TRUE(r.ok()) << r.error();
+    r.beginSection("HIER", Cache::snapVersion);
+    c.snap(r);
+    r.endSection();
 }
 
 } // namespace
@@ -174,13 +198,6 @@ TEST(Cache, InvalidatedWaysNeverMatchTheirStaleTag)
          }},
         {"invalidateAll", [](Cache &c) { c.invalidateAll(); }},
     };
-    auto image = [](Cache &c) {
-        Snapshotter s;
-        s.beginSection("HIER", Cache::snapVersion);
-        c.snap(s);
-        s.endSection();
-        return s.finish();
-    };
     auto expectXMisses = [&](Cache &c) {
         EXPECT_FALSE(c.probe(x));
         EXPECT_FALSE(c.probeDirty(x));
@@ -197,16 +214,114 @@ TEST(Cache, InvalidatedWaysNeverMatchTheirStaleTag)
 
         const std::vector<std::uint8_t> bytes = image(a);
         Cache b(tiny());
-        Restorer r(bytes);
-        ASSERT_TRUE(r.ok()) << r.error();
-        r.beginSection("HIER", Cache::snapVersion);
-        b.snap(r);
-        r.endSection();
+        restore(b, bytes);
         EXPECT_EQ(image(b), bytes);
 
         expectXMisses(a);
         expectXMisses(b);
     }
+}
+
+// A snapshot writes a valid-way bitmap and the records of the valid
+// ways only; a fresh cache restored from it answers every probe and
+// every next access as the original does.
+TEST(Cache, SnapshotHoldsOnlyValidWays)
+{
+    CacheParams p = tiny();
+    p.sizeBytes = 8 * 1024; // 128 ways, 64 sets: a two-word bitmap
+    const Addr setStride = 64 * 64;
+    const Addr dirty = 0x0000, shared = 0x0040, gone = 0x0080,
+               snooped = 0x00c0, sameSet = dirty + setStride,
+               highWord = 0x0800; // set 32: ways 64-65, bitmap word 1
+    Cache a(p);
+    a.access(dirty, user(1), true);
+    a.access(shared, kern(2), false);
+    a.access(shared, user(3), false); // touched by a second thread
+    a.access(gone, user(1), false);
+    a.access(snooped, user(1), true);
+    a.access(sameSet, user(4), false);
+    a.access(highWord, kern(5), true);
+    a.invalidateBlock(gone);
+    a.snoopInvalidate(snooped);
+
+    // Bitmap and valid records, around what does not depend on the
+    // ways: version tag, bitmap length, tick, classifier and counters.
+    MissClassifier invalidated;
+    invalidated.recordInvalidation(a.blockOf(gone));
+    invalidated.recordInvalidation(a.blockOf(snooped));
+    Snapshotter cs;
+    invalidated.snap(cs);
+    const std::size_t classifierBytes =
+        cs.finish().size() - snapshotHeaderBytes;
+    const std::size_t fixed = sizeof(std::uint32_t) +
+                              sizeof(std::uint64_t) +
+                              sizeof(std::uint64_t) + classifierBytes +
+                              sizeof(InterferenceStats);
+    // dirty, blockAddr, lruStamp, fillerThread, fillerKernel, touchedMask
+    const std::size_t record = 1 + 8 + 8 + sizeof(ThreadId) + 1 + 8;
+    const std::size_t ways = 128, valid = 4;
+    const std::size_t section = 16; // fourcc, version, length
+    const std::vector<std::uint8_t> bytes = image(a);
+    EXPECT_EQ(bytes.size() - snapshotHeaderBytes - section,
+              fixed + ways / 8 + valid * record);
+
+    Cache b(p);
+    restore(b, bytes);
+    EXPECT_EQ(image(b), bytes);
+    for (Addr x : {dirty, shared, gone, snooped, sameSet, highWord,
+                   Addr{0x0100}}) {
+        SCOPED_TRACE(x);
+        EXPECT_EQ(a.probe(x), b.probe(x));
+        EXPECT_EQ(a.probeDirty(x), b.probeDirty(x));
+    }
+
+    // Next accesses: a shared-avoidance hit, a dirty LRU victim, a
+    // refill over an invalidated way, a hit on the high bitmap word.
+    const std::pair<Addr, AccessInfo> next[] = {
+        {shared, user(6)},
+        {dirty + 2 * setStride, user(1)},
+        {gone + setStride, kern(2)},
+        {gone, user(1)},
+        {highWord, user(5)},
+    };
+    std::vector<CacheOutcome> got;
+    for (const auto &[x, who] : next) {
+        SCOPED_TRACE(x);
+        const CacheOutcome oa = a.access(x, who, false);
+        const CacheOutcome ob = b.access(x, who, false);
+        EXPECT_EQ(oa.hit, ob.hit);
+        EXPECT_EQ(oa.cause, ob.cause);
+        EXPECT_EQ(oa.sharedAvoidance, ob.sharedAvoidance);
+        EXPECT_EQ(oa.fillerKernel, ob.fillerKernel);
+        EXPECT_EQ(oa.dirtyEviction, ob.dirtyEviction);
+        got.push_back(ob);
+    }
+    EXPECT_TRUE(got[0].hit && got[0].sharedAvoidance && got[0].fillerKernel);
+    EXPECT_TRUE(got[1].dirtyEviction);
+    EXPECT_FALSE(b.probe(dirty)); // the LRU way of its set
+    EXPECT_TRUE(b.probe(sameSet));
+    EXPECT_EQ(got[3].cause, MissCause::OsInvalidation);
+    EXPECT_TRUE(got[4].hit);
+    EXPECT_EQ(image(a), image(b));
+}
+
+// A bitmap bit past the last way names no way: the load asserts
+// before it touches a line.
+TEST(CacheDeathTest, BitmapBitPastTheWaysAsserts)
+{
+    Snapshotter s; // tiny(): 16 ways, one bitmap word
+    s.beginSection("HIER", Cache::snapVersion);
+    s.io(Cache::snapVersion);
+    s.io(std::uint64_t{1});       // bitmap words
+    s.io(std::uint64_t{1} << 16); // way 16
+    s.endSection();
+    const std::vector<std::uint8_t> bytes = s.finish();
+    Cache c(tiny());
+    Restorer r(bytes);
+    ASSERT_TRUE(r.ok()) << r.error();
+    r.beginSection("HIER", Cache::snapVersion);
+    EXPECT_EXIT(c.snap(r), ::testing::KilledBySignal(SIGABRT),
+                "assertion failed");
 }
 
 TEST(Cache, ConstructiveSharingDetected)

@@ -67,7 +67,7 @@ class KernelTestPeer
     }
     static std::uint64_t txWraps(const Kernel &k)
     {
-        return k.mbufTxWraps_;
+        return k.overload_.mbufTxWraps;
     }
 };
 

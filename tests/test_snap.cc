@@ -10,10 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "harness/cosim.h"
@@ -273,6 +277,18 @@ TEST(SnapArtifact, RejectsCorruptTruncatedAndVersionSkew)
         bad[8] += 1;
         rejects(bad);
     }
+    // Format version 1 (dense cache ways, byte-wise checksum) has no
+    // reader: it is refused by name.
+    {
+        std::vector<std::uint8_t> bad = artifact;
+        const std::uint32_t v1 = 1;
+        std::memcpy(bad.data() + 8, &v1, sizeof v1);
+        std::string err;
+        EXPECT_EQ(Session::resume(bad, Session::ResumeOptions{}, &err),
+                  nullptr);
+        EXPECT_NE(err.find("format version 1 "), std::string::npos)
+            << err;
+    }
     // Payload corruption: the checksum gate must catch a single
     // flipped bit anywhere in the payload.
     {
@@ -289,6 +305,72 @@ TEST(SnapArtifact, RejectsCorruptTruncatedAndVersionSkew)
     }
     // Empty.
     rejects({});
+}
+
+// Flipping any one bit of a payload of any length changes the checksum:
+// the 8-byte word loop and the 0-7 byte tail both see every bit.
+TEST(SnapChecksum, EveryBitFlipChangesTheHash)
+{
+    std::vector<std::uint8_t> buf(40);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    for (std::size_t n = 0; n <= buf.size(); ++n) {
+        const std::uint64_t h = snapshotChecksum(buf.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (int bit = 0; bit < 8; ++bit) {
+                buf[i] ^= static_cast<std::uint8_t>(1u << bit);
+                EXPECT_NE(snapshotChecksum(buf.data(), n), h)
+                    << "length " << n << " byte " << i << " bit " << bit;
+                buf[i] ^= static_cast<std::uint8_t>(1u << bit);
+            }
+        }
+    }
+}
+
+// The same bytes hash equal at any offset: the words of a payload
+// (28 bytes into its artifact) are not 8-byte aligned, and a word load
+// through a cast would be one UBSan reports.
+TEST(SnapChecksum, UnalignedBytesHashEqual)
+{
+    std::vector<std::uint8_t> bytes(37);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i * 91 + 5);
+    const std::uint64_t h = snapshotChecksum(bytes.data(), bytes.size());
+    std::vector<std::uint8_t> buf(bytes.size() + 8);
+    for (std::size_t off = 1; off < 8; ++off) {
+        std::copy(bytes.begin(), bytes.end(), buf.begin() + off);
+        EXPECT_EQ(snapshotChecksum(buf.data() + off, bytes.size()), h)
+            << "offset " << off;
+    }
+}
+
+// A length read from an artifact is checked against the bytes left in
+// its section before it sizes a container: a crafted length with a
+// valid checksum trips the framing assertion instead of allocating.
+TEST(SnapArchiveDeathTest, LengthPastTheSectionAsserts)
+{
+    Snapshotter s;
+    s.beginSection("TEST", 1);
+    s.io(std::uint64_t{1} << 40); // element count
+    s.io(std::uint64_t{7});       // one element's bytes
+    s.endSection();
+    const std::vector<std::uint8_t> bytes = s.finish();
+    const auto loaded = [&bytes](auto load) {
+        Restorer r(bytes);
+        ASSERT_TRUE(r.ok()) << r.error();
+        r.beginSection("TEST", 1);
+        load(r);
+    };
+    EXPECT_EXIT(loaded([](Restorer &r) {
+                    std::vector<std::uint64_t> v;
+                    r.vec(v);
+                }),
+                ::testing::KilledBySignal(SIGABRT), "assertion failed");
+    EXPECT_EXIT(loaded([](Restorer &r) {
+                    std::unordered_map<std::uint64_t, std::uint64_t> m;
+                    r.map(m);
+                }),
+                ::testing::KilledBySignal(SIGABRT), "assertion failed");
 }
 
 // The sweep engine is restore fan-out: every point must reproduce the

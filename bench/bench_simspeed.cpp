@@ -2,11 +2,13 @@
  * @file
  * Google-benchmark microbenchmarks of the simulator itself:
  * simulation rate (simulated instructions per host second) for each
- * workload/configuration, plus core substrate hot paths.
+ * workload/configuration, the cost of a snapshot resume, plus core
+ * substrate hot paths.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -97,6 +99,34 @@ BM_SimRate_SpecIntSampled(benchmark::State &state)
         benchmark::DoNotOptimize(r.sample.cpi.mean);
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+/**
+ * Session::resume of an Apache 1x8 start-up artifact. With the origin
+ * session alive (origin_alive:1) the resume shares its code images;
+ * once the origin is gone (origin_alive:0) every resume builds them.
+ * The resumed session's teardown is not timed.
+ */
+void
+BM_SessionResume(benchmark::State &state)
+{
+    Session::Config s;
+    s.workload.kind = WorkloadConfig::Kind::Apache;
+    s.phases.startupInstrs = 260'000;
+    auto origin = std::make_unique<Session>(s);
+    origin->runStartup();
+    const std::vector<std::uint8_t> artifact = origin->snapshot();
+    if (state.range(0) == 0)
+        origin.reset();
+    Session::ResumeOptions opts;
+    opts.phases = s.phases;
+    for (auto _ : state) {
+        std::unique_ptr<Session> r = Session::resume(artifact, opts);
+        benchmark::DoNotOptimize(r.get());
+        state.PauseTiming();
+        r.reset();
+        state.ResumeTiming();
+    }
 }
 
 void
@@ -238,6 +268,11 @@ BENCHMARK(BM_SimRate_ApacheFunctional)->Arg(1000000)->Unit(
     benchmark::kMillisecond);
 BENCHMARK(BM_SimRate_SpecIntSampled)->Arg(1000000)->Unit(
     benchmark::kMillisecond);
+BENCHMARK(BM_SessionResume)
+    ->ArgName("origin_alive")
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CacheAccess);
 BENCHMARK(BM_PredictorTrain);
 BENCHMARK(BM_FixedRing);

@@ -5,10 +5,12 @@
  * Simulated systems are single-threaded by design, but a sweep (a
  * bench over context counts, a fault-rate grid, a fuzzer over seeds)
  * is embarrassingly parallel: every Session builds its own System,
- * PhysMem, and workload, so runs share no mutable state. This runner
- * executes a batch of configs on a small thread pool, one complete
- * experiment per task, and returns results in config order — output
- * ordering is deterministic regardless of which run finishes first.
+ * PhysMem and kernel state, and runs share only immutable code
+ * images, handed out by one mutex-guarded table per image kind
+ * (isa/imagetable.h). This runner executes a batch of configs on a
+ * small thread pool, one complete experiment per task, and returns
+ * results in config order — output ordering is deterministic
+ * regardless of which run finishes first.
  *
  * Per-run global state (the trace cycle clock, the crash hook, the
  * diagnostics arming) is thread-local, so concurrent runs neither

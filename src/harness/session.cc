@@ -197,13 +197,13 @@ Session::Session(const Config &cfg, bool consultAmbient, bool forcePlan)
     if (cfg_.workload.kind == WorkloadConfig::Kind::SpecInt) {
         SpecIntParams p = cfg_.workload.spec;
         p.seed ^= cfg_.workload.seed;
-        specW_ = buildSpecInt(p);
-        installSpecInt(sys_->kernel(), specW_);
+        specW_ = sharedSpecInt(p);
+        installSpecInt(sys_->kernel(), *specW_);
     } else {
         ApacheParams p = cfg_.workload.apache;
         p.seed ^= cfg_.workload.seed;
-        apacheW_ = buildApache(p);
-        installApache(sys_->kernel(), apacheW_);
+        apacheW_ = sharedApache(p);
+        installApache(sys_->kernel(), *apacheW_);
     }
 
     // The oracle must observe the initial thread binds in start().

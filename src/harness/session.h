@@ -263,6 +263,11 @@ class Session
     void validate() const;
 
     Config cfg_;
+    /** The workload's code images (one of the two is set), shared
+     *  with every live Session of the same workload params. Declared
+     *  before sys_, whose processes point into them. */
+    std::shared_ptr<const SpecIntWorkload> specW_;
+    std::shared_ptr<const ApacheWorkload> apacheW_;
     std::unique_ptr<System> sys_;
     std::unique_ptr<FaultPlan> ownedPlan_;
     FaultPlan *plan_ = nullptr;
@@ -270,8 +275,6 @@ class Session
     ObsSession *obs_ = nullptr;
     std::unique_ptr<InvariantAuditor> auditor_;
     std::unique_ptr<Cosim> cosim_;
-    SpecIntWorkload specW_;
-    ApacheWorkload apacheW_;
     MetricsSnapshot atBuild_;
     MetricsSnapshot startupDelta_;
     bool startupDone_ = false;

@@ -13,6 +13,8 @@ runSweep(const SweepGroup &group, unsigned jobs)
         // The base session exists only to produce the shared
         // snapshot; destroy it (and release its machine) before the
         // fan-out so the peak footprint is points, not points + 1.
+        // Its code images go with it: points that resume at once
+        // share one new build of each (isa/imagetable.h).
         Session base(group.base);
         base.runStartup();
         artifact = base.snapshot();

@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "isa/imagetable.h"
 #include "kernel/layout.h"
 #include "kernel/tags.h"
 
@@ -559,6 +560,13 @@ buildKernelImage(std::uint64_t seed)
 
     img.finalize();
     return kc;
+}
+
+std::shared_ptr<const KernelCode>
+sharedKernelImage(std::uint64_t seed)
+{
+    static ImageTable<std::uint64_t, KernelCode> table;
+    return table.get(seed, [seed] { return buildKernelImage(seed); });
 }
 
 } // namespace smtos

@@ -134,6 +134,13 @@ struct KernelCode
  */
 std::unique_ptr<KernelCode> buildKernelImage(std::uint64_t seed);
 
+/**
+ * The kernel image of @p seed, built once and shared by every holder
+ * while one lives (isa/imagetable.h). System takes its image from
+ * here; buildKernelImage() gives a private copy.
+ */
+std::shared_ptr<const KernelCode> sharedKernelImage(std::uint64_t seed);
+
 } // namespace smtos
 
 #endif // SMTOS_KERNEL_IMAGE_H

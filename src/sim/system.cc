@@ -5,7 +5,7 @@ namespace smtos {
 System::System(const MachineConfig &cfg)
     : cfg_(cfg),
       mem_(128ull * 1024 * 1024, reservedPhysBytes),
-      kc_(buildKernelImage(cfg.kernel.seed ^ 0xfeedull)),
+      kc_(sharedKernelImage(cfg.kernel.seed ^ 0xfeedull)),
       uncore_(cfg.mem)
 {
     for (int c = 0; c < cfg.cores; ++c) {

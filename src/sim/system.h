@@ -83,7 +83,9 @@ class System
     MachineConfig cfg_;
     Probes *probes_ = nullptr;
     PhysMem mem_;
-    std::unique_ptr<KernelCode> kc_;
+    /** Shared with every live System of the same kernel seed
+     *  (sharedKernelImage); the kernel and the cores point into it. */
+    std::shared_ptr<const KernelCode> kc_;
     Uncore uncore_;
     std::vector<std::unique_ptr<Hierarchy>> hiers_;
     std::vector<std::unique_ptr<Pipeline>> cores_;

@@ -118,7 +118,7 @@ sectionTag(const char (&fourcc)[5])
  * Everything but io is written once here, over the archives' io and
  * raw byte copy. A length read from the artifact is checked against
  * the bytes left in the section (fits) before it sizes anything; seq
- * cannot be, as its element size is unknown.
+ * checks one byte per element, the least any element's f reads.
  */
 template <typename Ar>
 class Archive
@@ -153,6 +153,7 @@ class Archive
         std::uint64_t n = c.size();
         self().io(n);
         if constexpr (Ar::loading) {
+            self().fits(n, 1);
             c.clear();
             c.resize(n);
         }
@@ -177,14 +178,16 @@ class Archive
                 m.emplace(static_cast<K>(k), static_cast<V>(v));
             }
         } else {
-            std::vector<K> keys;
-            keys.reserve(n);
-            for (const auto &kv : m)
-                keys.push_back(kv.first);
-            std::sort(keys.begin(), keys.end());
-            for (const K &k : keys) {
+            // Keys are unique, so sorting the pairs by key alone
+            // orders them completely.
+            std::vector<std::pair<K, V>> rows(m.begin(), m.end());
+            std::sort(rows.begin(), rows.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.first < b.first;
+                      });
+            for (const auto &[k, v] : rows) {
                 self().io(static_cast<std::uint64_t>(k));
-                self().io(static_cast<std::uint64_t>(m.at(k)));
+                self().io(static_cast<std::uint64_t>(v));
             }
         }
     }

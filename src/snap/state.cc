@@ -91,24 +91,30 @@ void
 MissClassifier::snap(Ar &ar)
 {
     ar.expect(snapVersion);
-    // Sorted by block address, so equal state gives equal bytes.
-    std::vector<Addr> keys;
+    // Sorted by block address, so equal state gives equal bytes. Each
+    // address is held once, so sorting the records by it orders them
+    // completely.
+    std::vector<std::pair<Addr, Evictor>> rows;
     if constexpr (Ar::loading) {
         evictors_.clear();
     } else {
-        keys.reserve(evictors_.size());
-        evictors_.forEach(
-            [&keys](Addr k, const Evictor &) { keys.push_back(k); });
-        std::sort(keys.begin(), keys.end());
+        rows.reserve(evictors_.size());
+        evictors_.forEach([&rows](Addr k, const Evictor &e) {
+            rows.emplace_back(k, e);
+        });
+        std::sort(rows.begin(), rows.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
     }
-    std::uint64_t n = keys.size();
+    std::uint64_t n = rows.size();
     ar.io(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         Addr k = 0;
         Evictor e{};
         if constexpr (!Ar::loading) {
-            k = keys[i];
-            e = *evictors_.find(k);
+            k = rows[i].first;
+            e = rows[i].second;
         }
         ar.io(k);
         ar.io(e.thread);

@@ -1,6 +1,7 @@
 #include "workload/apache.h"
 
 #include "isa/codegen.h"
+#include "isa/imagetable.h"
 #include "kernel/layout.h"
 
 namespace smtos {
@@ -134,6 +135,16 @@ buildApache(const ApacheParams &params)
     img.finalize();
     w.entryFunc = f_main;
     return w;
+}
+
+std::shared_ptr<const ApacheWorkload>
+sharedApache(const ApacheParams &params)
+{
+    static ImageTable<ApacheParams, ApacheWorkload> table;
+    return table.get(params, [&params] {
+        return std::make_shared<const ApacheWorkload>(
+            buildApache(params));
+    });
 }
 
 void

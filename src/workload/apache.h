@@ -9,6 +9,7 @@
 #ifndef SMTOS_WORKLOAD_APACHE_H
 #define SMTOS_WORKLOAD_APACHE_H
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 
@@ -23,6 +24,10 @@ struct ApacheParams
     int numServers = 64;
     Addr heapBytes = 1ull << 20;
     std::uint64_t seed = 4242;
+
+    /** Field by field: sharedApache() keys its table by the whole
+     *  struct, so a field added later joins the key by itself. */
+    auto operator<=>(const ApacheParams &) const = default;
 };
 
 /** A built server workload. */
@@ -35,6 +40,14 @@ struct ApacheWorkload
 
 /** Generate the server image. */
 ApacheWorkload buildApache(const ApacheParams &params);
+
+/**
+ * The workload of @p params, built once and shared by every holder
+ * while one lives (isa/imagetable.h). Session takes its workload from
+ * here; buildApache() gives a private copy.
+ */
+std::shared_ptr<const ApacheWorkload>
+sharedApache(const ApacheParams &params);
 
 /** Create the server processes in @p k. */
 void installApache(Kernel &k, const ApacheWorkload &w);

@@ -1,6 +1,7 @@
 #include "workload/specint.h"
 
 #include "isa/codegen.h"
+#include "isa/imagetable.h"
 #include "kernel/layout.h"
 
 namespace smtos {
@@ -117,6 +118,16 @@ buildSpecInt(const SpecIntParams &params)
         w.images.push_back(std::move(img));
     }
     return w;
+}
+
+std::shared_ptr<const SpecIntWorkload>
+sharedSpecInt(const SpecIntParams &params)
+{
+    static ImageTable<SpecIntParams, SpecIntWorkload> table;
+    return table.get(params, [&params] {
+        return std::make_shared<const SpecIntWorkload>(
+            buildSpecInt(params));
+    });
 }
 
 void

@@ -10,6 +10,7 @@
 #ifndef SMTOS_WORKLOAD_SPECINT_H
 #define SMTOS_WORKLOAD_SPECINT_H
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -29,6 +30,10 @@ struct SpecIntParams
     Addr heapBase = 3ull << 20;
     Addr heapStep = 1ull << 20;
     std::uint64_t seed = 2017;
+
+    /** Field by field: sharedSpecInt() keys its table by the whole
+     *  struct, so a field added later joins the key by itself. */
+    auto operator<=>(const SpecIntParams &) const = default;
 };
 
 /** A built multiprogrammed workload. */
@@ -41,6 +46,14 @@ struct SpecIntWorkload
 
 /** Generate the application images. */
 SpecIntWorkload buildSpecInt(const SpecIntParams &params);
+
+/**
+ * The workload of @p params, built once and shared by every holder
+ * while one lives (isa/imagetable.h). Session takes its workload from
+ * here; buildSpecInt() gives a private copy.
+ */
+std::shared_ptr<const SpecIntWorkload>
+sharedSpecInt(const SpecIntParams &params);
 
 /** Create one process per application in @p k. */
 void installSpecInt(Kernel &k, const SpecIntWorkload &w);

@@ -253,13 +253,19 @@ TEST(PerfParallel, RunnerMatchesSequential)
     specs.push_back(perfSpec(WorkloadConfig::Kind::Apache, 4));
     specs.push_back(perfSpec(WorkloadConfig::Kind::Apache, 2));
     specs[2].workload.seed = 1234;
+    // One seed at more context counts: these runs share one kernel
+    // and one workload key, whose images several threads then request
+    // at once (isa/imagetable.h).
+    specs.push_back(perfSpec(WorkloadConfig::Kind::Apache, 1));
+    specs.push_back(perfSpec(WorkloadConfig::Kind::Apache, 8));
 
     std::vector<std::string> seq;
     for (const Session::Config &s : specs)
         seq.push_back(toJson(Session(s).run().steady));
 
-    // Force real threads even on a single-core host.
-    const std::vector<RunResult> par = runSessions(specs, 3);
+    // Force real threads even on a single-core host, one per run.
+    const std::vector<RunResult> par =
+        runSessions(specs, static_cast<unsigned>(specs.size()));
     ASSERT_EQ(par.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i)
         EXPECT_EQ(toJson(par[i].steady), seq[i]) << "spec " << i;

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -27,6 +28,7 @@
 #include "sim/export.h"
 #include "sim/system.h"
 #include "snap/snapshot.h"
+#include "snap/sysstate.h"
 
 using namespace smtos;
 
@@ -95,6 +97,18 @@ observe(Session &s, const RunResult &r)
     o.cycles = r.cycles;
     o.requestsServed = r.requestsServed;
     return o;
+}
+
+/** @p s's image registry (collectImages: the kernel image, then the
+ *  user images in pid order). */
+std::vector<const CodeImage *>
+imagesOf(Session &s)
+{
+    const SnapImages reg = collectImages(s.system());
+    std::vector<const CodeImage *> v;
+    for (int i = 0; i < reg.count(); ++i)
+        v.push_back(reg.byId(i));
+    return v;
 }
 
 std::string
@@ -371,6 +385,11 @@ TEST(SnapArchiveDeathTest, LengthPastTheSectionAsserts)
                     r.map(m);
                 }),
                 ::testing::KilledBySignal(SIGABRT), "assertion failed");
+    EXPECT_EXIT(loaded([](Restorer &r) {
+                    std::vector<std::uint64_t> v;
+                    r.seq(v, [&r](std::uint64_t &e) { r.io(e); });
+                }),
+                ::testing::KilledBySignal(SIGABRT), "assertion failed");
 }
 
 // The sweep engine is restore fan-out: every point must reproduce the
@@ -412,4 +431,116 @@ TEST(SnapSweep, SweepPointsMatchStraightThroughRuns)
     // The fetch policy must actually differ for the comparison to
     // mean anything.
     EXPECT_NE(toJson(swept[0].steady), toJson(swept[1].steady));
+}
+
+// Code images are built once per key and shared while a holder lives
+// (isa/imagetable.h): two live sessions at one seed, and a session
+// resumed from a live session's artifact, read the same kernel and
+// user images; a session at another seed reads none of them.
+TEST(SnapSharedImages, SessionsOfOneSeedShareTheirImages)
+{
+    for (WorkloadConfig::Kind kind :
+         {WorkloadConfig::Kind::SpecInt, WorkloadConfig::Kind::Apache}) {
+        const Session::Config cfg = configFor({kind, 2, true, false});
+        Session a(cfg);
+        Session b(cfg);
+        EXPECT_EQ(&a.system().kernelCode(), &b.system().kernelCode());
+        const std::vector<const CodeImage *> images = imagesOf(a);
+        EXPECT_EQ(images.size(),
+                  kind == WorkloadConfig::Kind::SpecInt ? 9u : 2u);
+        EXPECT_EQ(imagesOf(b), images);
+
+        Session::Config seven = cfg;
+        seven.workload.seed = 7;
+        Session c(seven);
+        EXPECT_NE(&c.system().kernelCode(), &a.system().kernelCode());
+        const std::vector<const CodeImage *> other = imagesOf(c);
+        ASSERT_EQ(other.size(), images.size());
+        for (std::size_t i = 0; i < images.size(); ++i)
+            EXPECT_NE(other[i], images[i]) << "image " << i;
+
+        std::string err;
+        auto resumed =
+            Session::resume(a.snapshot(), Session::ResumeOptions{}, &err);
+        ASSERT_NE(resumed, nullptr) << err;
+        EXPECT_EQ(imagesOf(*resumed), images);
+    }
+}
+
+// A resumed session keeps its images alive by itself: once its origin
+// and every other holder are gone, its measurement still equals the
+// straight-through run's (under ASan, an image freed early is a
+// use-after-free here).
+TEST(SnapSharedImages, ResumedSessionOutlivesEveryOtherHolder)
+{
+    for (WorkloadConfig::Kind kind :
+         {WorkloadConfig::Kind::SpecInt, WorkloadConfig::Kind::Apache}) {
+        const Session::Config cfg = configFor({kind, 2, true, false});
+        const std::string straight = toJson(Session(cfg).run().steady);
+
+        auto origin = std::make_unique<Session>(cfg);
+        origin->runStartup();
+        const std::vector<std::uint8_t> artifact = origin->snapshot();
+        auto other = std::make_unique<Session>(cfg);
+        Session::ResumeOptions opts;
+        opts.phases = cfg.phases;
+        std::string err;
+        auto resumed = Session::resume(artifact, opts, &err);
+        ASSERT_NE(resumed, nullptr) << err;
+        EXPECT_EQ(imagesOf(*resumed), imagesOf(*origin));
+        origin.reset();
+        other.reset();
+
+        EXPECT_EQ(toJson(resumed->runMeasurement().steady), straight);
+    }
+}
+
+// The workload key is the whole params struct: a session whose
+// SpecIntParams or ApacheParams differ from another's in any one field
+// gets its own user images (and still shares the kernel image, which
+// depends on the seed alone).
+TEST(SnapSharedImages, EveryParamsFieldKeysTheWorkload)
+{
+    const auto differ = [](const Session::Config &base,
+                           const Session::Config &variant,
+                           const char *field) {
+        Session a(base);
+        Session b(variant);
+        EXPECT_EQ(&a.system().kernelCode(), &b.system().kernelCode())
+            << field;
+        const std::vector<const CodeImage *> x = imagesOf(a);
+        const std::vector<const CodeImage *> y = imagesOf(b);
+        for (std::size_t i = 1; i < std::min(x.size(), y.size()); ++i)
+            EXPECT_NE(x[i], y[i]) << field << ", image " << i;
+    };
+
+    const Session::Config spec =
+        configFor({WorkloadConfig::Kind::SpecInt, 2, true, false});
+    Session::Config v = spec;
+    v.workload.spec.numApps -= 1;
+    differ(spec, v, "numApps");
+    v = spec;
+    v.workload.spec.inputChunks += 1;
+    differ(spec, v, "inputChunks");
+    v = spec;
+    v.workload.spec.heapBase *= 2;
+    differ(spec, v, "heapBase");
+    v = spec;
+    v.workload.spec.heapStep *= 2;
+    differ(spec, v, "heapStep");
+    v = spec;
+    v.workload.spec.seed += 1;
+    differ(spec, v, "spec.seed");
+
+    const Session::Config apache =
+        configFor({WorkloadConfig::Kind::Apache, 2, true, false});
+    v = apache;
+    v.workload.apache.numServers /= 2;
+    differ(apache, v, "numServers");
+    v = apache;
+    v.workload.apache.heapBytes *= 2;
+    differ(apache, v, "heapBytes");
+    v = apache;
+    v.workload.apache.seed += 1;
+    differ(apache, v, "apache.seed");
 }

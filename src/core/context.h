@@ -154,7 +154,12 @@ struct CoreStats
     std::uint64_t maxIssueCycles = 0;
     Sampler fetchableContexts;
 
-    /** Kernel entries by reason (counter names set by the kernel). */
+    /**
+     * Kernel entries by reason, counted by the pipeline: the traps
+     * (itlb_miss, dtlb_miss), interrupt delivery (interrupt), and the
+     * reasons a context's fetch stopped before taking an instruction
+     * (fs_stuck, fs_imiss, fs_iq, fs_rename, fs_inflight).
+     */
     CounterMap kernelEntries;
 
     /** The field list (common/counters.h), in PIPE snapshot order. */

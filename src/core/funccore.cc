@@ -3,15 +3,17 @@
  * The functional (warming-only) execution engine — Fidelity::Functional
  * half of the switchable-fidelity core (DESIGN.md §15).
  *
- * Executes the same architectural semantics as the detailed SMT
- * pipeline — cursor stepping, TLB traps, serializing hand-offs to the
- * OS, interrupt delivery — while updating caches, TLBs and the branch
- * predictor exactly as the detailed core's correct path would, but
- * composing no timing: no uops, no issue queues, no MSHR/bus/DRAM
- * latency arithmetic. One functional cycle retires up to a fetch-width
- * batch of instructions, so the clock keeps advancing (the kernel's
- * timer and scheduler stay live) at a fraction of the detailed cycle
- * count per instruction.
+ * Executes the detailed SMT pipeline's own architectural rules — the
+ * Pipeline helpers for translation, TLB trap entry, OS hand-offs,
+ * interrupt delivery, retirement and branch training — and warms
+ * caches, TLBs and the branch predictor as the detailed core's correct
+ * path would, but composes no timing: no uops, no issue queues, no
+ * MSHR/bus/DRAM latency arithmetic. This file keeps only what is the
+ * functional engine's own: the batch loop, the DTLB-trap replay, the
+ * warming calls and the functional counters. One functional cycle
+ * retires up to a fetch-width batch of instructions, so the clock
+ * keeps advancing (the kernel's timer and scheduler stay live) at a
+ * fraction of the detailed cycle count per instruction.
  *
  * The retired-instruction stream carries the full RetireEvent contract
  * (seq, pc, mode, tag, vaddr, destValue, thread-state syncs), so the
@@ -24,8 +26,6 @@
 
 #include "common/logging.h"
 #include "common/trace.h"
-#include "kernel/tags.h"
-#include "ref/refvalue.h"
 
 namespace smtos {
 
@@ -86,24 +86,14 @@ Pipeline::funcCycle()
     if (os_)
         os_->cycleHook(now_);
 
-    // Deliver pending interrupts first — every context is drained by
-    // construction, so delivery mirrors the detailed commit stage's
-    // drained-context path. Also reset the per-cycle fetch-line
-    // tracking, as the detailed fetch stage does each cycle, so the
-    // L1I sees the same one-access-per-line-per-cycle warming rate.
+    // Deliver pending interrupts first (every context is drained by
+    // construction). Also reset the per-cycle fetch-line tracking, as
+    // the detailed fetch stage does each cycle, so the L1I sees the
+    // same one-access-per-line-per-cycle warming rate.
     for (Context &c : ctxs_) {
         c.lastFetchLine = ~0ull;
-        if (c.interruptPending && c.hasThread()) {
-            c.interruptPending = false;
-            stats_.kernelEntries.add("interrupt");
-            ThreadState &t = *c.thread;
-            os_->interrupt(c, t, c.interruptVector);
-            if (obs_) {
-                obs_->onThreadStateSync(t, *seqPtr_);
-                if (c.thread && c.thread != &t)
-                    obs_->onThreadStateSync(*c.thread, *seqPtr_);
-            }
-        }
+        if (interruptDue(c))
+            deliverInterrupt(c);
     }
 
     // Execute up to a fetch-width batch, round-robined across
@@ -159,34 +149,13 @@ Pipeline::funcStep(Context &c)
     const Addr line = hier_->l1i().blockOf(pc);
     if (line != c.lastFetchLine) {
         Addr paddr = 0;
-        AccessInfo who{t.id, cursor_mode, c.id};
-        if (cursor_mode == Mode::Pal ||
-            (cursor_mode != Mode::User && pc >= kernelBase)) {
-            // KSEG: physical fetch, no ITLB involvement.
-            paddr = pc - kernelBase;
-        } else {
-            const Addr vpn = pageOf(pc);
-            const Asn asn = t.space->asn();
-            const std::int64_t frame = itlb_.lookup(vpn, asn, who);
-            if (frame >= 0) {
-                paddr = PhysMem::frameAddr(static_cast<Frame>(frame)) +
-                        pageOffset(pc);
-            } else if (appOnlyTlb_) {
-                paddr = os_->magicTranslate(t, pc, true);
-                itlb_.insert(vpn, asn, paddr >> pageShift, who,
-                             pc >= kernelBase);
-            } else {
-                // Software-managed refill, same trap path as the
-                // detailed core; the handler's instructions execute
-                // on this context's next step.
-                stats_.kernelEntries.add("itlb_miss");
-                os_->itlbMiss(t, pc);
-                if (obs_)
-                    obs_->onThreadStateSync(t, *seqPtr_);
-                return 2;
-            }
+        if (!translateFetch(c, t, cursor_mode, pc, paddr)) {
+            // The handler's instructions execute on this context's
+            // next step.
+            itlbTrap(c, t, pc);
+            return 2;
         }
-        hier_->warmFetch(paddr, who);
+        hier_->warmFetch(paddr, AccessInfo{t.id, cursor_mode, c.id});
         c.lastFetchLine = line;
     }
 
@@ -205,157 +174,69 @@ Pipeline::funcStep(Context &c)
         // Retire accounting below, then hand to the OS (which steps
         // the cursor past this instruction itself).
     } else if (in.isBranch()) {
-        // Warm predictor/BTB/RAS exactly as the detailed correct path
-        // does. mcf_.predict() is skipped: it reads tables without
-        // updating them, so it has no warming effect.
-        AccessInfo who{t.id, cursor_mode, c.id};
-        const bool filtered = filterPrivBr_ && cursor_mode != Mode::User;
-        BranchPreview bp = cur.previewBranch(is, t.iprs);
-        switch (bp.kind) {
-          case BranchPreview::Kind::Cond:
-            is_cond = true;
-            actual_taken = bp.taken;
-            if (!filtered) {
-                btb_.lookup(pc, who);
-                mcf_.train(pc, bp.taken);
-                if (bp.taken)
-                    btb_.update(pc, bp.targetPc, who);
-            }
-            cur.followBranch(is, bp, bp.taken);
-            break;
-          case BranchPreview::Kind::Jump:
-            if (!filtered) {
-                btb_.lookup(pc, who);
-                btb_.update(pc, bp.targetPc, who);
-            }
-            cur.followBranch(is, bp, true);
-            break;
-          case BranchPreview::Kind::Indirect: {
-            actual_taken = true;
-            if (!filtered) {
-                BtbResult br = btb_.lookup(pc, who);
-                if (br.hit && br.target != bp.targetPc)
-                    btb_.noteWrongTarget();
-                btb_.update(pc, bp.targetPc, who);
-            }
-            cur.followBranch(is, bp, true);
-            break;
-          }
-          case BranchPreview::Kind::Call:
-            if (!filtered) {
-                btb_.lookup(pc, who);
-                btb_.update(pc, bp.targetPc, who);
-            }
-            cur.followBranch(is, bp, true);
-            if (!cur.stuck())
-                c.ras.push(cur.parentPc(is));
-            break;
-          case BranchPreview::Kind::Ret:
-          case BranchPreview::Kind::PalRet:
+        // Train along the correct path, as the detailed core does. It
+        // also calls McFarling::predict first, for its timing; that
+        // call's only side effect is the predictor's pick counters,
+        // which nothing reads but the PIPE section saves, so skipping
+        // it here keeps functional artifacts as they are.
+        using Kind = BranchPreview::Kind;
+        const BranchPreview bp = cur.previewBranch(is, t.iprs);
+        if (!filteredBranch(cursor_mode))
+            trainBranch(bp, pc, AccessInfo{t.id, cursor_mode, c.id});
+        is_cond = bp.kind == Kind::Cond;
+        actual_taken = is_cond ? bp.taken : bp.kind == Kind::Indirect;
+        if (bp.kind == Kind::Ret || bp.kind == Kind::PalRet)
             c.ras.pop();
-            cur.followBranch(is, bp, true);
-            break;
-        }
+        cur.followBranch(is, bp, !is_cond || bp.taken);
+        if (bp.kind == Kind::Call && !cur.stuck())
+            c.ras.push(cur.parentPc(is));
     } else {
         if (in.isMem()) {
             if (!cur.takeRetryVaddr(vaddr))
                 vaddr = cur.memAddress(in, t.regions, t.iprs);
-            AccessInfo who{t.id,
-                           stat_mode == Mode::Idle ? Mode::Kernel
-                                                   : stat_mode,
-                           c.id};
-            if (in.isPhysMem()) {
-                paddr = vaddr;
-            } else {
-                const std::int64_t fr =
-                    dtlb_.lookup(pageOf(vaddr), t.space->asn(), who);
-                if (fr >= 0) {
-                    paddr = PhysMem::frameAddr(static_cast<Frame>(fr)) +
-                            pageOffset(vaddr);
-                } else if (appOnlyTlb_) {
-                    paddr = os_->magicTranslate(t, vaddr, false);
-                    dtlb_.insert(pageOf(vaddr), t.space->asn(),
-                                 paddr >> pageShift, who,
-                                 vaddr >= kernelBase);
-                } else {
-                    // Precise trap with replay: the cursor has drawn
-                    // the address, so arm it to retry the same one —
-                    // the functional twin of the detailed core's
-                    // post-draw checkpoint restore (same RNG state,
-                    // same replayed address).
-                    cur.setRetryVaddr(vaddr);
-                    stats_.kernelEntries.add("dtlb_miss");
-                    smtos_trace(TraceCat::Tlb,
-                                "ctx%d dtlb miss vaddr=0x%llx", c.id,
-                                (unsigned long long)vaddr);
-                    os_->dtlbMiss(t, vaddr);
-                    if (obs_)
-                        obs_->onThreadStateSync(t, *seqPtr_);
-                    return 2;
-                }
+            const AccessInfo who{t.id,
+                                 stat_mode == Mode::Idle ? Mode::Kernel
+                                                         : stat_mode,
+                                 c.id};
+            if (!translateData(t, in, vaddr, who, paddr)) {
+                // Precise trap with replay: the cursor has drawn the
+                // address, so arm it to retry the same one — the
+                // functional twin of the detailed core's post-draw
+                // checkpoint restore (same RNG state, same replayed
+                // address).
+                cur.setRetryVaddr(vaddr);
+                dtlbTrap(c, t, vaddr);
+                return 2;
             }
             hier_->warmData(paddr, who, in.isStore());
         }
         cur.stepSequential(is);
     }
 
-    // Retire accounting, mirroring commitUop minus the timing
-    // structures (no rename registers, store buffer, or probes slot
-    // attribution). fetched/issued advance with retired so the
-    // conservation invariant (fetched = squashed + retired + in
-    // flight) holds across fidelity switches.
+    // Retirement, as the detailed commit stage retires. fetched and
+    // issued advance with retired so the conservation invariant
+    // (fetched = squashed + retired + in flight) holds across fidelity
+    // switches.
     ++stats_.fetched;
     ++stats_.issued;
-    ++stats_.retired[static_cast<int>(stat_mode)];
-    if (tag >= 0 && tag < 64)
-        ++stats_.retiredByTag[tag];
-    const int cls = stat_mode == Mode::User ? 0 : 1;
-    ++stats_.mix[cls][static_cast<int>(in.mixClass())];
-    if (in.isPhysMem())
-        ++stats_.physMem[cls][in.isStore() ? 1 : 0];
-    if (is_cond) {
-        ++stats_.condRetired[cls];
-        if (actual_taken)
-            ++stats_.condTaken[cls];
-    }
-    cur.retired++;
+    countRetired(t, in, stat_mode, tag, is_cond, actual_taken);
     ++fidelityStats_.funcInstrs;
     const std::uint64_t seq = (*seqPtr_)++;
-
-    if (obs_) {
-        RetireEvent e;
-        e.cycle = now_;
-        e.ctx = c.id;
-        e.thread = t.id;
-        e.seq = seq;
-        e.pc = pc;
-        e.instr = &in;
-        e.mode = stat_mode;
-        e.tag = tag;
-        e.vaddr = vaddr;
-        e.paddr = paddr;
-        e.isCondBranch = is_cond;
-        e.taken = actual_taken;
-        e.destValue = archWriteValue(t.archRegs, in, pc);
-        if (faultAtRetire_ != 0 &&
-            stats_.totalRetired() == faultAtRetire_) {
-            // Test-only: misreport this retirement so the cosim
-            // oracle has a wrong result to catch.
-            e.pc += instrBytes;
-            faultAtRetire_ = 0;
-        }
-        obs_->onRetire(e);
-    }
-    if (probes_)
-        probes_->retire(c.gid, t.id, stat_mode);
+    if (obs_ || probes_)
+        reportRetired(c, {.thread = t.id,
+                          .seq = seq,
+                          .pc = pc,
+                          .instr = &in,
+                          .mode = stat_mode,
+                          .tag = tag,
+                          .vaddr = vaddr,
+                          .paddr = paddr,
+                          .isCondBranch = is_cond,
+                          .taken = actual_taken});
 
     if (serializing) {
         os_->serializing(c, t, in);
-        if (obs_) {
-            obs_->onThreadStateSync(t, *seqPtr_);
-            if (c.thread && c.thread != &t)
-                obs_->onThreadStateSync(*c.thread, *seqPtr_);
-        }
+        syncAfterOs(c, t);
         return 2;
     }
     return 1;

@@ -101,48 +101,6 @@ Pipeline::canFetch(const Context &c) const
     return true;
 }
 
-bool
-Pipeline::translateFetch(Context &c, ThreadState &t, Mode m, Addr pc,
-                         Addr &paddr)
-{
-    if (m == Mode::Pal || (m != Mode::User && pc >= kernelBase)) {
-        // PAL code and kernel text execute from the unmapped KSEG
-        // region on Alpha: physical fetch, no ITLB involvement.
-        paddr = pc - kernelBase;
-        return true;
-    }
-    const Addr vpn = pageOf(pc);
-    const Asn asn = t.space->asn();
-    AccessInfo who{t.id, m, c.id};
-    const std::int64_t frame = itlb_.lookup(vpn, asn, who);
-    if (frame >= 0) {
-        paddr = PhysMem::frameAddr(static_cast<Frame>(frame)) +
-                pageOffset(pc);
-        return true;
-    }
-    if (appOnlyTlb_) {
-        paddr = os_->magicTranslate(t, pc, true);
-        itlb_.insert(vpn, asn, paddr >> pageShift, who,
-                     pc >= kernelBase);
-        return true;
-    }
-    if (t.cursor.wrongPath()) {
-        // Speculative fetch down a wrong path hit an unmapped page:
-        // stall until the mispredicted branch squashes us.
-        t.cursor.setStuck(true);
-        fetchStop_ = FetchStop::Stuck;
-        return false;
-    }
-    fetchStop_ = FetchStop::TlbTrap;
-    stats_.kernelEntries.add("itlb_miss");
-    os_->itlbMiss(t, pc);
-    if (obs_)
-        obs_->onThreadStateSync(t, *seqPtr_);
-    c.fetchResumeAt = now_ + 1;
-    c.stallReason = FetchStall::TrapDrain;
-    return false;
-}
-
 int
 Pipeline::fetchFrom(Context &c, int budget)
 {
@@ -171,8 +129,21 @@ Pipeline::fetchFrom(Context &c, int budget)
             pc / static_cast<Addr>(hier_->l1i().params().lineBytes);
         if (line != c.lastFetchLine) {
             Addr paddr = 0;
-            if (!translateFetch(c, t, cursor_mode, pc, paddr))
+            if (!translateFetch(c, t, cursor_mode, pc, paddr)) {
+                if (cur.wrongPath()) {
+                    // Speculative fetch down a wrong path hit an
+                    // unmapped page: stall until the mispredicted
+                    // branch squashes us.
+                    cur.setStuck(true);
+                    fetchStop_ = FetchStop::Stuck;
+                } else {
+                    fetchStop_ = FetchStop::TlbTrap;
+                    itlbTrap(c, t, pc);
+                    c.fetchResumeAt = now_ + 1;
+                    c.stallReason = FetchStall::TrapDrain;
+                }
                 break;
+            }
             AccessInfo who{t.id, cursor_mode, c.id};
             MemResult r = hier_->fetch(paddr, who, now_);
             if (!r.l1Hit) {
@@ -257,9 +228,14 @@ Pipeline::fetchFrom(Context &c, int budget)
         } else if (in.isBranch()) {
             const bool was_wrong = cur.wrongPath();
             AccessInfo who{t.id, cursor_mode, c.id};
-            const bool filtered =
-                filterPrivBr_ && cursor_mode != Mode::User;
+            const bool filtered = filteredBranch(cursor_mode);
             BranchPreview bp = cur.previewBranch(is, t.iprs);
+            // The correct path trains the tables; a wrong path only
+            // reads the BTB.
+            auto consultBtb = [&]() {
+                return was_wrong ? btb_.lookup(pc, who)
+                                 : trainBranch(bp, pc, who);
+            };
 
             switch (bp.kind) {
               case BranchPreview::Kind::Cond: {
@@ -270,14 +246,9 @@ Pipeline::fetchFrom(Context &c, int budget)
                     pred_taken = bp.taken;
                 } else {
                     pred_taken = mcf_.predict(pc);
-                    BtbResult br = btb_.lookup(pc, who);
-                    if (!was_wrong) {
-                        mcf_.train(pc, bp.taken);
-                        if (bp.taken)
-                            btb_.update(pc, bp.targetPc, who);
-                    } else {
+                    const BtbResult br = consultBtb();
+                    if (was_wrong)
                         mcf_.pushHistory(pred_taken);
-                    }
                     if (pred_taken && !br.hit) {
                         // Predicted taken with no target: decode-time
                         // redirect bubble.
@@ -307,14 +278,8 @@ Pipeline::fetchFrom(Context &c, int budget)
                 break;
               }
               case BranchPreview::Kind::Jump: {
-                if (!filtered) {
-                    BtbResult br = btb_.lookup(pc, who);
-                    if (!was_wrong)
-                        btb_.update(pc, bp.targetPc, who);
-                    if (!br.hit) {
-                        c.fetchResumeAt = now_ + params_.btbMissPenalty;
-                    }
-                }
+                if (!filtered && !consultBtb().hit)
+                    c.fetchResumeAt = now_ + params_.btbMissPenalty;
                 cur.followBranch(is, bp, true);
                 ends_run = true;
                 break;
@@ -323,13 +288,8 @@ Pipeline::fetchFrom(Context &c, int budget)
                 u.actualTaken = true;
                 bool target_ok = true;
                 if (!filtered) {
-                    BtbResult br = btb_.lookup(pc, who);
+                    const BtbResult br = consultBtb();
                     target_ok = br.hit && br.target == bp.targetPc;
-                    if (!was_wrong) {
-                        if (br.hit && !target_ok)
-                            btb_.noteWrongTarget();
-                        btb_.update(pc, bp.targetPc, who);
-                    }
                 }
                 cur.followBranch(is, bp, true);
                 if (!target_ok && !was_wrong) {
@@ -343,13 +303,8 @@ Pipeline::fetchFrom(Context &c, int budget)
                 break;
               }
               case BranchPreview::Kind::Call: {
-                if (!filtered) {
-                    BtbResult br = btb_.lookup(pc, who);
-                    if (!was_wrong)
-                        btb_.update(pc, bp.targetPc, who);
-                    if (!br.hit)
-                        c.fetchResumeAt = now_ + params_.btbMissPenalty;
-                }
+                if (!filtered && !consultBtb().hit)
+                    c.fetchResumeAt = now_ + params_.btbMissPenalty;
                 cur.followBranch(is, bp, true);
                 if (!cur.stuck())
                     c.ras.push(cur.parentPc(is));
@@ -606,7 +561,16 @@ Pipeline::profileFetchSlots(
                         : SlotCause::Fragmentation;
             break;
         }
-    } else {
+    }
+    chargeFetchLost(*prof, static_cast<std::uint64_t>(lost), charged,
+                    cause);
+}
+
+void
+Pipeline::chargeFetchLost(CycleProfiler &prof, std::uint64_t lost,
+                          CtxId charged, SlotCause cause) const
+{
+    if (charged == invalidCtx) {
         // Zero-fetch cycle: every context is blocked; charge the
         // highest-priority blocked cause.
         int best = -1;
@@ -620,17 +584,11 @@ Pipeline::profileFetchSlots(
             }
         }
     }
-
-    int tag = -1;
-    CtxId gid = invalidCtx;
-    if (charged != invalidCtx) {
-        const Context &c = ctxs_[static_cast<size_t>(charged)];
-        tag = currentServiceTag(c);
-        if (tag == TagSpin)
-            cause = SlotCause::KernelSync;
-        gid = c.gid;
-    }
-    prof->fetchLost(cause, lost, gid, tag);
+    const Context &c = ctxs_[static_cast<size_t>(charged)];
+    const int tag = currentServiceTag(c);
+    if (tag == TagSpin)
+        cause = SlotCause::KernelSync;
+    prof.fetchLost(cause, lost, c.gid, tag);
 }
 
 namespace {
@@ -809,36 +767,11 @@ Pipeline::issueStage()
         // Compute completion time.
         Cycle done = now_ + 1;
         if (is_mem) {
-            ThreadState &t = *c.thread;
             AccessInfo who{u.thread,
                            u.mode == Mode::Idle ? Mode::Kernel : u.mode,
                            c.id};
             Addr paddr = 0;
-            bool translated = true;
-            if (in.isPhysMem()) {
-                paddr = u.vaddr;
-            } else {
-                const std::int64_t fr = dtlb_.lookup(
-                    pageOf(u.vaddr), t.space->asn(), who);
-                if (fr >= 0) {
-                    paddr = PhysMem::frameAddr(static_cast<Frame>(fr)) +
-                            pageOffset(u.vaddr);
-                } else if (appOnlyTlb_) {
-                    paddr = os_->magicTranslate(t, u.vaddr, false);
-                    dtlb_.insert(pageOf(u.vaddr), t.space->asn(),
-                                 paddr >> pageShift, who,
-                                 u.vaddr >= kernelBase);
-                } else if (u.wrongPath) {
-                    translated = false;
-                    done = now_ + 20;
-                } else {
-                    // Correct-path miss: precise trap at resolve.
-                    u.trapDtlb = true;
-                    translated = false;
-                    done = now_ + 1;
-                }
-            }
-            if (translated) {
+            if (translateData(*c.thread, in, u.vaddr, who, paddr)) {
                 u.paddr = paddr;
                 MemResult r =
                     hier_->data(paddr, who, in.isStore(), now_);
@@ -848,9 +781,13 @@ Pipeline::issueStage()
                         prof->loadLatency(done > now_ ? done - now_
                                                       : 0);
                 } else {
-                    done = now_ + 1;
                     u.drainAt = r.readyAt;
                 }
+            } else if (u.wrongPath) {
+                done = now_ + 20;
+            } else {
+                // Correct-path miss: precise trap at resolve.
+                u.trapDtlb = true;
             }
             if (in.isLoad())
                 --ports_left;
@@ -983,14 +920,9 @@ Pipeline::executeStage()
             squashTail(c, u.seq);
             c.fetchResumeAt = now_ + params_.redirectPenalty();
             c.stallReason = FetchStall::TrapDrain;
-            stats_.kernelEntries.add("dtlb_miss");
-            smtos_trace(TraceCat::Tlb, "ctx%d dtlb miss vaddr=0x%llx",
-                        c.id, (unsigned long long)fault_vaddr);
             if (probes_)
                 probes_->squash(c.gid, u.thread, u.pc, "dtlb-trap");
-            os_->dtlbMiss(t, fault_vaddr);
-            if (obs_)
-                obs_->onThreadStateSync(t, *seqPtr_);
+            dtlbTrap(c, t, fault_vaddr);
             stopped = d.ctx;
             continue;
         }
@@ -1062,34 +994,15 @@ Pipeline::commitStage()
                 const Instr in = *u.instr;
                 dq.pop_front();
                 os_->serializing(c, t, in);
-                if (obs_) {
-                    // The OS advanced t past the serializing op (and
-                    // may have context-switched); both threads'
-                    // functional state is authoritative again.
-                    obs_->onThreadStateSync(t, *seqPtr_);
-                    if (c.thread && c.thread != &t)
-                        obs_->onThreadStateSync(*c.thread, *seqPtr_);
-                }
+                syncAfterOs(c, t);
                 continue;
             }
             break;
         }
     }
-
-    // Deliver pending interrupts to drained contexts.
-    for (Context &c : ctxs_) {
-        if (c.interruptPending && c.inflight == 0 && c.hasThread()) {
-            c.interruptPending = false;
-            stats_.kernelEntries.add("interrupt");
-            ThreadState &t = *c.thread;
-            os_->interrupt(c, t, c.interruptVector);
-            if (obs_) {
-                obs_->onThreadStateSync(t, *seqPtr_);
-                if (c.thread && c.thread != &t)
-                    obs_->onThreadStateSync(*c.thread, *seqPtr_);
-            }
-        }
-    }
+    for (Context &c : ctxs_)
+        if (interruptDue(c))
+            deliverInterrupt(c);
 }
 
 void
@@ -1097,39 +1010,68 @@ Pipeline::commitUop(Context &c, Uop &u)
 {
     releaseUop(u);
     const Instr &in = *u.instr;
-    ++stats_.retired[static_cast<int>(u.mode)];
-    if (u.tag >= 0 && u.tag < 64)
-        ++stats_.retiredByTag[u.tag];
-
-    const int cls = u.mode == Mode::User ? 0 : 1;
-    ++stats_.mix[cls][static_cast<int>(in.mixClass())];
-    if (in.isPhysMem())
-        ++stats_.physMem[cls][in.isStore() ? 1 : 0];
-    if (u.isCondBranch) {
-        ++stats_.condRetired[cls];
-        if (u.actualTaken)
-            ++stats_.condTaken[cls];
-    }
+    countRetired(*c.thread, in, u.mode, u.tag, u.isCondBranch,
+                 u.actualTaken);
     if (in.isStore() && u.drainAt > 0)
         hier_->storeBuffer().push(now_, u.drainAt);
-    c.thread->cursor.retired++;
+    if (obs_ || probes_)
+        reportRetired(c, {.thread = u.thread,
+                          .seq = u.seq,
+                          .pc = u.pc,
+                          .instr = u.instr,
+                          .mode = u.mode,
+                          .tag = u.tag,
+                          .vaddr = u.vaddr,
+                          .paddr = u.paddr,
+                          .isCondBranch = u.isCondBranch,
+                          .taken = u.actualTaken});
+}
 
+void
+Pipeline::itlbTrap(const Context &c, ThreadState &t, Addr pc)
+{
+    stats_.kernelEntries.add("itlb_miss");
+    os_->itlbMiss(t, pc);
+    syncAfterOs(c, t);
+}
+
+void
+Pipeline::dtlbTrap(const Context &c, ThreadState &t, Addr vaddr)
+{
+    stats_.kernelEntries.add("dtlb_miss");
+    smtos_trace(TraceCat::Tlb, "ctx%d dtlb miss vaddr=0x%llx", c.id,
+                (unsigned long long)vaddr);
+    os_->dtlbMiss(t, vaddr);
+    syncAfterOs(c, t);
+}
+
+void
+Pipeline::syncAfterOs(const Context &c, ThreadState &t)
+{
+    if (!obs_)
+        return;
+    obs_->onThreadStateSync(t, *seqPtr_);
+    if (c.thread && c.thread != &t)
+        obs_->onThreadStateSync(*c.thread, *seqPtr_);
+}
+
+void
+Pipeline::deliverInterrupt(Context &c)
+{
+    c.interruptPending = false;
+    stats_.kernelEntries.add("interrupt");
+    ThreadState &t = *c.thread;
+    os_->interrupt(c, t, c.interruptVector);
+    syncAfterOs(c, t);
+}
+
+void
+Pipeline::reportRetired(const Context &c, RetireEvent e)
+{
     if (obs_) {
-        RetireEvent e;
         e.cycle = now_;
         e.ctx = c.id;
-        e.thread = u.thread;
-        e.seq = u.seq;
-        e.pc = u.pc;
-        e.instr = u.instr;
-        e.mode = u.mode;
-        e.tag = u.tag;
-        e.vaddr = u.vaddr;
-        e.paddr = u.paddr;
-        e.isCondBranch = u.isCondBranch;
-        e.taken = u.actualTaken;
-        e.destValue =
-            archWriteValue(c.thread->archRegs, in, u.pc);
+        e.destValue = archWriteValue(c.thread->archRegs, *e.instr, e.pc);
         if (faultAtRetire_ != 0 &&
             stats_.totalRetired() == faultAtRetire_) {
             // Test-only: misreport this retirement so the cosim
@@ -1140,7 +1082,7 @@ Pipeline::commitUop(Context &c, Uop &u)
         obs_->onRetire(e);
     }
     if (probes_)
-        probes_->retire(c.gid, u.thread, u.mode);
+        probes_->retire(c.gid, e.thread, e.mode);
 }
 
 void
@@ -1171,7 +1113,7 @@ Pipeline::quiescent() const
             return false;
         // A drained context with a pending interrupt takes it at the
         // next commit stage.
-        if (c.interruptPending && c.inflight == 0 && c.hasThread())
+        if (interruptDue(c))
             return false;
         if (canFetch(c))
             return false;
@@ -1228,34 +1170,11 @@ Pipeline::skipIdleCycles(Cycle k)
     CycleProfiler *prof = probes_ ? probes_->profiler() : nullptr;
     if (!prof)
         return;
-    // Replicate profileFetchSlots' zero-fetch path. Every input
-    // (stall reasons, in-flight load completion times, cursor
-    // positions) is constant until the horizon, so the per-cycle
-    // charge is the same for all k cycles.
-    SlotCause cause = SlotCause::Fragmentation;
-    CtxId charged = invalidCtx;
-    int best = -1;
-    for (const Context &c : ctxs_) {
-        const SlotCause bc = fetchBlockCause(c);
-        const int pr = causePriority(bc);
-        if (pr > best) {
-            best = pr;
-            cause = bc;
-            charged = c.id;
-        }
-    }
-    int tag = -1;
-    CtxId gid = invalidCtx;
-    if (charged != invalidCtx) {
-        const Context &c = ctxs_[static_cast<size_t>(charged)];
-        tag = currentServiceTag(c);
-        if (tag == TagSpin)
-            cause = SlotCause::KernelSync;
-        gid = c.gid;
-    }
-    prof->fetchLost(cause,
-                    k * static_cast<Cycle>(params_.fetchWidth), gid,
-                    tag);
+    // The ticked loop's zero-fetch charge. Every input (stall
+    // reasons, in-flight load completion times, cursor positions) is
+    // constant until the horizon, so the per-cycle charge is the same
+    // for all k cycles.
+    chargeFetchLost(*prof, k * static_cast<Cycle>(params_.fetchWidth));
     prof->issueLost(IssueLoss::FrontEnd,
                     k * static_cast<Cycle>(params_.intUnits +
                                            params_.fpUnits));

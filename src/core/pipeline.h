@@ -224,13 +224,11 @@ class Pipeline
     void
     setCoreId(int core, CtxId gid_base)
     {
-        coreId_ = core;
         for (std::size_t i = 0; i < ctxs_.size(); ++i) {
             ctxs_[i].core = core;
             ctxs_[i].gid = gid_base + static_cast<CtxId>(i);
         }
     }
-    int coreId() const { return coreId_; }
 
     /**
      * Share one chip-wide uop sequence counter across cores so the
@@ -368,10 +366,6 @@ class Pipeline
     void executeStage();
     void commitStage();
 
-    /** Translate a fetch PC; returns false on ITLB miss (trap raised). */
-    bool translateFetch(Context &c, ThreadState &t, Mode m, Addr pc,
-                        Addr &paddr);
-
     /** Squash all uops of @p c with seq >= @p from_seq. */
     void squashTail(Context &c, std::uint64_t from_seq);
 
@@ -404,6 +398,15 @@ class Pipeline
     void profileFetchSlots(
         const std::vector<std::pair<int, CtxId>> &cands, int picked,
         int lost);
+    /**
+     * Charge @p lost fetch slots to @p cause at context @p charged, or,
+     * with no context named, as zero-fetch cycles: to the blocked
+     * context with the most specific cause. Spin-lock code is charged
+     * as KernelSync.
+     */
+    void chargeFetchLost(CycleProfiler &prof, std::uint64_t lost,
+                         CtxId charged = invalidCtx,
+                         SlotCause cause = SlotCause::Fragmentation) const;
     /** Why a context that produced no fetch candidate is blocked. */
     SlotCause fetchBlockCause(const Context &c) const;
     /** Window-full refinement: stalled behind an in-flight load? */
@@ -413,6 +416,78 @@ class Pipeline
 
     void releaseUop(const Uop &u);
     void commitUop(Context &c, Uop &u);
+
+    // --- the architectural rules (DESIGN.md §15): the detailed stages
+    // and the functional engine both execute these, and differ only in
+    // timing and recovery. The per-instruction ones are defined inline
+    // below the class, so both translation units inline them. ---
+
+    /**
+     * Translate the fetch PC @p pc of @p t in cursor mode @p m. PAL
+     * code and kernel text execute from the unmapped KSEG region on
+     * Alpha: physical fetch, no ITLB involvement. Other code goes
+     * through the ITLB, which application-only mode refills at once.
+     * Returns false on an ITLB miss, having done only the lookup.
+     */
+    bool translateFetch(const Context &c, ThreadState &t, Mode m,
+                        Addr pc, Addr &paddr);
+    /**
+     * Translate the data address @p vaddr of @p in for @p who:
+     * physical-address ops bypass the DTLB, which application-only
+     * mode refills at once. Returns false on a DTLB miss, having done
+     * only the lookup.
+     */
+    bool translateData(ThreadState &t, const Instr &in, Addr vaddr,
+                       const AccessInfo &who, Addr &paddr);
+    /**
+     * Enter the OS's software refill for an ITLB miss at @p pc, or for
+     * a correct-path DTLB miss at @p vaddr. Recovery is the caller's:
+     * the detailed core restores a checkpoint and stalls fetch, the
+     * functional engine arms the replay and ends the context's turn.
+     */
+    void itlbTrap(const Context &c, ThreadState &t, Addr pc);
+    void dtlbTrap(const Context &c, ThreadState &t, Addr vaddr);
+    /**
+     * After an OS call rewrote @p t on context @p c (and may have
+     * context-switched): both @p t and the thread now bound to @p c
+     * are authoritative again, so re-sync them with the observer.
+     */
+    void syncAfterOs(const Context &c, ThreadState &t);
+    /** A pending interrupt is delivered once its context drained. */
+    static bool
+    interruptDue(const Context &c)
+    {
+        return c.interruptPending && c.inflight == 0 && c.hasThread();
+    }
+    /** Deliver @p c's pending interrupt; interruptDue(c) holds. */
+    void deliverInterrupt(Context &c);
+    /** Table 9 mode: privileged branches bypass predictor and BTB. */
+    bool
+    filteredBranch(Mode m) const
+    {
+        return filterPrivBr_ && m != Mode::User;
+    }
+    /**
+     * Train the BTB and the predictor's tables on the correct-path
+     * branch @p bp at @p pc (not a filtered one). Returns the BTB
+     * lookup, which the detailed core's redirect timing reads.
+     */
+    BtbResult trainBranch(const BranchPreview &bp, Addr pc,
+                          const AccessInfo &who);
+    /**
+     * Count a retirement of @p in in @p mode into the paper's counters
+     * (mode, service tag, mix, physical refs, conditional branches)
+     * and @p t's retired count.
+     */
+    void countRetired(ThreadState &t, const Instr &in, Mode mode,
+                      std::int16_t tag, bool cond, bool taken);
+    /**
+     * Report a counted retirement to the observer (with the test-only
+     * fault hook) and the probes. @p e arrives without its cycle,
+     * context and destination value. Call only when either is
+     * attached.
+     */
+    void reportRetired(const Context &c, RetireEvent e);
 
     // --- functional (warming-only) engine: core/funccore.cc ---
     /** One functional cycle: interrupt delivery + a fetch-width batch
@@ -526,7 +601,6 @@ class Pipeline
     /** Points at nextSeq_ (a bare pipeline) or the chip-wide
      *  counter (System). */
     std::uint64_t *seqPtr_ = &nextSeq_;
-    int coreId_ = 0;
     int intRegsUsed_ = 0;
     int fpRegsUsed_ = 0;
     int unissuedInt_ = 0;
@@ -543,6 +617,92 @@ class Pipeline
 
     CoreStats stats_;
 };
+
+inline bool
+Pipeline::translateFetch(const Context &c, ThreadState &t, Mode m,
+                         Addr pc, Addr &paddr)
+{
+    if (m == Mode::Pal || (m != Mode::User && pc >= kernelBase)) {
+        paddr = pc - kernelBase;
+        return true;
+    }
+    const Addr vpn = pageOf(pc);
+    const Asn asn = t.space->asn();
+    const AccessInfo who{t.id, m, c.id};
+    const std::int64_t frame = itlb_.lookup(vpn, asn, who);
+    if (frame >= 0) {
+        paddr = PhysMem::frameAddr(static_cast<Frame>(frame)) +
+                pageOffset(pc);
+        return true;
+    }
+    if (!appOnlyTlb_)
+        return false;
+    paddr = os_->magicTranslate(t, pc, true);
+    itlb_.insert(vpn, asn, paddr >> pageShift, who, pc >= kernelBase);
+    return true;
+}
+
+inline bool
+Pipeline::translateData(ThreadState &t, const Instr &in, Addr vaddr,
+                        const AccessInfo &who, Addr &paddr)
+{
+    if (in.isPhysMem()) {
+        paddr = vaddr;
+        return true;
+    }
+    const std::int64_t frame =
+        dtlb_.lookup(pageOf(vaddr), t.space->asn(), who);
+    if (frame >= 0) {
+        paddr = PhysMem::frameAddr(static_cast<Frame>(frame)) +
+                pageOffset(vaddr);
+        return true;
+    }
+    if (!appOnlyTlb_)
+        return false;
+    paddr = os_->magicTranslate(t, vaddr, false);
+    dtlb_.insert(pageOf(vaddr), t.space->asn(), paddr >> pageShift, who,
+                 vaddr >= kernelBase);
+    return true;
+}
+
+inline BtbResult
+Pipeline::trainBranch(const BranchPreview &bp, Addr pc,
+                      const AccessInfo &who)
+{
+    using Kind = BranchPreview::Kind;
+    if (bp.kind == Kind::Ret || bp.kind == Kind::PalRet)
+        return {}; // the RAS predicts returns
+    const BtbResult br = btb_.lookup(pc, who);
+    if (bp.kind == Kind::Cond) {
+        mcf_.train(pc, bp.taken);
+        if (!bp.taken)
+            return br;
+    } else if (bp.kind == Kind::Indirect && br.hit &&
+               br.target != bp.targetPc) {
+        btb_.noteWrongTarget();
+    }
+    btb_.update(pc, bp.targetPc, who);
+    return br;
+}
+
+inline void
+Pipeline::countRetired(ThreadState &t, const Instr &in, Mode mode,
+                       std::int16_t tag, bool cond, bool taken)
+{
+    ++stats_.retired[static_cast<int>(mode)];
+    if (tag >= 0 && tag < 64)
+        ++stats_.retiredByTag[tag];
+    const int cls = mode == Mode::User ? 0 : 1;
+    ++stats_.mix[cls][static_cast<int>(in.mixClass())];
+    if (in.isPhysMem())
+        ++stats_.physMem[cls][in.isStore() ? 1 : 0];
+    if (cond) {
+        ++stats_.condRetired[cls];
+        if (taken)
+            ++stats_.condTaken[cls];
+    }
+    t.cursor.retired++;
+}
 
 } // namespace smtos
 

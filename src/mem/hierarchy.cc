@@ -177,23 +177,10 @@ Hierarchy::warmData(Addr paddr, const AccessInfo &who, bool is_write)
         uncore_.l2().access(paddr, who, is_write);
 }
 
-Cycle
-Hierarchy::retireStore(Addr paddr, const AccessInfo &who, Cycle now)
-{
-    MemResult res = data(paddr, who, true, now);
-    return storeBuffer_.push(now, res.readyAt);
-}
-
 void
 Hierarchy::flushIcache()
 {
     l1i_.invalidateAll();
-}
-
-void
-Hierarchy::flushDcache()
-{
-    l1d_.invalidateAll();
 }
 
 } // namespace smtos

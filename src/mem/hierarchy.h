@@ -143,17 +143,8 @@ class Hierarchy
     void warmFetch(Addr paddr, const AccessInfo &who);
     void warmData(Addr paddr, const AccessInfo &who, bool is_write);
 
-    /**
-     * Retired store enters the store buffer; returns the cycle the
-     * store occupied a slot (delayed when the buffer was full).
-     */
-    Cycle retireStore(Addr paddr, const AccessInfo &who, Cycle now);
-
     /** OS instruction-cache flush (e.g. on instruction page remap). */
     void flushIcache();
-
-    /** OS data-cache flush. */
-    void flushDcache();
 
     Cache &l1i() { return l1i_; }
     Cache &l1d() { return l1d_; }

@@ -105,7 +105,6 @@ class Network
     }
 
     bool serverHasRx() const { return !toServer_.empty(); }
-    std::size_t serverRxDepth() const { return toServer_.size(); }
 
     Packet
     popServerRx()
@@ -129,8 +128,6 @@ class Network
     std::uint64_t responsePackets() const { return respPackets_; }
     std::uint64_t requestBytes() const { return reqBytes_; }
     std::uint64_t responseBytes() const { return respBytes_; }
-
-    std::size_t delayedDepth() const { return delayed_.size(); }
 
     static constexpr std::uint32_t snapVersion = 1;
     template <typename Ar> void snap(Ar &ar);

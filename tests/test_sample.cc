@@ -20,6 +20,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/params.h"
@@ -269,6 +270,74 @@ TEST(FidelitySwitch, FunctionalLegsAccelerateRetirement)
     const std::uint64_t hybrid = retiredAfter(true);
     EXPECT_GT(hybrid, detailed + detailed / 2);
 }
+
+// --- both engines on the paper's two reduced machines ---
+
+namespace {
+
+/** (engine, machine): true is SpecInt application-only (Table 4),
+ *  false is Apache with the kernel-reference filter (Table 9). */
+class ReducedMachineCosim
+    : public ::testing::TestWithParam<std::tuple<Fidelity, bool>>
+{
+};
+
+} // namespace
+
+// Both engines run the application-only TLB refill and the
+// privileged-reference filter through the same translation and
+// branch-training code: each stays oracle-clean, and the counters the
+// paper's tables read show the mode took effect.
+TEST_P(ReducedMachineCosim, StaysCleanAndHonoursTheMode)
+{
+    const auto [fidelity, app_only] = GetParam();
+    Session::Config cfg;
+    cfg.workload.kind = app_only ? WorkloadConfig::Kind::SpecInt
+                                 : WorkloadConfig::Kind::Apache;
+    cfg.workload.seed = 11;
+    cfg.system.withOs = !app_only;
+    cfg.system.filterKernelRefs = !app_only;
+    cfg.fidelity = fidelity;
+    cfg.phases.startupInstrs = 200'000;
+    cfg.phases.measureInstrs = 300'000;
+    cfg.cosim = true;
+    Session s(cfg);
+    const RunResult r = s.run();
+
+    ASSERT_NE(s.cosim(), nullptr);
+    EXPECT_FALSE(s.cosim()->diverged()) << s.cosim()->report();
+    EXPECT_GE(s.cosim()->checked(), 500'000u);
+    EXPECT_EQ(s.system().pipeline().fidelity(), fidelity);
+    const CoreStats &life = s.system().pipeline().stats();
+    const MetricsSnapshot &d = r.steady;
+    if (app_only) {
+        // No OS code runs, and TLB misses refill without a trap.
+        EXPECT_EQ(life.retired[static_cast<int>(Mode::User)],
+                  life.totalRetired());
+        EXPECT_EQ(life.kernelEntries.get("itlb_miss"), 0u);
+        EXPECT_EQ(life.kernelEntries.get("dtlb_miss"), 0u);
+        EXPECT_GT(d.dtlb.misses[0], 0u);
+    } else {
+        // The kernel runs, but none of its references reach the
+        // filtered structures.
+        EXPECT_GT(d.core.retired[static_cast<int>(Mode::Kernel)], 0u);
+        EXPECT_EQ(d.btb.accesses[1], 0u);
+        EXPECT_EQ(d.l1i.accesses[1], 0u);
+        EXPECT_EQ(d.l1d.accesses[1], 0u);
+        EXPECT_GT(d.btb.accesses[0], 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ReducedMachineCosim,
+    ::testing::Combine(::testing::Values(Fidelity::Detailed,
+                                         Fidelity::Functional),
+                       ::testing::Bool()),
+    [](const auto &info) {
+        return std::string(fidelityName(std::get<0>(info.param))) +
+               (std::get<1>(info.param) ? "_AppOnlySpecInt"
+                                        : "_FilteredApache");
+    });
 
 namespace {
 

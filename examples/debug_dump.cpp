@@ -2,7 +2,7 @@
  * @file
  * Inspection tool: run a workload and dump the full diagnostic
  * profile (service-tag shares, MM entries, syscall counts, TLB and
- * cache interference breakdowns, fetch-stall mix).
+ * cache interference breakdowns, pipeline kernel entries).
  *
  * Usage: debug_dump [s|a] [startup-instrs|1=auto] [measure-instrs]
  *                   [m|s(uperscalar)] [-|a(pp-only)]
@@ -101,7 +101,7 @@ main(int argc, char **argv)
     dump_struct("L1D", d.l1d);
     dump_struct("L1I", d.l1i);
     dump_struct("L2", d.l2);
-    std::printf("fetch stalls:\n");
+    std::printf("pipeline kernel entries:\n");
     for (auto &kv : d.core.kernelEntries.all())
         if (kv.second != 0)
             std::printf("  %-14s %llu\n", kv.first.c_str(),

@@ -80,15 +80,9 @@ McFarling::chooserIndex() const
 bool
 McFarling::predict(Addr pc) const
 {
-    const bool local_taken = localPred_[localPredIndex(pc)] >= 2;
-    const bool global_taken = global_[globalIndex(pc)] >= 2;
-    const bool use_global = chooser_[chooserIndex()] >= 2;
-    if (use_global) {
-        ++globalPicks_;
-        return global_taken;
-    }
-    ++localPicks_;
-    return local_taken;
+    if (chooser_[chooserIndex()] >= 2)
+        return global_[globalIndex(pc)] >= 2;
+    return localPred_[localPredIndex(pc)] >= 2;
 }
 
 void

@@ -50,11 +50,7 @@ class McFarling
     std::uint64_t ghr() const { return ghr_; }
     void setGhr(std::uint64_t g) { ghr_ = g; }
 
-    /** Counts of predictions served by the chooser's pick (tests). */
-    std::uint64_t localPicks() const { return localPicks_; }
-    std::uint64_t globalPicks() const { return globalPicks_; }
-
-    static constexpr std::uint32_t snapVersion = 1;
+    static constexpr std::uint32_t snapVersion = 2;
     template <typename Ar> void snap(Ar &ar);
 
   private:
@@ -70,8 +66,6 @@ class McFarling
     std::vector<std::uint8_t> global_;
     std::vector<std::uint8_t> chooser_;
     std::uint64_t ghr_ = 0;
-    mutable std::uint64_t localPicks_ = 0;
-    mutable std::uint64_t globalPicks_ = 0;
 };
 
 } // namespace smtos

@@ -43,15 +43,17 @@ struct ThreadState
     ArchRegs archRegs{};
 };
 
-/** Fetch-stall reasons, sampled for the fetchable-contexts metric. */
+/** Why a context's fetch waits for Context::fetchResumeAt. Only the
+ *  cycle-attribution profiler reads it, to charge a blocked context's
+ *  fetch slots (Pipeline::fetchBlockCause). */
 enum class FetchStall : std::uint8_t
 {
     None = 0,
     IcacheMiss,
-    Serialize,   ///< waiting for a serializing instruction to commit
-    Redirect,    ///< refilling the front end after squash/branch
-    TrapDrain,   ///< draining before trap/interrupt delivery
-    NoThread,
+    Redirect,      ///< refilling the front end after a squash
+    TrapDrain,     ///< draining before trap/interrupt delivery
+    BranchBubble,  ///< waiting on a branch target: a BTB miss at
+                   ///< decode, or a resolved target mispredict
 };
 
 /** One SMT hardware context. */
@@ -79,9 +81,6 @@ struct Context
     int inflight = 0;
     /** In-flight and not yet issued (the ICOUNT metric). */
     int unissued = 0;
-
-    /** Cache line of the last fetch (to count line accesses once). */
-    Addr lastFetchLine = ~0ull;
 
     bool hasThread() const { return thread != nullptr; }
 };
@@ -156,9 +155,7 @@ struct CoreStats
 
     /**
      * Kernel entries by reason, counted by the pipeline: the traps
-     * (itlb_miss, dtlb_miss), interrupt delivery (interrupt), and the
-     * reasons a context's fetch stopped before taking an instruction
-     * (fs_stuck, fs_imiss, fs_iq, fs_rename, fs_inflight).
+     * (itlb_miss, dtlb_miss) and interrupt delivery (interrupt).
      */
     CounterMap kernelEntries;
 

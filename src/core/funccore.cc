@@ -43,8 +43,7 @@ Pipeline::setFidelity(Fidelity f)
         drainForFidelitySwitch();
     }
     // Functional → Detailed needs no work: the functional engine
-    // leaves nothing in flight, and the detailed fetch stage resets
-    // its per-cycle line tracking itself.
+    // leaves nothing in flight.
     fidelity_ = f;
     ++fidelityStats_.switches;
     smtos_trace(TraceCat::Fetch, "fidelity -> %s", fidelityName(f));
@@ -87,14 +86,10 @@ Pipeline::funcCycle()
         os_->cycleHook(now_);
 
     // Deliver pending interrupts first (every context is drained by
-    // construction). Also reset the per-cycle fetch-line tracking, as
-    // the detailed fetch stage does each cycle, so the L1I sees the
-    // same one-access-per-line-per-cycle warming rate.
-    for (Context &c : ctxs_) {
-        c.lastFetchLine = ~0ull;
+    // construction).
+    for (Context &c : ctxs_)
         if (interruptDue(c))
             deliverInterrupt(c);
-    }
 
     // Execute up to a fetch-width batch, round-robined across
     // contexts from a clock-derived start (stateless rotation, so a
@@ -106,8 +101,11 @@ Pipeline::funcCycle()
         Context &c = ctxs_[static_cast<size_t>((start + k) % nc)];
         if (!c.hasThread())
             continue;
+        // A context's turn comes once a cycle, so its first step reads
+        // the L1I again, as the detailed fetch stage does each cycle.
+        Addr last_line = ~Addr{0};
         while (budget > 0) {
-            const int r = funcStep(c);
+            const int r = funcStep(c, last_line);
             if (r == 0)
                 break;
             --budget;
@@ -118,7 +116,7 @@ Pipeline::funcCycle()
 }
 
 int
-Pipeline::funcStep(Context &c)
+Pipeline::funcStep(Context &c, Addr &lastLine)
 {
     ThreadState &t = *c.thread;
     const ImageSet is = imagesFor(t);
@@ -147,7 +145,7 @@ Pipeline::funcStep(Context &c)
     // ITLB translation + L1I warming, one access per line per cycle
     // (the detailed front end's discipline, minus the miss timing).
     const Addr line = hier_->l1i().blockOf(pc);
-    if (line != c.lastFetchLine) {
+    if (line != lastLine) {
         Addr paddr = 0;
         if (!translateFetch(c, t, cursor_mode, pc, paddr)) {
             // The handler's instructions execute on this context's
@@ -156,7 +154,7 @@ Pipeline::funcStep(Context &c)
             return 2;
         }
         hier_->warmFetch(paddr, AccessInfo{t.id, cursor_mode, c.id});
-        c.lastFetchLine = line;
+        lastLine = line;
     }
 
     const Instr &in = img.instrAtFlat(flat);
@@ -175,10 +173,8 @@ Pipeline::funcStep(Context &c)
         // the cursor past this instruction itself).
     } else if (in.isBranch()) {
         // Train along the correct path, as the detailed core does. It
-        // also calls McFarling::predict first, for its timing; that
-        // call's only side effect is the predictor's pick counters,
-        // which nothing reads but the PIPE section saves, so skipping
-        // it here keeps functional artifacts as they are.
+        // also calls McFarling::predict first, for its timing, which
+        // changes no state.
         using Kind = BranchPreview::Kind;
         const BranchPreview bp = cur.previewBranch(is, t.iprs);
         if (!filteredBranch(cursor_mode))

@@ -68,7 +68,6 @@ Pipeline::bindThread(CtxId id, ThreadState *t)
     Context &c = ctx(id);
     smtos_assert(c.inflight == 0);
     c.thread = t;
-    c.lastFetchLine = ~0ull;
     writerSeq_[static_cast<size_t>(id)].fill(0);
     writerPos_[static_cast<size_t>(id)].fill(0);
     if (obs_ && t)
@@ -101,20 +100,21 @@ Pipeline::canFetch(const Context &c) const
     return true;
 }
 
-int
+Pipeline::FetchRun
 Pipeline::fetchFrom(Context &c, int budget)
 {
     ThreadState &t = *c.thread;
     const ImageSet is = imagesFor(t);
     Cursor &cur = t.cursor;
     int n = 0;
-    fetchStop_ = FetchStop::None;
+    FetchStop stop = FetchStop::None;
+    // The line this call last read. A context fetches at most once a
+    // cycle, so every cycle's first fetch reads the cache again.
+    Addr last_line = ~Addr{0};
 
     while (n < budget) {
         if (cur.stuck()) {
-            if (n == 0)
-                stats_.kernelEntries.add("fs_stuck");
-            fetchStop_ = FetchStop::Stuck;
+            stop = FetchStop::Stuck;
             break;
         }
         const Mode cursor_mode = cur.mode(is);
@@ -125,9 +125,8 @@ Pipeline::fetchFrom(Context &c, int budget)
         const Addr pc = cur.currentPc(is);
 
         // Instruction cache, one access per line touched.
-        const Addr line =
-            pc / static_cast<Addr>(hier_->l1i().params().lineBytes);
-        if (line != c.lastFetchLine) {
+        const Addr line = hier_->l1i().blockOf(pc);
+        if (line != last_line) {
             Addr paddr = 0;
             if (!translateFetch(c, t, cursor_mode, pc, paddr)) {
                 if (cur.wrongPath()) {
@@ -135,9 +134,9 @@ Pipeline::fetchFrom(Context &c, int budget)
                     // unmapped page: stall until the mispredicted
                     // branch squashes us.
                     cur.setStuck(true);
-                    fetchStop_ = FetchStop::Stuck;
+                    stop = FetchStop::Stuck;
                 } else {
-                    fetchStop_ = FetchStop::TlbTrap;
+                    stop = FetchStop::TlbTrap;
                     itlbTrap(c, t, pc);
                     c.fetchResumeAt = now_ + 1;
                     c.stallReason = FetchStall::TrapDrain;
@@ -149,33 +148,25 @@ Pipeline::fetchFrom(Context &c, int budget)
             if (!r.l1Hit) {
                 c.fetchResumeAt = r.readyAt;
                 c.stallReason = FetchStall::IcacheMiss;
-                if (n == 0)
-                    stats_.kernelEntries.add("fs_imiss");
-                fetchStop_ = FetchStop::IcacheMiss;
+                stop = FetchStop::IcacheMiss;
                 break;
             }
-            c.lastFetchLine = line;
+            last_line = line;
         }
 
         // Shared resources: issue queues and renaming registers.
         if (unissuedInt_ >= params_.intQueue ||
             unissuedFp_ >= params_.fpQueue) {
-            if (n == 0)
-                stats_.kernelEntries.add("fs_iq");
-            fetchStop_ = FetchStop::IqFull;
+            stop = FetchStop::IqFull;
             break;
         }
         if (intRegsUsed_ >= params_.intRenameRegs ||
             fpRegsUsed_ >= params_.fpRenameRegs) {
-            if (n == 0)
-                stats_.kernelEntries.add("fs_rename");
-            fetchStop_ = FetchStop::RenameFull;
+            stop = FetchStop::RenameFull;
             break;
         }
         if (c.inflight >= params_.maxInflightPerCtx) {
-            if (n == 0)
-                stats_.kernelEntries.add("fs_inflight");
-            fetchStop_ = FetchStop::WindowFull;
+            stop = FetchStop::WindowFull;
             break;
         }
 
@@ -236,6 +227,12 @@ Pipeline::fetchFrom(Context &c, int budget)
                 return was_wrong ? btb_.lookup(pc, who)
                                  : trainBranch(bp, pc, who);
             };
+            // A taken branch the BTB has no target for: the front end
+            // waits out a decode-time redirect bubble.
+            auto btbMissBubble = [&]() {
+                c.fetchResumeAt = now_ + params_.btbMissPenalty;
+                c.stallReason = FetchStall::BranchBubble;
+            };
 
             switch (bp.kind) {
               case BranchPreview::Kind::Cond: {
@@ -250,9 +247,8 @@ Pipeline::fetchFrom(Context &c, int budget)
                     if (was_wrong)
                         mcf_.pushHistory(pred_taken);
                     if (pred_taken && !br.hit) {
-                        // Predicted taken with no target: decode-time
-                        // redirect bubble.
-                        c.fetchResumeAt = now_ + params_.btbMissPenalty;
+                        // Predicted taken with no target.
+                        btbMissBubble();
                         ends_run = true;
                     }
                 }
@@ -279,7 +275,7 @@ Pipeline::fetchFrom(Context &c, int budget)
               }
               case BranchPreview::Kind::Jump: {
                 if (!filtered && !consultBtb().hit)
-                    c.fetchResumeAt = now_ + params_.btbMissPenalty;
+                    btbMissBubble();
                 cur.followBranch(is, bp, true);
                 ends_run = true;
                 break;
@@ -304,7 +300,7 @@ Pipeline::fetchFrom(Context &c, int budget)
               }
               case BranchPreview::Kind::Call: {
                 if (!filtered && !consultBtb().hit)
-                    c.fetchResumeAt = now_ + params_.btbMissPenalty;
+                    btbMissBubble();
                 cur.followBranch(is, bp, true);
                 if (!cur.stuck())
                     c.ras.push(cur.parentPc(is));
@@ -366,21 +362,17 @@ Pipeline::fetchFrom(Context &c, int budget)
             ++stats_.fetchedWrongPath;
         ++n;
         if (ends_run) {
-            fetchStop_ = u.serializing ? FetchStop::Serialize
-                                       : FetchStop::TakenBranch;
+            stop = u.serializing ? FetchStop::Serialize
+                                 : FetchStop::TakenBranch;
             break;
         }
     }
-    return n;
+    return {n, stop};
 }
 
 void
 Pipeline::fetchStage()
 {
-    // Reset per-cycle line tracking so each cycle re-touches the cache.
-    for (Context &c : ctxs_)
-        c.lastFetchLine = ~0ull;
-
     int fetchable = 0;
     std::vector<std::pair<int, CtxId>> &cands = fetchCands_;
     cands.clear();
@@ -403,21 +395,21 @@ Pipeline::fetchStage()
                         cands.end());
     }
     int budget = params_.fetchWidth;
-    int total = 0;
     int picked = 0;
+    FetchStop stop = FetchStop::None;
     for (const auto &[unissued, id] : cands) {
         if (picked >= params_.fetchContexts || budget <= 0)
             break;
         ++picked;
-        const int n = fetchFrom(ctx(id), budget);
-        budget -= n;
-        total += n;
+        const FetchRun run = fetchFrom(ctx(id), budget);
+        budget -= run.fetched;
+        stop = run.stop;
     }
-    if (total == 0)
+    if (budget == params_.fetchWidth)
         ++stats_.zeroFetchCycles;
 
     if (probes_ && probes_->profiler())
-        profileFetchSlots(cands, picked, budget);
+        profileFetchSlots(cands, picked, budget, stop);
 }
 
 namespace {
@@ -478,11 +470,8 @@ Pipeline::fetchBlockCause(const Context &c) const
           case FetchStall::IcacheMiss: return SlotCause::IcacheMiss;
           case FetchStall::TrapDrain: return SlotCause::TlbRefill;
           case FetchStall::Redirect: return SlotCause::SquashRecovery;
-          case FetchStall::Serialize: return SlotCause::Serialize;
-          default:
-            // BTB-miss redirect bubbles set fetchResumeAt without a
-            // dedicated reason: the front end waits on a target.
-            return SlotCause::BranchHold;
+          case FetchStall::BranchBubble: return SlotCause::BranchHold;
+          case FetchStall::None: break; // no writer leaves it pending
         }
     }
     if (waitBranch_[static_cast<size_t>(c.id)] != 0)
@@ -512,7 +501,7 @@ Pipeline::currentServiceTag(const Context &c) const
 void
 Pipeline::profileFetchSlots(
     const std::vector<std::pair<int, CtxId>> &cands, int picked,
-    int lost)
+    int lost, FetchStop stop)
 {
     CycleProfiler *prof = probes_->profiler();
     prof->fetchUsed(params_.fetchWidth - lost);
@@ -527,7 +516,7 @@ Pipeline::profileFetchSlots(
         // that stopped short, so charge the remainder to its stop.
         charged = cands[static_cast<size_t>(picked - 1)].second;
         const Context &c = ctxs_[static_cast<size_t>(charged)];
-        switch (fetchStop_) {
+        switch (stop) {
           case FetchStop::Stuck:
             cause = (c.hasThread() && c.thread->cursor.wrongPath())
                         ? SlotCause::SquashRecovery
@@ -952,7 +941,10 @@ Pipeline::executeStage()
             if (u.redirectOnly) {
                 ++stats_.targetMispred[cls];
                 waitBranch_[ci] = 0;
-                c.fetchResumeAt = std::max(c.fetchResumeAt, now_ + 1);
+                if (c.fetchResumeAt < now_ + 1) {
+                    c.fetchResumeAt = now_ + 1;
+                    c.stallReason = FetchStall::BranchBubble;
+                }
             }
         }
     }

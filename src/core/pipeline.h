@@ -208,7 +208,9 @@ class Pipeline
      */
     void setFastForward(bool on) { fastForward_ = on; }
     bool fastForward() const { return fastForward_; }
-    /** Idle cycles skipped by quiescence fast-forward (host metric). */
+    /** Idle cycles this pipeline object skipped by quiescence
+     *  fast-forward: a host metric, so no artifact carries it (a
+     *  resumed pipeline counts from zero). */
     std::uint64_t fastForwardedCycles() const { return ffCycles_; }
 
     Cycle now() const { return now_; }
@@ -302,7 +304,7 @@ class Pipeline
     void dumpState(std::ostream &os) const;
 
     // --- snapshot/restore (src/snap) ---
-    static constexpr std::uint32_t snapVersion = 2;
+    static constexpr std::uint32_t snapVersion = 3;
     /**
      * All mutable pipeline state. On load @p threadById resolves
      * serialized thread ids to the rebuilt ThreadStates (the kernel
@@ -321,9 +323,9 @@ class Pipeline
 
   private:
     /**
-     * Why the most recent fetchFrom() call stopped taking
-     * instructions; consumed by the cycle-attribution profiler to
-     * charge the cycle's unused fetch slots.
+     * Why a fetchFrom() call stopped taking instructions; the
+     * cycle-attribution profiler charges the cycle's unused fetch
+     * slots to the last picked context's stop.
      */
     enum class FetchStop : std::uint8_t
     {
@@ -355,7 +357,13 @@ class Pipeline
 
     bool canFetch(const Context &c) const;
     void fetchStage();
-    int fetchFrom(Context &c, int budget);
+    /** What one fetchFrom() call took, and why it stopped. */
+    struct FetchRun
+    {
+        int fetched = 0;
+        FetchStop stop = FetchStop::None;
+    };
+    FetchRun fetchFrom(Context &c, int budget);
     /**
      * Issue considers only the oldest issueWindow waiting uops of
      * each context per cycle (DESIGN.md §3): a ready uop behind them
@@ -394,10 +402,11 @@ class Pipeline
     /** Account @p k skipped idle cycles exactly as k ticks would. */
     void skipIdleCycles(Cycle k);
 
-    /** Charge this cycle's unused fetch slots to one (cause,ctx,tag). */
+    /** Charge this cycle's unused fetch slots to one (cause,ctx,tag);
+     *  @p stop is the last picked context's. */
     void profileFetchSlots(
         const std::vector<std::pair<int, CtxId>> &cands, int picked,
-        int lost);
+        int lost, FetchStop stop);
     /**
      * Charge @p lost fetch slots to @p cause at context @p charged, or,
      * with no context named, as zero-fetch cycles: to the blocked
@@ -493,10 +502,11 @@ class Pipeline
     /** One functional cycle: interrupt delivery + a fetch-width batch
      *  of architectural steps round-robined across contexts. */
     void funcCycle();
-    /** Execute one instruction of @p c architecturally. Returns 1
-     *  (retired, may continue), 2 (retired-or-trapped into the OS,
-     *  end this context's turn), or 0 (cannot execute). */
-    int funcStep(Context &c);
+    /** Execute one instruction of @p c architecturally. @p lastLine
+     *  is the L1I line the context's turn last warmed (~0 at the turn's
+     *  start). Returns 1 (retired, may continue), 2 (retired-or-trapped
+     *  into the OS, end this context's turn), or 0 (cannot execute). */
+    int funcStep(Context &c, Addr &lastLine);
     /** Run detailed cycles with fetch suppressed until nothing is in
      *  flight (the functional-switch handover point). */
     void drainForFidelitySwitch();
@@ -507,7 +517,6 @@ class Pipeline
     OsCallbacks *os_ = nullptr;
     RetireObserver *obs_ = nullptr;
     Probes *probes_ = nullptr;
-    FetchStop fetchStop_ = FetchStop::None;
     std::uint64_t faultAtRetire_ = 0;
 
     std::vector<Context> ctxs_;

@@ -20,13 +20,14 @@ namespace {
 
 /** Config-section layout version (independent of the machine
  *  sections' per-class versions). */
-constexpr std::uint32_t configSectionVersion = 4;
+constexpr std::uint32_t configSectionVersion = 5;
 
 /** Cosim-oracle section layout version. */
 constexpr std::uint32_t cosimSectionVersion = 1;
 
-/** Optional trailing request-tracer section. */
-constexpr std::uint32_t reqtraceSectionVersion = 1;
+/** Request-tracer section layout version (a traced flag, then the
+ *  tracer's state when set). */
+constexpr std::uint32_t reqtraceSectionVersion = 2;
 
 /**
  * The CFG section's field list, in artifact order: everything that
@@ -51,8 +52,6 @@ configFields(C &cfg, F &&f)
     f(sc.roundRobinFetch);
     f(sc.affinitySched);
     f(sc.sharedTlbIpr);
-    f(sc.fastForward);
-    f(sc.memLatency);
     auto &dp = sc.dram;
     f(dp.banked);
     f(dp.channels);
@@ -99,7 +98,6 @@ machineConfigOf(const SystemConfig &sc, const WorkloadConfig &wc)
     cfg.kernel.openLoop = wc.openLoop;
     cfg.kernel.admit = sc.admit;
     cfg.mem.filterPrivileged = sc.filterKernelRefs;
-    cfg.mem.dramLatency = sc.memLatency;
     cfg.mem.dram = sc.dram;
     cfg.cores = sc.topology.cores;
     if (sc.topology.contextsPerCore > 0) {
@@ -123,9 +121,9 @@ machineConfigOf(const SystemConfig &sc, const WorkloadConfig &wc)
 
 } // namespace
 
-Session::Session(const Config &cfg) : Session(cfg, true, false) {}
+Session::Session(const Config &cfg) : Session(cfg, true) {}
 
-Session::Session(const Config &cfg, bool consultAmbient, bool forcePlan)
+Session::Session(const Config &cfg, bool consultAmbient)
     : cfg_(cfg)
 {
     const EnvOverrides &env = EnvOverrides::ambient();
@@ -138,7 +136,7 @@ Session::Session(const Config &cfg, bool consultAmbient, bool forcePlan)
     if (consultAmbient) {
         if (cfg_.system.topology.cores == 1 && env.cores)
             cfg_.system.topology.cores = *env.cores;
-        if (!cfg_.faultPlan && !cfg_.faults.any() && env.faults)
+        if (!cfg_.faults.any() && env.faults)
             cfg_.faults = *env.faults;
         if (!cfg_.workload.openLoop.enabled && env.openLoop)
             cfg_.workload.openLoop = *env.openLoop;
@@ -150,21 +148,13 @@ Session::Session(const Config &cfg, bool consultAmbient, bool forcePlan)
             cfg_.sample = *env.sample;
     }
 
-    // Fault injection: an explicit plan wins, then the config's
-    // params. The plan's params face validate() like the config's.
-    if (cfg_.faultPlan)
-        cfg_.faults = cfg_.faultPlan->params();
     validate();
-    plan_ = cfg_.faultPlan;
-    if (!plan_ && (cfg_.faults.any() || forcePlan)) {
-        ownedPlan_ = std::make_unique<FaultPlan>(cfg_.faults);
-        plan_ = ownedPlan_.get();
-    }
+    if (cfg_.faults.any())
+        plan_ = std::make_unique<FaultPlan>(cfg_.faults);
 
     sys_ = std::make_unique<System>(
         machineConfigOf(cfg_.system, cfg_.workload));
     for (int c = 0; c < sys_->numCores(); ++c) {
-        sys_->pipeline(c).setFastForward(cfg_.system.fastForward);
         if (cfg_.fidelity == Fidelity::Functional)
             sys_->pipeline(c).setFidelity(Fidelity::Functional);
         if (cfg_.system.filterKernelRefs)
@@ -185,14 +175,14 @@ Session::Session(const Config &cfg, bool consultAmbient, bool forcePlan)
     // Attach before start() so the connection-table override takes
     // effect and the netisr/idle boot is covered.
     if (plan_) {
-        sys_->attachFaults(plan_);
+        sys_->attachFaults(plan_.get());
         if (plan_->params().auditEvery > 0) {
             auditor_ = std::make_unique<InvariantAuditor>(
                 *sys_, plan_->params().auditEvery);
             sys_->kernel().setAuditor(auditor_.get());
         }
     }
-    diagArm(sys_.get(), plan_);
+    diagArm(sys_.get(), plan_.get());
 
     if (cfg_.workload.kind == WorkloadConfig::Kind::SpecInt) {
         SpecIntParams p = cfg_.workload.spec;
@@ -258,8 +248,6 @@ Session::validate() const
                     "one context");
     if (cfg_.phases.measureInstrs == 0)
         smtos_fatal("Session: measureInstrs must be nonzero");
-    if (sc.memLatency == 0)
-        smtos_fatal("Session: memLatency must be nonzero");
     const DramParams &dp = sc.dram;
     auto pow2 = [](int v) { return v > 0 && (v & (v - 1)) == 0; };
     if (dp.channels <= 0 || dp.ranks <= 0 || dp.banksPerRank <= 0)
@@ -421,23 +409,23 @@ Session::snapshot()
     Snapshotter sp;
     sp.beginSection("CFG ", configSectionVersion);
     configFields(cfg_, [&sp](const auto &v) { sp.io(v); });
-    sp.io(plan_ != nullptr);
     sp.io(cosim_ != nullptr);
     sp.endSection();
-    snapMachineSections(sp, *sys_, plan_);
+    snapMachineSections(sp, *sys_, plan_.get());
     // The oracle rides behind the machine sections: its reference
     // cores sit at the retire point, which no machine section holds.
     sp.beginSection("COSM", cosimSectionVersion);
     if (cosim_)
         cosim_->snap(sp, collectImages(*sys_));
     sp.endSection();
-    // Tracer state is observability, not machine state: only traced
-    // sessions carry it, as a trailing section.
-    if (obs_ && obs_->reqtrace()) {
-        sp.beginSection("RQTR", reqtraceSectionVersion);
-        obs_->reqtrace()->snap(sp);
-        sp.endSection();
-    }
+    // Tracer state is observability, not machine state: the section
+    // is always there, and only a traced session fills it.
+    RequestTracer *tracer = obs_ ? obs_->reqtrace() : nullptr;
+    sp.beginSection("RQTR", reqtraceSectionVersion);
+    sp.io(tracer != nullptr);
+    if (tracer)
+        tracer->snap(sp);
+    sp.endSection();
     return sp.finish();
 }
 
@@ -461,8 +449,7 @@ Session::resume(const std::vector<std::uint8_t> &artifact,
     }
     Config cfg;
     configFields(cfg, [&rs](auto &v) { rs.io(v); });
-    bool hadPlan = false, hadCosim = false;
-    rs.io(hadPlan);
+    bool hadCosim = false;
     rs.io(hadCosim);
     rs.endSection();
 
@@ -494,8 +481,8 @@ Session::resume(const std::vector<std::uint8_t> &artifact,
 
     // Rebuild from the artifact's own config (never the ambient
     // environment), then overlay the saved machine state.
-    std::unique_ptr<Session> s(new Session(cfg, false, hadPlan));
-    snapMachineSections(rs, *s->sys_, s->plan_);
+    std::unique_ptr<Session> s(new Session(cfg, false));
+    snapMachineSections(rs, *s->sys_, s->plan_.get());
     // Load the oracle last: it wholesale-replaces the sync noise the
     // machine restore just fed it (resyncThreads targets the fetch
     // point; the oracle must resume from the retire point).
@@ -505,18 +492,17 @@ Session::resume(const std::vector<std::uint8_t> &artifact,
     else
         rs.skipRest();
     rs.endSection();
-    // Trailing tracer state (present only when the saving session
-    // traced). Restored into the resuming session's tracer when it has
-    // one, so in-flight spans complete across the boundary; skipped
-    // (but still consumed) otherwise.
-    if (!rs.atEnd()) {
-        rs.beginSection("RQTR", reqtraceSectionVersion);
-        if (opts.obs && opts.obs->reqtrace())
-            opts.obs->reqtrace()->snap(rs);
-        else
-            rs.skipRest();
-        rs.endSection();
-    }
+    // Tracer state (there when the saving session traced). Restored
+    // into the resuming session's tracer when it has one, so in-flight
+    // spans complete across the boundary; skipped otherwise.
+    rs.beginSection("RQTR", reqtraceSectionVersion);
+    bool traced = false;
+    rs.io(traced);
+    if (traced && opts.obs && opts.obs->reqtrace())
+        opts.obs->reqtrace()->snap(rs);
+    else
+        rs.skipRest();
+    rs.endSection();
     // Overload and fidelity overrides land on the restored machine:
     // the fig_overload_knee pattern resumes one closed-loop start-up
     // snapshot into many open-loop/admission operating points, and

@@ -74,10 +74,6 @@ struct SystemConfig
     bool roundRobinFetch = false;
     bool affinitySched = false;
     bool sharedTlbIpr = false;
-    /** Host fast path (DESIGN.md §10); bit-identical either way. */
-    bool fastForward = true;
-    /** Flat DRAM latency (the Table-1 90 cycles, named once). */
-    Cycle memLatency = defaultMemLatency;
     /** Banked-DRAM geometry/policy; dram.banked=false keeps the flat
      *  model and is bit-identical to the pre-banked machine. */
     DramParams dram;
@@ -137,12 +133,12 @@ class Session
         RunPhases phases;
 
         /**
-         * Fault injection. An explicit plan (not owned) wins;
-         * otherwise a plan is built from @c faults when it configures
-         * anything, or from the installed EnvOverrides ambient.
+         * Fault injection: the session builds and owns a plan exactly
+         * when @c faults configures anything (or, left at its default,
+         * the installed EnvOverrides ambient does); faultPlan() reads
+         * it.
          */
         FaultParams faults{};
-        FaultPlan *faultPlan = nullptr;
 
         /**
          * Observability session (not owned; covers exactly one run).
@@ -251,14 +247,14 @@ class Session
 
     System &system() { return *sys_; }
     const Config &config() const { return cfg_; }
-    FaultPlan *faultPlan() { return plan_; }
+    FaultPlan *faultPlan() { return plan_.get(); }
     Cosim *cosim() { return cosim_.get(); }
 
     /** Capture the current absolute metrics. */
     MetricsSnapshot capture() const;
 
   private:
-    Session(const Config &cfg, bool consultAmbient, bool forcePlan);
+    Session(const Config &cfg, bool consultAmbient);
 
     void validate() const;
 
@@ -269,8 +265,7 @@ class Session
     std::shared_ptr<const SpecIntWorkload> specW_;
     std::shared_ptr<const ApacheWorkload> apacheW_;
     std::unique_ptr<System> sys_;
-    std::unique_ptr<FaultPlan> ownedPlan_;
-    FaultPlan *plan_ = nullptr;
+    std::unique_ptr<FaultPlan> plan_;
     std::unique_ptr<ObsSession> ownedObs_;
     ObsSession *obs_ = nullptr;
     std::unique_ptr<InvariantAuditor> auditor_;

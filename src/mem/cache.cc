@@ -26,6 +26,14 @@ Cache::Cache(const CacheParams &params) : params_(params)
     SMTOS_CHECK(num_lines % params_.assoc == 0);
     numSets_ = static_cast<int>(num_lines / params_.assoc);
     SMTOS_CHECK(numSets_ >= 1);
+    // Power-of-two geometry, checked in every build: blockOf and setOf
+    // are a shift and a mask.
+    auto pow2 = [](std::uint64_t v) { return (v & (v - 1)) == 0; };
+    smtos_assert(pow2(static_cast<std::uint64_t>(params_.lineBytes)) &&
+                 pow2(static_cast<std::uint64_t>(numSets_)));
+    while ((1 << lineShift_) < params_.lineBytes)
+        ++lineShift_;
+    setMask_ = static_cast<Addr>(numSets_) - 1;
     constexpr std::size_t hostLine = 64;
     std::size_t room = num_lines * sizeof(Line) + hostLine;
     wayBytes_ = std::make_unique_for_overwrite<std::byte[]>(room);
@@ -33,15 +41,6 @@ Cache::Cache(const CacheParams &params) : params_(params)
     std::align(hostLine, num_lines * sizeof(Line), first, room);
     lines_ = {static_cast<Line *>(first), num_lines};
     std::uninitialized_fill(lines_.begin(), lines_.end(), Line{});
-
-    auto pow2 = [](std::uint64_t v) { return (v & (v - 1)) == 0; };
-    fastGeom_ = pow2(static_cast<std::uint64_t>(params_.lineBytes)) &&
-                pow2(static_cast<std::uint64_t>(numSets_));
-    if (fastGeom_) {
-        while ((1 << lineShift_) < params_.lineBytes)
-            ++lineShift_;
-        setMask_ = static_cast<Addr>(numSets_) - 1;
-    }
 }
 
 CacheOutcome

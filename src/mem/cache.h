@@ -24,7 +24,8 @@ namespace smtos {
 
 class Probes;
 
-/** Geometry and identity of a cache. */
+/** Geometry and identity of a cache. The line size and the set count
+ *  (sizeBytes / lineBytes / assoc) are powers of two. */
 struct CacheParams
 {
     std::string name = "cache";
@@ -115,11 +116,7 @@ class Cache
     /** Block (line) index of a byte address — public so callers that
      *  track per-line access discipline (the fetch stages) share the
      *  cache's own geometry arithmetic. */
-    Addr blockOf(Addr addr) const
-    {
-        return fastGeom_ ? addr >> lineShift_
-                         : addr / static_cast<Addr>(params_.lineBytes);
-    }
+    Addr blockOf(Addr addr) const { return addr >> lineShift_; }
 
     /** Reset statistics (not contents). */
     void resetStats() { stats_.reset(); }
@@ -145,9 +142,7 @@ class Cache
 
     int setOf(Addr blockAddr) const
     {
-        return static_cast<int>(
-            fastGeom_ ? blockAddr & setMask_
-                      : blockAddr % static_cast<Addr>(numSets_));
+        return static_cast<int>(blockAddr & setMask_);
     }
 
     /** Index in lines_ of the first way of @p block's set. */
@@ -160,10 +155,6 @@ class Cache
     CacheParams params_;
     Probes *probes_ = nullptr;
     int numSets_;
-    /** Power-of-two geometry runs on shift/mask instead of the
-     *  div/mod fallback (two hardware divides per access otherwise —
-     *  measurable on the warming-only fast path). */
-    bool fastGeom_ = false;
     int lineShift_ = 0;
     Addr setMask_ = 0;
     /** Backing bytes of lines_, one host line longer than the ways.

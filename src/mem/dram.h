@@ -15,8 +15,7 @@ namespace smtos {
 
 /**
  * The Table-1 memory latency, named in one place: the flat DRAM
- * default, HierarchyParams::dramLatency and SystemConfig::memLatency
- * all derive from it.
+ * default and HierarchyParams::dramLatency derive from it.
  */
 constexpr Cycle defaultMemLatency = 90;
 

@@ -33,8 +33,9 @@
  * predictable branch per site when tracing is off, and the tracer
  * never mutates simulation state, so traced runs are bit-identical
  * to untraced ones. Tracer state round-trips through the snapshot
- * artifact (an optional trailing RQTR section) so resumed sweeps
- * trace cleanly across the snapshot boundary.
+ * artifact (the RQTR section every artifact ends with, filled when
+ * the session traces) so resumed sweeps trace cleanly across the
+ * snapshot boundary.
  */
 
 #ifndef SMTOS_OBS_REQTRACE_H

@@ -51,8 +51,7 @@ snapInstr(Ar &ar, const SnapImages &images, const Instr *&in)
         in = id < 0 ? nullptr : images.byId(id)->instrPtr(flat);
 }
 
-/** A window uop with its recovery checkpoint (a default one on the
- *  wire when the uop has none). */
+/** A window uop, followed by its recovery checkpoint when it has one. */
 template <typename Ar>
 void
 snapUop(Ar &ar, const SnapImages &images, Uop &u, UopCheckpoint &cp)
@@ -62,10 +61,7 @@ snapUop(Ar &ar, const SnapImages &images, Uop &u, UopCheckpoint &cp)
     ar.io(u.vaddr);
     ar.io(u.paddr);
     ar.io(u.mode);
-    std::int32_t tag = u.tag; // i32 on the wire
-    ar.io(tag);
-    if constexpr (Ar::loading)
-        u.tag = static_cast<std::int16_t>(tag);
+    ar.io(u.tag);
     ar.io(u.thread);
     ar.io(u.seq);
     ar.io(u.stage);
@@ -86,12 +82,12 @@ snapUop(Ar &ar, const SnapImages &images, Uop &u, UopCheckpoint &cp)
     ar.io(u.depB);
     ar.io(u.depAPos);
     ar.io(u.depBPos);
-    UopCheckpoint none;
-    UopCheckpoint &k = Ar::loading || u.hasCheckpoint ? cp : none;
-    ar.pod(k.cursor);
-    ar.io(k.ras.sp);
-    ar.io(k.ras.top);
-    ar.io(k.ghr);
+    if (!u.hasCheckpoint)
+        return;
+    ar.pod(cp.cursor);
+    ar.io(cp.ras.sp);
+    ar.io(cp.ras.top);
+    ar.io(cp.ghr);
 }
 
 } // namespace
@@ -108,8 +104,6 @@ Pipeline::snap(Ar &ar, const SnapImages &images,
     ar.io(fpRegsUsed_);
     ar.io(unissuedInt_);
     ar.io(unissuedFp_);
-    ar.io(ffCycles_);
-    ar.io(fetchStop_);
 
     ar.expect(static_cast<std::int32_t>(ctxs_.size()));
     if constexpr (Ar::loading)
@@ -130,7 +124,6 @@ Pipeline::snap(Ar &ar, const SnapImages &images,
         ar.io(c.interruptVector);
         ar.io(c.inflight);
         ar.io(c.unissued);
-        ar.io(c.lastFetchLine);
 
         FixedRing<Uop> &q = q_[i];
         std::uint64_t head = q.headPos();

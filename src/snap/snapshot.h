@@ -47,7 +47,7 @@ constexpr char snapshotMagic[8] = {'S', 'M', 'T', 'O', 'S', 'N', 'P',
 
 /** Bumped whenever the section list, a section's layout or the header
  *  changes; an artifact of any other version is refused. */
-constexpr std::uint32_t snapshotFormatVersion = 2;
+constexpr std::uint32_t snapshotFormatVersion = 3;
 
 /** Magic, format version, payload length and checksum. */
 constexpr std::size_t snapshotHeaderBytes = 8 + 4 + 8 + 8;
@@ -396,16 +396,6 @@ class Restorer : public Archive<Restorer>
     {
         smtos_assert(sectionEnd_ != 0);
         pos_ = sectionEnd_;
-    }
-
-    /** True when the whole payload has been consumed. Valid only
-     *  between sections; lets readers detect optional trailing
-     *  sections that older artifacts do not carry. */
-    bool
-    atEnd() const
-    {
-        smtos_assert(sectionEnd_ == 0);
-        return pos_ == buf_.size();
     }
 
   private:

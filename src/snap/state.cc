@@ -374,8 +374,6 @@ McFarling::snap(Ar &ar)
     ar.expect(chooser_.size());
     ar.pod(chooser_);
     ar.io(ghr_);
-    ar.io(localPicks_);
-    ar.io(globalPicks_);
 }
 SMTOS_SNAP_INSTANTIATE(McFarling);
 

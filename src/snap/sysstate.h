@@ -20,6 +20,10 @@
  *   "UNCR"  the uncore: L2, L2 MSHRs, buses, DRAM, coherence hub
  *   "FLTP"  fault plan RNG streams and log (flag + optional body)
  *
+ * The harness closes the artifact with "COSM" (the co-simulation
+ * oracle) and "RQTR" (the request tracer): both always present, and
+ * filled only when the session has one.
+ *
  * The kernel section loads before the pipeline sections so thread-id
  * to ThreadState resolution finds restored processes. Restore ends
  * with Pipeline::resyncThreads() so an attached retire observer

@@ -324,9 +324,6 @@ TEST(DramConfigDeathTest, SessionRejectsBadGeometry)
     EXPECT_DEATH(
         Session s(mk([](SystemConfig &sc) { sc.dram.rowBytes = 32; })),
         "rowBytes");
-    EXPECT_DEATH(
-        Session s(mk([](SystemConfig &sc) { sc.memLatency = 0; })),
-        "memLatency");
 }
 
 // Flat-mode metric exports carry no dram object (bit-identity with

@@ -48,14 +48,23 @@ perfSpec(WorkloadConfig::Kind wl, int contexts)
     return s;
 }
 
+/** The host fast path is a per-pipeline switch: set it on every core
+ *  of @p s. */
+void
+setFastForward(Session &s, bool on)
+{
+    for (Pipeline *p : s.system().pipes())
+        p->setFastForward(on);
+}
+
 /** Run one spec and return its steady-state metrics as JSON. */
 std::string
 metricsJson(const Session::Config &spec, bool fast_forward, bool host_cache)
 {
     AddrSpace::setHostCacheEnabled(host_cache);
-    Session::Config s = spec;
-    s.system.fastForward = fast_forward;
-    const RunResult r = Session(s).run();
+    Session s(spec);
+    setFastForward(s, fast_forward);
+    const RunResult r = s.run();
     AddrSpace::setHostCacheEnabled(true);
     return toJson(r.steady);
 }
@@ -186,15 +195,14 @@ TEST(PerfIdentityArtifacts, TimelineAndFaultLogIdentical)
         ObsConfig oc;
         oc.timelinePath = trace_path;
         ObsSession obs(oc);
-        FaultPlan plan(
-            parseParams<FaultParams>("loss=0.01,mce=40000").value);
         Session::Config s = perfSpec(WorkloadConfig::Kind::Apache, 4);
-        s.system.fastForward = fast;
         s.obs = &obs;
-        s.faultPlan = &plan;
-        Session(s).run();
+        s.faults = parseParams<FaultParams>("loss=0.01,mce=40000").value;
+        Session sess(s);
+        setFastForward(sess, fast);
+        sess.run();
         AddrSpace::setHostCacheEnabled(true);
-        return plan.logText();
+        return sess.faultPlan()->logText();
     };
     const std::string log_fast = run(true, dir + "/perf_fast.json");
     const std::string log_slow = run(false, dir + "/perf_slow.json");

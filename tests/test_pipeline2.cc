@@ -13,6 +13,7 @@
 #include "core/pipeline.h"
 #include "isa/codegen.h"
 #include "kernel/layout.h"
+#include "obs/profiler.h"
 #include "vm/physmem.h"
 
 using namespace smtos;
@@ -509,4 +510,34 @@ TEST_F(Pipeline2, IssueExaminesTheOldest24WaitingUopsOfAContext)
     };
     EXPECT_LT(gapAfterLoad(behind23, 0), 10u);
     EXPECT_GT(gapAfterLoad(behind24, 1), 60u);
+}
+
+TEST_F(Pipeline2, BtbMissBubbleIsChargedToBranchHold)
+{
+    // Two blocks, each ending in a jump the BTB has not seen. Each
+    // jump's first fetch costs a one-cycle decode-redirect bubble; the
+    // profiler must charge it to branch-hold, not to the cold I-cache
+    // miss that stalled the context before it.
+    user->beginFunction("main", -1);
+    user->beginBlock();
+    user->emit(gu.makeAlu());
+    user->emit(gu.makeJump(1));
+    user->beginBlock();
+    user->emit(gu.makeAlu());
+    user->emit(gu.makeJump(0));
+    user->finalize();
+    CoreParams cp;
+    cp.numContexts = 1;
+    wire(cp);
+    CycleProfiler prof;
+    prof.configure(cp.fetchWidth, cp.intUnits + cp.fpUnits, 1);
+    Probes probes;
+    probes.bind(&prof, nullptr);
+    probes.begin(1);
+    pipe->setProbes(&probes);
+    pipe->bindThread(0, &makeThread(0));
+    pipe->runCycles(400);
+    EXPECT_GT(prof.fetchSlotsLost(SlotCause::IcacheMiss), 0u);
+    EXPECT_EQ(prof.fetchSlotsLost(SlotCause::BranchHold),
+              2u * static_cast<std::uint64_t>(cp.fetchWidth));
 }

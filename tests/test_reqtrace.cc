@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -385,10 +386,10 @@ TEST(ReqTraceSnap, ResumeMidRequestRoundTrips)
             << reqStageName(i);
 }
 
-// The snapshot tracer section is strictly optional: an untraced
-// session's artifact carries no RQTR section and still resumes into
-// an untraced session.
-TEST(ReqTraceSnap, UntracedArtifactHasNoTracerSection)
+// Every artifact ends in the tracer section: an untraced session's
+// holds only its cleared traced flag, and still resumes into an
+// untraced session.
+TEST(ReqTraceSnap, UntracedArtifactHasAnEmptyTracerSection)
 {
     Session::Config cfg = tracedApache();
     cfg.phases.startupInstrs = 200'000;
@@ -396,8 +397,15 @@ TEST(ReqTraceSnap, UntracedArtifactHasNoTracerSection)
     s.runStartup();
     const std::vector<std::uint8_t> artifact = s.snapshot();
 
-    const std::string bytes(artifact.begin(), artifact.end());
-    EXPECT_EQ(bytes.find("RQTR"), std::string::npos);
+    // fourcc, version, byte length, then the one flag byte.
+    constexpr std::size_t tail = 4 + 4 + 8 + 1;
+    ASSERT_GT(artifact.size(), tail);
+    const std::uint8_t *sec = artifact.data() + artifact.size() - tail;
+    EXPECT_EQ(std::string(sec, sec + 4), "RQTR");
+    std::uint64_t len = 0;
+    std::memcpy(&len, sec + 8, sizeof len);
+    EXPECT_EQ(len, 1u);
+    EXPECT_EQ(artifact.back(), 0u);
 
     Session::ResumeOptions opts;
     opts.phases.measureInstrs = 100'000;

@@ -337,8 +337,6 @@ everyFieldConfig()
     sc.roundRobinFetch = true;
     sc.affinitySched = true;
     sc.sharedTlbIpr = true;
-    sc.fastForward = false;
-    sc.memLatency = 120;
     sc.dram.banked = true;
     sc.dram.channels = 4;
     sc.dram.ranks = 1;
@@ -410,9 +408,9 @@ everyFieldConfig()
 } // namespace
 
 // Every artifact, at every chip width, is an SMTOSNP2 artifact with one
-// section sequence — CFG PHYS KERN (PIPE HIER)xN UNCR FLTP COSM, plus
-// RQTR behind a request tracer — and resuming then re-snapshotting
-// reproduces it byte for byte. The every-field case also proves the
+// section sequence — CFG PHYS KERN (PIPE HIER)xN UNCR FLTP COSM RQTR,
+// traced or not — and resuming then re-snapshotting reproduces it byte
+// for byte. The every-field case also proves the
 // one CFG field list carries the whole config: its resumed measurement
 // matches the straight-through one. The previous format era is
 // refused with an error, not an abort, and one-core metrics JSON
@@ -431,18 +429,19 @@ TEST_P(SnapshotLayout, OneSectionSequenceAtEveryWidth)
     origin.runStartup();
     const std::vector<std::uint8_t> artifact = origin.snapshot();
 
-    ASSERT_GE(artifact.size(), 8u);
+    ASSERT_GE(artifact.size(), 12u);
     EXPECT_EQ(std::string(artifact.begin(), artifact.begin() + 8),
               "SMTOSNP2");
+    std::uint32_t format = 0;
+    std::memcpy(&format, artifact.data() + 8, sizeof format);
+    EXPECT_EQ(format, 3u);
     std::vector<std::string> want = {"CFG ", "PHYS", "KERN"};
     for (int c = 0; c < lc.cores; ++c) {
         want.push_back("PIPE");
         want.push_back("HIER");
     }
-    for (const char *tag : {"UNCR", "FLTP", "COSM"})
+    for (const char *tag : {"UNCR", "FLTP", "COSM", "RQTR"})
         want.push_back(tag);
-    if (lc.everyField)
-        want.push_back("RQTR");
     std::vector<std::string> got;
     for (const auto &sec : sectionsOf(artifact))
         got.push_back(sec.first);

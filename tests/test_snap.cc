@@ -63,7 +63,6 @@ configFor(const Scenario &sc)
     cfg.workload.kind = sc.kind;
     cfg.workload.spec.inputChunks = 8;
     cfg.system.topology.contextsPerCore = sc.contexts;
-    cfg.system.fastForward = sc.fastForward;
     cfg.system.dram.banked = sc.banked;
     if (sc.kind == WorkloadConfig::Kind::Apache) {
         cfg.phases.startupInstrs = 260'000;
@@ -77,6 +76,15 @@ configFor(const Scenario &sc)
         cfg.faults.mcePeriod = 60'000;
     }
     return cfg;
+}
+
+/** The host fast path is a per-pipeline switch, not a config field:
+ *  set it on every core of @p s. */
+void
+setFastForward(Session &s, bool on)
+{
+    for (Pipeline *p : s.system().pipes())
+        p->setFastForward(on);
 }
 
 struct Observed
@@ -133,6 +141,7 @@ TEST_P(SnapRoundTrip, ResumedRunIsByteIdentical)
     const Session::Config cfg = configFor(GetParam());
 
     Session origin(cfg);
+    setFastForward(origin, GetParam().fastForward);
     origin.runStartup();
     const std::vector<std::uint8_t> artifact = origin.snapshot();
     // Snapshotting is a pure observation: equal state, equal bytes.
@@ -146,6 +155,7 @@ TEST_P(SnapRoundTrip, ResumedRunIsByteIdentical)
     std::string err;
     auto resumed = Session::resume(artifact, opts, &err);
     ASSERT_NE(resumed, nullptr) << err;
+    setFastForward(*resumed, GetParam().fastForward);
     // Restore rebuilds the scheduler state derived from the windows
     // rather than reading it; every core audits clean at once.
     for (int c = 0; c < resumed->system().numCores(); ++c)
@@ -264,6 +274,34 @@ TEST(SnapArtifact, ResumeThenSnapshotIsIdentity)
     EXPECT_EQ(artifact, resumed->snapshot());
 }
 
+// An artifact is a function of simulated state alone: a run that
+// skips quiescent cycles and one that ticks them write the same bytes.
+// The superscalar SPECInt run is where the skip fires; SMT 1x8 takes
+// the same check on the paper's machine.
+TEST(SnapArtifact, HostPathsWriteEqualBytes)
+{
+    for (const bool smt : {false, true}) {
+        Session::Config cfg = configFor(
+            {WorkloadConfig::Kind::SpecInt, smt ? 8 : 1, true, false});
+        cfg.system.smt = smt;
+        std::uint64_t skipped[2] = {0, 0};
+        auto artifactOf = [&cfg, &skipped](bool fast) {
+            Session s(cfg);
+            setFastForward(s, fast);
+            s.run();
+            skipped[fast] = s.system().pipeline().fastForwardedCycles();
+            return s.snapshot();
+        };
+        const char *machine = smt ? "SMT 1x8" : "superscalar";
+        // EXPECT_TRUE: a failure would otherwise print both artifacts.
+        EXPECT_TRUE(artifactOf(true) == artifactOf(false)) << machine;
+        EXPECT_EQ(skipped[false], 0u) << machine;
+        if (!smt) {
+            EXPECT_GT(skipped[true], 0u) << machine;
+        }
+    }
+}
+
 TEST(SnapArtifact, RejectsCorruptTruncatedAndVersionSkew)
 {
     const Session::Config cfg =
@@ -291,16 +329,18 @@ TEST(SnapArtifact, RejectsCorruptTruncatedAndVersionSkew)
         bad[8] += 1;
         rejects(bad);
     }
-    // Format version 1 (dense cache ways, byte-wise checksum) has no
-    // reader: it is refused by name.
-    {
+    // The retired formats have no reader and are refused by name:
+    // version 1 (dense cache ways, byte-wise checksum) and version 2
+    // (host fast-path state, per-cycle scratch and padding included).
+    for (const std::uint32_t retired : {1u, 2u}) {
         std::vector<std::uint8_t> bad = artifact;
-        const std::uint32_t v1 = 1;
-        std::memcpy(bad.data() + 8, &v1, sizeof v1);
+        std::memcpy(bad.data() + 8, &retired, sizeof retired);
         std::string err;
         EXPECT_EQ(Session::resume(bad, Session::ResumeOptions{}, &err),
                   nullptr);
-        EXPECT_NE(err.find("format version 1 "), std::string::npos)
+        EXPECT_NE(err.find("format version " + std::to_string(retired) +
+                           " "),
+                  std::string::npos)
             << err;
     }
     // Payload corruption: the checksum gate must catch a single

@@ -63,7 +63,7 @@ template <typename AddrOf>
 PatternResult
 runWindowed(const DramParams &p, AddrOf addrOf)
 {
-    MemCtrl mc(defaultMemLatency, p);
+    MemCtrl mc(p);
     const AccessInfo who{};
     constexpr int window = 16;
     Cycle done[window] = {};
@@ -94,7 +94,7 @@ PatternResult
 runPointerChase(int banks, bool closedPage)
 {
     const DramParams p = geom(banks, closedPage);
-    MemCtrl mc(defaultMemLatency, p);
+    MemCtrl mc(p);
     const AccessInfo who{};
     const std::uint64_t lines = 8u * 1024 * 1024 / p.burstBytes;
     std::uint64_t x = 0x9e3779b97f4a7c15ull;

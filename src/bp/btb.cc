@@ -1,16 +1,16 @@
 #include "bp/btb.h"
 
 #include "common/logging.h"
-#include "common/stats.h"
 
 namespace smtos {
 
 Btb::Btb(int entries, int assoc) : assoc_(assoc)
 {
     smtos_assert(entries > 0 && assoc > 0 && entries % assoc == 0);
-    numSets_ = entries / assoc;
-    if ((numSets_ & (numSets_ - 1)) == 0)
-        setMask_ = static_cast<Addr>(numSets_) - 1;
+    // Power-of-two set count, checked in every build: setOf is a mask.
+    const int sets = entries / assoc;
+    smtos_assert((sets & (sets - 1)) == 0);
+    setMask_ = static_cast<Addr>(sets) - 1;
     entries_.assign(static_cast<size_t>(entries), Entry{});
 }
 
@@ -76,21 +76,6 @@ Btb::update(Addr pc, Addr target, const AccessInfo &who)
     victim->pc = pc;
     victim->target = target;
     victim->lruStamp = tick_;
-}
-
-double
-Btb::missRatePct() const
-{
-    return pct(static_cast<double>(stats_.totalMisses()),
-               static_cast<double>(stats_.totalAccesses()));
-}
-
-double
-Btb::missRatePct(bool kernel) const
-{
-    const int cls = kernel ? 1 : 0;
-    return pct(static_cast<double>(stats_.misses[cls]),
-               static_cast<double>(stats_.accesses[cls]));
 }
 
 } // namespace smtos

@@ -42,8 +42,6 @@ class Btb
     void update(Addr pc, Addr target, const AccessInfo &who);
 
     const InterferenceStats &stats() const { return stats_; }
-    double missRatePct() const;
-    double missRatePct(bool kernel) const;
 
     /** Hits whose stored target was stale (indirect-jump churn). */
     std::uint64_t wrongTargetHits() const { return wrongTarget_; }
@@ -69,16 +67,11 @@ class Btb
 
     int setOf(Addr pc) const
     {
-        // numSets_ is a power of two for every supported geometry;
-        // the ctor falls back to modulo otherwise.
-        return static_cast<int>(
-            setMask_ ? (pc >> 2) & setMask_
-                     : (pc >> 2) % static_cast<Addr>(numSets_));
+        return static_cast<int>((pc >> 2) & setMask_);
     }
 
     int assoc_;
-    Addr setMask_ = 0; ///< numSets_ - 1 when numSets_ is a power of two
-    int numSets_;
+    Addr setMask_; ///< the set count (a power of two) minus one
     std::vector<Entry> entries_;
     std::uint64_t tick_ = 0;
     MissClassifier classifier_;

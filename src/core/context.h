@@ -15,6 +15,7 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "isa/cursor.h"
+#include "obs/probes.h"
 #include "ref/refvalue.h"
 #include "vm/addrspace.h"
 
@@ -43,19 +44,6 @@ struct ThreadState
     ArchRegs archRegs{};
 };
 
-/** Why a context's fetch waits for Context::fetchResumeAt. Only the
- *  cycle-attribution profiler reads it, to charge a blocked context's
- *  fetch slots (Pipeline::fetchBlockCause). */
-enum class FetchStall : std::uint8_t
-{
-    None = 0,
-    IcacheMiss,
-    Redirect,      ///< refilling the front end after a squash
-    TrapDrain,     ///< draining before trap/interrupt delivery
-    BranchBubble,  ///< waiting on a branch target: a BTB miss at
-                   ///< decode, or a resolved target mispredict
-};
-
 /** One SMT hardware context. */
 struct Context
 {
@@ -71,15 +59,17 @@ struct Context
 
     /** Cycle fetch may resume after a stall. */
     Cycle fetchResumeAt = 0;
-    FetchStall stallReason = FetchStall::None;
+    /** The stall's cause, in the profiler's own taxonomy: until
+     *  fetchResumeAt, the context's fetch slots are charged to it
+     *  (Pipeline::fetchBlockCause). */
+    SlotCause stallReason = SlotCause::IcacheMiss;
 
     /** Interrupt pending delivery (waiting for drain). */
     bool interruptPending = false;
     std::uint16_t interruptVector = 0;
 
-    /** In-flight (fetched, not yet committed/squashed) uops. */
-    int inflight = 0;
-    /** In-flight and not yet issued (the ICOUNT metric). */
+    /** In-flight uops not yet issued (the ICOUNT metric). The window
+     *  itself is the record of every in-flight uop. */
     int unissued = 0;
 
     bool hasThread() const { return thread != nullptr; }

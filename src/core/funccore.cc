@@ -53,8 +53,8 @@ void
 Pipeline::drainForFidelitySwitch()
 {
     auto any_inflight = [this]() {
-        for (const Context &c : ctxs_)
-            if (c.inflight != 0)
+        for (const FixedRing<Uop> &q : q_)
+            if (!q.empty())
                 return true;
         return false;
     };

@@ -18,6 +18,14 @@ namespace {
 /** A cycle that never comes: a parked waiting entry's notBefore. */
 constexpr Cycle never = ~Cycle{0};
 
+/** Hold @p c's fetch until @p until, charging its slots to @p why. */
+void
+stallFetch(Context &c, Cycle until, SlotCause why)
+{
+    c.fetchResumeAt = until;
+    c.stallReason = why;
+}
+
 } // namespace
 
 Pipeline::Pipeline(const CoreParams &params, Hierarchy &hier,
@@ -65,9 +73,8 @@ Pipeline::~Pipeline()
 void
 Pipeline::bindThread(CtxId id, ThreadState *t)
 {
-    Context &c = ctx(id);
-    smtos_assert(c.inflight == 0);
-    c.thread = t;
+    smtos_assert(q_[static_cast<size_t>(id)].empty());
+    ctx(id).thread = t;
     writerSeq_[static_cast<size_t>(id)].fill(0);
     writerPos_[static_cast<size_t>(id)].fill(0);
     if (obs_ && t)
@@ -95,9 +102,7 @@ Pipeline::canFetch(const Context &c) const
         return false;
     if (c.thread->cursor.stuck())
         return false;
-    if (c.inflight >= params_.maxInflightPerCtx)
-        return false;
-    return true;
+    return !windowFull(c);
 }
 
 Pipeline::FetchRun
@@ -107,16 +112,14 @@ Pipeline::fetchFrom(Context &c, int budget)
     const ImageSet is = imagesFor(t);
     Cursor &cur = t.cursor;
     int n = 0;
-    FetchStop stop = FetchStop::None;
     // The line this call last read. A context fetches at most once a
     // cycle, so every cycle's first fetch reads the cache again.
     Addr last_line = ~Addr{0};
 
     while (n < budget) {
-        if (cur.stuck()) {
-            stop = FetchStop::Stuck;
-            break;
-        }
+        if (cur.stuck())
+            return {n, cur.wrongPath() ? SlotCause::SquashRecovery
+                                       : SlotCause::Serialize};
         const Mode cursor_mode = cur.mode(is);
         const Mode stat_mode =
             (t.isIdleThread && cursor_mode != Mode::User)
@@ -134,41 +137,30 @@ Pipeline::fetchFrom(Context &c, int budget)
                     // unmapped page: stall until the mispredicted
                     // branch squashes us.
                     cur.setStuck(true);
-                    stop = FetchStop::Stuck;
-                } else {
-                    stop = FetchStop::TlbTrap;
-                    itlbTrap(c, t, pc);
-                    c.fetchResumeAt = now_ + 1;
-                    c.stallReason = FetchStall::TrapDrain;
+                    return {n, SlotCause::SquashRecovery};
                 }
-                break;
+                itlbTrap(c, t, pc);
+                stallFetch(c, now_ + 1, SlotCause::TlbRefill);
+                return {n, SlotCause::TlbRefill};
             }
             AccessInfo who{t.id, cursor_mode, c.id};
             MemResult r = hier_->fetch(paddr, who, now_);
             if (!r.l1Hit) {
-                c.fetchResumeAt = r.readyAt;
-                c.stallReason = FetchStall::IcacheMiss;
-                stop = FetchStop::IcacheMiss;
-                break;
+                stallFetch(c, r.readyAt, SlotCause::IcacheMiss);
+                return {n, SlotCause::IcacheMiss};
             }
             last_line = line;
         }
 
         // Shared resources: issue queues and renaming registers.
         if (unissuedInt_ >= params_.intQueue ||
-            unissuedFp_ >= params_.fpQueue) {
-            stop = FetchStop::IqFull;
-            break;
-        }
+            unissuedFp_ >= params_.fpQueue)
+            return {n, SlotCause::IqFull};
         if (intRegsUsed_ >= params_.intRenameRegs ||
-            fpRegsUsed_ >= params_.fpRenameRegs) {
-            stop = FetchStop::RenameFull;
-            break;
-        }
-        if (c.inflight >= params_.maxInflightPerCtx) {
-            stop = FetchStop::WindowFull;
-            break;
-        }
+            fpRegsUsed_ >= params_.fpRenameRegs)
+            return {n, SlotCause::RenameFull};
+        if (windowFull(c))
+            return {n, SlotCause::WindowFull};
 
         const Instr &in = cur.currentInstr(is);
         const std::size_t ci = static_cast<size_t>(c.id);
@@ -230,8 +222,8 @@ Pipeline::fetchFrom(Context &c, int budget)
             // A taken branch the BTB has no target for: the front end
             // waits out a decode-time redirect bubble.
             auto btbMissBubble = [&]() {
-                c.fetchResumeAt = now_ + params_.btbMissPenalty;
-                c.stallReason = FetchStall::BranchBubble;
+                stallFetch(c, now_ + params_.btbMissPenalty,
+                           SlotCause::BranchHold);
             };
 
             switch (bp.kind) {
@@ -341,7 +333,6 @@ Pipeline::fetchFrom(Context &c, int budget)
         }
 
         rq.push_back(u);
-        ++c.inflight;
         ++c.unissued;
         if (u.fpQueue)
             ++unissuedFp_;
@@ -361,13 +352,11 @@ Pipeline::fetchFrom(Context &c, int budget)
         if (u.wrongPath)
             ++stats_.fetchedWrongPath;
         ++n;
-        if (ends_run) {
-            stop = u.serializing ? FetchStop::Serialize
-                                 : FetchStop::TakenBranch;
-            break;
-        }
+        if (ends_run)
+            return {n, u.serializing ? SlotCause::Serialize
+                                     : SlotCause::Fragmentation};
     }
-    return {n, stop};
+    return {n, SlotCause::Fragmentation};
 }
 
 void
@@ -396,7 +385,7 @@ Pipeline::fetchStage()
     }
     int budget = params_.fetchWidth;
     int picked = 0;
-    FetchStop stop = FetchStop::None;
+    SlotCause stop = SlotCause::Fragmentation;
     for (const auto &[unissued, id] : cands) {
         if (picked >= params_.fetchContexts || budget <= 0)
             break;
@@ -465,21 +454,14 @@ Pipeline::fetchBlockCause(const Context &c) const
         return SlotCause::Idle;
     if (c.interruptPending)
         return SlotCause::IntrDrain;
-    if (now_ < c.fetchResumeAt) {
-        switch (c.stallReason) {
-          case FetchStall::IcacheMiss: return SlotCause::IcacheMiss;
-          case FetchStall::TrapDrain: return SlotCause::TlbRefill;
-          case FetchStall::Redirect: return SlotCause::SquashRecovery;
-          case FetchStall::BranchBubble: return SlotCause::BranchHold;
-          case FetchStall::None: break; // no writer leaves it pending
-        }
-    }
+    if (now_ < c.fetchResumeAt)
+        return c.stallReason;
     if (waitBranch_[static_cast<size_t>(c.id)] != 0)
         return SlotCause::BranchHold;
     if (c.thread->cursor.stuck())
         return c.thread->cursor.wrongPath() ? SlotCause::SquashRecovery
                                             : SlotCause::Serialize;
-    if (c.inflight >= params_.maxInflightPerCtx)
+    if (windowFull(c))
         return windowCause(c);
     return SlotCause::Fragmentation;
 }
@@ -501,58 +483,31 @@ Pipeline::currentServiceTag(const Context &c) const
 void
 Pipeline::profileFetchSlots(
     const std::vector<std::pair<int, CtxId>> &cands, int picked,
-    int lost, FetchStop stop)
+    int lost, SlotCause stop)
 {
     CycleProfiler *prof = probes_->profiler();
     prof->fetchUsed(params_.fetchWidth - lost);
     if (lost <= 0)
         return;
 
-    SlotCause cause = SlotCause::Fragmentation;
     CtxId charged = invalidCtx;
-
     if (picked > 0) {
         // Some context got fetch slots; the last one picked is the one
-        // that stopped short, so charge the remainder to its stop.
+        // that stopped short, so charge the remainder to its stop,
+        // refined by what only the whole cycle shows.
         charged = cands[static_cast<size_t>(picked - 1)].second;
-        const Context &c = ctxs_[static_cast<size_t>(charged)];
-        switch (stop) {
-          case FetchStop::Stuck:
-            cause = (c.hasThread() && c.thread->cursor.wrongPath())
-                        ? SlotCause::SquashRecovery
-                        : SlotCause::Serialize;
-            break;
-          case FetchStop::IcacheMiss:
-            cause = SlotCause::IcacheMiss;
-            break;
-          case FetchStop::TlbTrap:
-            cause = SlotCause::TlbRefill;
-            break;
-          case FetchStop::IqFull:
-            cause = SlotCause::IqFull;
-            break;
-          case FetchStop::RenameFull:
-            cause = SlotCause::RenameFull;
-            break;
-          case FetchStop::WindowFull:
-            cause = windowCause(c);
-            break;
-          case FetchStop::Serialize:
-            cause = SlotCause::Serialize;
-            break;
-          case FetchStop::TakenBranch:
-          case FetchStop::None:
+        if (stop == SlotCause::WindowFull) {
+            stop = windowCause(ctxs_[static_cast<size_t>(charged)]);
+        } else if (stop == SlotCause::Fragmentation &&
+                   static_cast<int>(cands.size()) > picked) {
             // The run ended (or the port budget ran out) with fetch
-            // still healthy: more waiting candidates means the 2-port
-            // limit bound us, otherwise it is run fragmentation.
-            cause = (static_cast<int>(cands.size()) > picked)
-                        ? SlotCause::FetchPortLimit
-                        : SlotCause::Fragmentation;
-            break;
+            // still healthy, and more candidates waited: the 2-port
+            // limit bound us rather than run fragmentation.
+            stop = SlotCause::FetchPortLimit;
         }
     }
     chargeFetchLost(*prof, static_cast<std::uint64_t>(lost), charged,
-                    cause);
+                    stop);
 }
 
 void
@@ -793,11 +748,7 @@ Pipeline::issueStage()
 
         u.stage = Uop::Stage::Issued;
         u.doneAt = done;
-        --c.unissued;
-        if (u.fpQueue)
-            --unissuedFp_;
-        else
-            --unissuedInt_;
+        leaveIssueQueue(c, u);
         ++issued;
         ++stats_.issued;
         pushCompletion(Completion{done, cd.ctx, u.seq, cd.pos});
@@ -841,6 +792,13 @@ Pipeline::releaseUop(const Uop &u)
 }
 
 void
+Pipeline::leaveIssueQueue(Context &c, const Uop &u)
+{
+    --c.unissued;
+    --(u.fpQueue ? unissuedFp_ : unissuedInt_);
+}
+
+void
 Pipeline::squashTail(Context &c, std::uint64_t from_seq)
 {
     auto &dq = q_[static_cast<size_t>(c.id)];
@@ -849,13 +807,8 @@ Pipeline::squashTail(Context &c, std::uint64_t from_seq)
         const Uop &u = dq.back();
         releaseUop(u);
         ++stats_.squashed;
-        --c.inflight;
         if (u.stage == Uop::Stage::Fetched) {
-            --c.unissued;
-            if (u.fpQueue)
-                --unissuedFp_;
-            else
-                --unissuedInt_;
+            leaveIssueQueue(c, u);
             // The youngest waiting uop, if any, is this one.
             if (!u.serializing)
                 waiting_[static_cast<size_t>(c.id)].pop_back();
@@ -907,8 +860,8 @@ Pipeline::executeStage()
             c.ras.restore(k.ras);
             mcf_.setGhr(k.ghr);
             squashTail(c, u.seq);
-            c.fetchResumeAt = now_ + params_.redirectPenalty();
-            c.stallReason = FetchStall::TrapDrain;
+            stallFetch(c, now_ + params_.redirectPenalty(),
+                       SlotCause::TlbRefill);
             if (probes_)
                 probes_->squash(c.gid, u.thread, u.pc, "dtlb-trap");
             dtlbTrap(c, t, fault_vaddr);
@@ -933,18 +886,16 @@ Pipeline::executeStage()
                 c.ras.restore(k.ras);
                 mcf_.setGhr(k.ghr);
                 squashTail(c, u.seq + 1);
-                c.fetchResumeAt = now_ + params_.redirectPenalty();
-                c.stallReason = FetchStall::Redirect;
+                stallFetch(c, now_ + params_.redirectPenalty(),
+                           SlotCause::SquashRecovery);
                 stopped = d.ctx;
                 continue;
             }
             if (u.redirectOnly) {
                 ++stats_.targetMispred[cls];
                 waitBranch_[ci] = 0;
-                if (c.fetchResumeAt < now_ + 1) {
-                    c.fetchResumeAt = now_ + 1;
-                    c.stallReason = FetchStall::BranchBubble;
-                }
+                if (c.fetchResumeAt < now_ + 1)
+                    stallFetch(c, now_ + 1, SlotCause::BranchHold);
             }
         }
     }
@@ -964,7 +915,6 @@ Pipeline::commitStage()
             Uop &u = dq.front();
             if (u.stage == Uop::Stage::Done) {
                 commitUop(c, u);
-                --c.inflight;
                 --budget;
                 dq.pop_front();
                 continue;
@@ -976,12 +926,7 @@ Pipeline::commitStage()
                 // Retire accounting first; the OS hook may rebind the
                 // context's thread.
                 commitUop(c, u);
-                --c.inflight;
-                --c.unissued;
-                if (u.fpQueue)
-                    --unissuedFp_;
-                else
-                    --unissuedInt_;
+                leaveIssueQueue(c, u);
                 --budget;
                 const Instr in = *u.instr;
                 dq.pop_front();
@@ -1255,7 +1200,10 @@ Pipeline::auditInvariants() const
 {
     std::ostringstream os;
     std::uint64_t inflight_total = 0;
-    int unissued_total = 0;
+    // What the windows say the occupancy counters must read, by class
+    // (int, fp): unissued uops and renamed destinations.
+    int unissued[2] = {0, 0};
+    int regs[2] = {0, 0};
     // Completion entries by (ctx, pos, seq, doneAt), for lookups.
     std::vector<std::tuple<CtxId, std::uint64_t, std::uint64_t, Cycle>>
         done;
@@ -1265,14 +1213,8 @@ Pipeline::auditInvariants() const
     for (const Context &c : ctxs_) {
         const std::size_t ci = static_cast<size_t>(c.id);
         const auto &q = q_[ci];
-        if (c.inflight != static_cast<int>(q.size()))
-            os << "ctx" << c.id << ": inflight counter " << c.inflight
-               << " != window size " << q.size() << "\n";
-        if (c.inflight < 0 || c.inflight > params_.maxInflightPerCtx)
-            os << "ctx" << c.id << ": inflight " << c.inflight
-               << " outside [0, " << params_.maxInflightPerCtx
-               << "]\n";
         int fetched = 0;
+        std::uint64_t hold = 0;
         // The scheduler state derived from this window: the waiting
         // list (with cached cycles that never postpone a ready uop)
         // and one completion entry per issued uop.
@@ -1282,8 +1224,14 @@ Pipeline::auditInvariants() const
         Cycle window_due = never;
         for (std::uint64_t p = q.headPos(); p < q.tailPos(); ++p) {
             const Uop &u = q.atPos(p);
-            if (u.stage == Uop::Stage::Fetched)
+            if (u.destType != 0)
+                ++regs[u.destType - 1];
+            if (u.redirectOnly && u.stage != Uop::Stage::Done)
+                hold = u.seq;
+            if (u.stage == Uop::Stage::Fetched) {
                 ++fetched;
+                ++unissued[u.fpQueue];
+            }
             if (u.stage == Uop::Stage::Fetched && !u.serializing) {
                 if (k >= wl.size() || wl[k].pos != p) {
                     list_ok = false;
@@ -1323,8 +1271,11 @@ Pipeline::auditInvariants() const
         if (c.unissued != fetched)
             os << "ctx" << c.id << ": unissued counter " << c.unissued
                << " != unissued uops in window " << fetched << "\n";
+        if (waitBranch_[ci] != hold)
+            os << "ctx" << c.id << ": fetch held for branch seq "
+               << waitBranch_[ci] << " but the window's unresolved "
+               << "target mispredict is seq " << hold << "\n";
         inflight_total += q.size();
-        unissued_total += c.unissued;
     }
     const std::uint64_t accounted =
         stats_.squashed + stats_.totalRetired() + inflight_total;
@@ -1333,10 +1284,14 @@ Pipeline::auditInvariants() const
            << stats_.fetched << " != squashed " << stats_.squashed
            << " + retired " << stats_.totalRetired()
            << " + in flight " << inflight_total << "\n";
-    if (unissuedInt_ + unissuedFp_ != unissued_total)
+    if (unissuedInt_ != unissued[0] || unissuedFp_ != unissued[1])
         os << "issue-queue occupancy " << unissuedInt_ << "+"
-           << unissuedFp_ << " != per-context total "
-           << unissued_total << "\n";
+           << unissuedFp_ << " != unissued uops in the windows "
+           << unissued[0] << "+" << unissued[1] << "\n";
+    if (intRegsUsed_ != regs[0] || fpRegsUsed_ != regs[1])
+        os << "rename registers in use " << intRegsUsed_ << "+"
+           << fpRegsUsed_ << " != renamed destinations in the windows "
+           << regs[0] << "+" << regs[1] << "\n";
     if (unissuedInt_ < 0 || unissuedInt_ > params_.intQueue)
         os << "int issue queue occupancy " << unissuedInt_
            << " outside [0, " << params_.intQueue << "]\n";
@@ -1361,9 +1316,11 @@ Pipeline::dumpState(std::ostream &os) const
     for (const Context &c : ctxs_) {
         os << "ctx" << c.id << ": thread "
            << (c.thread ? c.thread->id : invalidThread)
-           << ", inflight " << c.inflight << ", unissued "
-           << c.unissued << ", stall "
-           << static_cast<int>(c.stallReason) << ", intr "
+           << ", inflight " << q_[static_cast<size_t>(c.id)].size()
+           << ", unissued " << c.unissued << ", stall "
+           << (now_ < c.fetchResumeAt ? slotCauseName(c.stallReason)
+                                      : "none")
+           << ", intr "
            << (c.interruptPending ? "pending" : "none") << " vec "
            << c.interruptVector << "\n";
         if (!c.thread)

@@ -292,11 +292,13 @@ class Pipeline
     void injectRetireFault(std::uint64_t nth) { faultAtRetire_ = nth; }
 
     /**
-     * Check core structural invariants: per-context window/inflight
-     * accounting, instruction conservation (fetched = squashed +
-     * retired + in flight), issue-queue occupancy, and rename-register
-     * accounting. Returns an empty string when everything holds, else
-     * a description of every violation found.
+     * Check core structural invariants: instruction conservation
+     * (fetched = squashed + retired + in flight), the scheduler state
+     * and the occupancy counters against the windows they are derived
+     * from (waiting lists, completions, issue-queue and rename-register
+     * occupancy, the branch hold), and the structure limits. Returns an
+     * empty string when everything holds, else a description of every
+     * violation found.
      */
     std::string auditInvariants() const;
 
@@ -304,7 +306,7 @@ class Pipeline
     void dumpState(std::ostream &os) const;
 
     // --- snapshot/restore (src/snap) ---
-    static constexpr std::uint32_t snapVersion = 3;
+    static constexpr std::uint32_t snapVersion = 4;
     /**
      * All mutable pipeline state. On load @p threadById resolves
      * serialized thread ids to the rebuilt ThreadStates (the kernel
@@ -322,24 +324,6 @@ class Pipeline
     void resyncThreads();
 
   private:
-    /**
-     * Why a fetchFrom() call stopped taking instructions; the
-     * cycle-attribution profiler charges the cycle's unused fetch
-     * slots to the last picked context's stop.
-     */
-    enum class FetchStop : std::uint8_t
-    {
-        None = 0,    ///< budget exhausted mid-run
-        Stuck,       ///< cursor stuck (serialize drain or wrong path)
-        IcacheMiss,
-        TlbTrap,
-        IqFull,
-        RenameFull,
-        WindowFull,
-        Serialize,
-        TakenBranch, ///< fetch run ended at a taken branch
-    };
-
     ImageSet imagesFor(const ThreadState &t) const
     {
         return ImageSet{t.userImage, kernelImage_};
@@ -355,13 +339,27 @@ class Pipeline
                in.op == Op::FpMul;
     }
 
+    /** @p c's window holds as many uops as a context may have in
+     *  flight. */
+    bool
+    windowFull(const Context &c) const
+    {
+        return q_[static_cast<size_t>(c.id)].size() >=
+               static_cast<std::size_t>(params_.maxInflightPerCtx);
+    }
     bool canFetch(const Context &c) const;
     void fetchStage();
-    /** What one fetchFrom() call took, and why it stopped. */
+    /**
+     * What one fetchFrom() call took, and the slot cause its stop is
+     * charged to. A run that ended at a taken branch or used up its
+     * budget stops at Fragmentation; a full window stops at
+     * WindowFull. The profiler refines those two with what only the
+     * whole cycle shows (profileFetchSlots).
+     */
     struct FetchRun
     {
         int fetched = 0;
-        FetchStop stop = FetchStop::None;
+        SlotCause stop = SlotCause::Fragmentation;
     };
     FetchRun fetchFrom(Context &c, int budget);
     /**
@@ -406,7 +404,7 @@ class Pipeline
      *  @p stop is the last picked context's. */
     void profileFetchSlots(
         const std::vector<std::pair<int, CtxId>> &cands, int picked,
-        int lost, FetchStop stop);
+        int lost, SlotCause stop);
     /**
      * Charge @p lost fetch slots to @p cause at context @p charged, or,
      * with no context named, as zero-fetch cycles: to the blocked
@@ -424,6 +422,9 @@ class Pipeline
     int currentServiceTag(const Context &c) const;
 
     void releaseUop(const Uop &u);
+    /** @p u leaves the issue queue: it issued, was squashed unissued,
+     *  or committed as a serializing head. */
+    void leaveIssueQueue(Context &c, const Uop &u);
     void commitUop(Context &c, Uop &u);
 
     // --- the architectural rules (DESIGN.md §15): the detailed stages
@@ -463,10 +464,11 @@ class Pipeline
      */
     void syncAfterOs(const Context &c, ThreadState &t);
     /** A pending interrupt is delivered once its context drained. */
-    static bool
-    interruptDue(const Context &c)
+    bool
+    interruptDue(const Context &c) const
     {
-        return c.interruptPending && c.inflight == 0 && c.hasThread();
+        return c.interruptPending && c.hasThread() &&
+               q_[static_cast<size_t>(c.id)].empty();
     }
     /** Deliver @p c's pending interrupt; interruptDue(c) holds. */
     void deliverInterrupt(Context &c);
@@ -529,9 +531,20 @@ class Pipeline
     {
         return cps_[ctx][q_[ctx].slotOf(pos)];
     }
+    /**
+     * Rename state per context: last writer seq of each architectural
+     * register plus the ring position that writer occupies. Binding
+     * readers to producer (seq, pos) pairs at fetch models register
+     * renaming (no false WAW/WAR dependences through architectural
+     * names); readiness is read straight off the producer's ring slot.
+     */
+    std::vector<std::array<std::uint64_t, numIntRegs + numFpRegs>>
+        writerSeq_;
+    std::vector<std::array<std::uint64_t, numIntRegs + numFpRegs>>
+        writerPos_;
 
-    // --- scheduler state derived from the windows (DESIGN.md §10):
-    // never serialized; restore rebuilds it from the windows ---
+    // --- state derived from the windows (DESIGN.md §10): never
+    // serialized; restore recounts it from the windows ---
 
     /** An unissued, non-serializing uop waiting to issue. */
     struct Waiting
@@ -576,19 +589,16 @@ class Pipeline
     }
     void pushCompletion(const Completion &d);
     void popCompletion();
-    /** Per-context wait-for-branch-resolve fetch hold (0 = none). */
+    /** Per-context wait-for-branch-resolve fetch hold: the seq of the
+     *  window's unresolved target mispredict (0 = none). */
     std::vector<std::uint64_t> waitBranch_;
-    /**
-     * Rename state per context: last writer seq of each architectural
-     * register plus the ring position that writer occupies. Binding
-     * readers to producer (seq, pos) pairs at fetch models register
-     * renaming (no false WAW/WAR dependences through architectural
-     * names); readiness is read straight off the producer's ring slot.
-     */
-    std::vector<std::array<std::uint64_t, numIntRegs + numFpRegs>>
-        writerSeq_;
-    std::vector<std::array<std::uint64_t, numIntRegs + numFpRegs>>
-        writerPos_;
+    /** Rename registers and issue-queue entries in use, by class:
+     *  counts over the windows, kept current for fetch's limit
+     *  checks. */
+    int intRegsUsed_ = 0;
+    int fpRegsUsed_ = 0;
+    int unissuedInt_ = 0;
+    int unissuedFp_ = 0;
 
     /** Scratch candidate lists, members so steady state never mallocs. */
     std::vector<std::pair<int, CtxId>> fetchCands_;
@@ -610,10 +620,6 @@ class Pipeline
     /** Points at nextSeq_ (a bare pipeline) or the chip-wide
      *  counter (System). */
     std::uint64_t *seqPtr_ = &nextSeq_;
-    int intRegsUsed_ = 0;
-    int fpRegsUsed_ = 0;
-    int unissuedInt_ = 0;
-    int unissuedFp_ = 0;
     bool filterPrivBr_ = false;
     bool appOnlyTlb_ = false;
     bool fastForward_ = true;

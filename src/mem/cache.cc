@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "common/logging.h"
-#include "common/stats.h"
 #include "obs/probes.h"
 
 namespace smtos {
@@ -199,21 +198,6 @@ Cache::invalidateIndex(std::uint64_t idx)
         ln.dirty = false;
     }
     return idx;
-}
-
-double
-Cache::missRatePct() const
-{
-    return pct(static_cast<double>(stats_.totalMisses()),
-               static_cast<double>(stats_.totalAccesses()));
-}
-
-double
-Cache::missRatePct(bool kernel) const
-{
-    const int cls = kernel ? 1 : 0;
-    return pct(static_cast<double>(stats_.misses[cls]),
-               static_cast<double>(stats_.accesses[cls]));
 }
 
 } // namespace smtos

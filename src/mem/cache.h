@@ -107,19 +107,12 @@ class Cache
     const InterferenceStats &stats() const { return stats_; }
     InterferenceStats &stats() { return stats_; }
 
-    /** Total/user/kernel miss rates in percent. */
-    double missRatePct() const;
-    double missRatePct(bool kernel) const;
-
     int numSets() const { return numSets_; }
 
     /** Block (line) index of a byte address — public so callers that
      *  track per-line access discipline (the fetch stages) share the
      *  cache's own geometry arithmetic. */
     Addr blockOf(Addr addr) const { return addr >> lineShift_; }
-
-    /** Reset statistics (not contents). */
-    void resetStats() { stats_.reset(); }
 
     static constexpr std::uint32_t snapVersion = 2;
     template <typename Ar> void snap(Ar &ar);

@@ -14,8 +14,9 @@
 namespace smtos {
 
 /**
- * The Table-1 memory latency, named in one place: the flat DRAM
- * default and HierarchyParams::dramLatency derive from it.
+ * The Table-1 memory latency, named in one place: the flat DRAM's
+ * latency, and the banked model's row-conflict timing is anchored to
+ * it (DramParams).
  */
 constexpr Cycle defaultMemLatency = 90;
 
@@ -23,27 +24,20 @@ constexpr Cycle defaultMemLatency = 90;
 class Dram
 {
   public:
-    explicit Dram(Cycle latency = defaultMemLatency)
-        : latency_(latency)
-    {
-    }
-
     /** @return completion cycle of an access arriving at @p now. */
     Cycle
     access(Cycle now)
     {
         ++accesses_;
-        return now + latency_;
+        return now + defaultMemLatency;
     }
 
     std::uint64_t accesses() const { return accesses_; }
-    Cycle latency() const { return latency_; }
 
     static constexpr std::uint32_t snapVersion = 1;
     template <typename Ar> void snap(Ar &ar);
 
   private:
-    Cycle latency_;
     std::uint64_t accesses_ = 0;
 };
 

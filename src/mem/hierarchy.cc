@@ -11,7 +11,7 @@ Uncore::Uncore(const HierarchyParams &params)
                params.l1l2BusLatency),
       memBus_("memory", params.memBusBytesPerCycle,
               params.memBusLatency),
-      memctrl_(params.dramLatency, params.dram)
+      memctrl_(params.dram)
 {
 }
 

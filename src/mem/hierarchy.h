@@ -46,7 +46,6 @@ struct HierarchyParams
     Cycle l1l2BusLatency = 2;
     int memBusBytesPerCycle = 16;   // 128 bits
     Cycle memBusLatency = 4;
-    Cycle dramLatency = defaultMemLatency;
     /** Banked-DRAM geometry/policy (banked=false: flat model). */
     DramParams dram;
     /**

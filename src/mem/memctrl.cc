@@ -7,8 +7,7 @@
 
 namespace smtos {
 
-MemCtrl::MemCtrl(Cycle flat_latency, const DramParams &params)
-    : params_(params), flat_(flat_latency)
+MemCtrl::MemCtrl(const DramParams &params) : params_(params)
 {
     if (!params_.banked)
         return;

@@ -133,7 +133,7 @@ struct DramStats
 class MemCtrl
 {
   public:
-    MemCtrl(Cycle flat_latency, const DramParams &params);
+    explicit MemCtrl(const DramParams &params);
 
     /**
      * One line fill leaving the L2 MSHRs at cycle @p now.

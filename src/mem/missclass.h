@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/stats.h"
 #include "common/types.h"
 
 namespace smtos {
@@ -68,6 +69,20 @@ struct InterferenceStats
 
     std::uint64_t totalAccesses() const { return accesses[0] + accesses[1]; }
     std::uint64_t totalMisses() const { return misses[0] + misses[1]; }
+
+    /** Miss rate in percent, over all references or one class's. */
+    double
+    missRatePct() const
+    {
+        return pct(static_cast<double>(totalMisses()),
+                   static_cast<double>(totalAccesses()));
+    }
+    double
+    missRatePct(bool kernel) const
+    {
+        return pct(static_cast<double>(misses[kernel]),
+                   static_cast<double>(accesses[kernel]));
+    }
 
     void reset() { *this = InterferenceStats(); }
 

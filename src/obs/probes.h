@@ -34,6 +34,9 @@ class TimelineExporter;
  * cycle-attribution profiler. Every fetch slot of every cycle is
  * either used or charged to exactly one of these causes, so the
  * per-category totals sum to cycles x fetch width by construction.
+ * The fetch stage speaks it too: its stops and a waiting context's
+ * stall reason are slot causes (Pipeline::fetchFrom,
+ * Context::stallReason).
  */
 enum class SlotCause : std::uint8_t
 {

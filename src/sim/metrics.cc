@@ -146,16 +146,12 @@ archMetrics(const MetricsSnapshot &d)
                                 d.core.condRetired[1]));
     a.squashedPct = pct(static_cast<double>(d.core.squashed),
                         static_cast<double>(d.core.fetched));
-    auto rate = [](const InterferenceStats &s) {
-        return pct(static_cast<double>(s.totalMisses()),
-                   static_cast<double>(s.totalAccesses()));
-    };
-    a.btbMissPct = rate(d.btb);
-    a.l1iMissPct = rate(d.l1i);
-    a.l1dMissPct = rate(d.l1d);
-    a.l2MissPct = rate(d.l2);
-    a.itlbMissPct = rate(d.itlb);
-    a.dtlbMissPct = rate(d.dtlb);
+    a.btbMissPct = d.btb.missRatePct();
+    a.l1iMissPct = d.l1i.missRatePct();
+    a.l1dMissPct = d.l1d.missRatePct();
+    a.l2MissPct = d.l2.missRatePct();
+    a.itlbMissPct = d.itlb.missRatePct();
+    a.dtlbMissPct = d.dtlb.missRatePct();
     a.zeroFetchPct =
         pct(static_cast<double>(d.core.zeroFetchCycles), coreCycles);
     a.zeroIssuePct =
@@ -228,9 +224,7 @@ missBreakdown(const InterferenceStats &s)
     MissBreakdown b;
     const double all_misses = static_cast<double>(s.totalMisses());
     for (int c = 0; c < 2; ++c) {
-        b.totalMissRate[c] =
-            pct(static_cast<double>(s.misses[c]),
-                static_cast<double>(s.accesses[c]));
+        b.totalMissRate[c] = s.missRatePct(c == 1);
         for (int k = 0; k < numMissCauses; ++k)
             b.causePct[c][k] =
                 pct(static_cast<double>(s.cause[c][k]), all_misses);

@@ -9,9 +9,10 @@
  * identical CoreParams (the artifact's config section drives the
  * rebuild), threads exist again at the same ids, and not a single
  * cycle has run. Loading then overwrites every mutable field and
- * rebuilds the scheduler state derived from the windows (each uop's
- * issue-queue class, the waiting lists, the completion heap), which
- * is never written.
+ * recounts the state derived from the windows, which is never
+ * written: each uop's issue-queue class, the waiting lists, the
+ * completion heap, the issue-queue and rename-register occupancy, and
+ * the branch hold.
  * `const Instr *` round-trips as (image id, flat index) through the
  * deterministic SnapImages registry; thread bindings round-trip by
  * thread id.
@@ -100,14 +101,12 @@ Pipeline::snap(Ar &ar, const SnapImages &images,
     ar.expect(snapVersion);
     ar.io(now_);
     ar.io(*seqPtr_);
-    ar.io(intRegsUsed_);
-    ar.io(fpRegsUsed_);
-    ar.io(unissuedInt_);
-    ar.io(unissuedFp_);
 
     ar.expect(static_cast<std::int32_t>(ctxs_.size()));
-    if constexpr (Ar::loading)
+    if constexpr (Ar::loading) {
         completions_.clear();
+        intRegsUsed_ = fpRegsUsed_ = unissuedInt_ = unissuedFp_ = 0;
+    }
     for (std::size_t i = 0; i < ctxs_.size(); ++i) {
         Context &c = ctxs_[i];
         ThreadId tid = c.thread ? c.thread->id : invalidThread;
@@ -122,8 +121,6 @@ Pipeline::snap(Ar &ar, const SnapImages &images,
         ar.io(c.stallReason);
         ar.io(c.interruptPending);
         ar.io(c.interruptVector);
-        ar.io(c.inflight);
-        ar.io(c.unissued);
 
         FixedRing<Uop> &q = q_[i];
         std::uint64_t head = q.headPos();
@@ -135,21 +132,30 @@ Pipeline::snap(Ar &ar, const SnapImages &images,
             waiting_[i].clear();
             // Nothing is known to be not due: walk on the next issue.
             waitDue_[i] = 0;
+            c.unissued = 0;
+            waitBranch_[i] = 0;
         }
         for (std::uint64_t p = head; p < tail; ++p) {
             Uop &u = q.atPos(p);
             snapUop(ar, images, u, checkpointAt(i, p));
             if constexpr (Ar::loading) {
-                // Rebuild what the pipeline derives from the window.
+                // Recount what the pipeline derives from the window.
                 u.fpQueue = usesFpQueue(*u.instr);
-                if (u.stage == Uop::Stage::Fetched && !u.serializing)
-                    waiting_[i].push_back(Waiting{p, u.eligibleAt});
-                else if (u.stage == Uop::Stage::Issued)
+                if (u.destType != 0)
+                    ++(u.destType == 1 ? intRegsUsed_ : fpRegsUsed_);
+                if (u.redirectOnly && u.stage != Uop::Stage::Done)
+                    waitBranch_[i] = u.seq;
+                if (u.stage == Uop::Stage::Fetched) {
+                    ++c.unissued;
+                    ++(u.fpQueue ? unissuedFp_ : unissuedInt_);
+                    if (!u.serializing)
+                        waiting_[i].push_back(Waiting{p, u.eligibleAt});
+                } else if (u.stage == Uop::Stage::Issued) {
                     pushCompletion(Completion{u.doneAt, c.id, u.seq, p});
+                }
             }
         }
 
-        ar.io(waitBranch_[i]);
         ar.pod(writerSeq_[i]);
         ar.pod(writerPos_[i]);
     }
@@ -166,8 +172,8 @@ Pipeline::snap(Ar &ar, const SnapImages &images,
     ar.io(fidelity_);
     if constexpr (Ar::loading)
         if (fidelity_ == Fidelity::Functional)
-            for (const Context &c : ctxs_)
-                smtos_assert(c.inflight == 0);
+            for (const FixedRing<Uop> &q : q_)
+                smtos_assert(q.empty());
     snapCounters(ar, fidelityStats_);
 }
 SMTOS_SNAP_INSTANTIATE(Pipeline, const SnapImages &,

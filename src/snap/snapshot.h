@@ -47,7 +47,7 @@ constexpr char snapshotMagic[8] = {'S', 'M', 'T', 'O', 'S', 'N', 'P',
 
 /** Bumped whenever the section list, a section's layout or the header
  *  changes; an artifact of any other version is refused. */
-constexpr std::uint32_t snapshotFormatVersion = 3;
+constexpr std::uint32_t snapshotFormatVersion = 4;
 
 /** Magic, format version, payload length and checksum. */
 constexpr std::size_t snapshotHeaderBytes = 8 + 4 + 8 + 8;

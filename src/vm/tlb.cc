@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/stats.h"
 #include "obs/probes.h"
 
 namespace smtos {
@@ -139,13 +138,6 @@ Tlb::flushPage(Addr vpn, Asn asn)
             tag_[i] = noTag;
         }
     }
-}
-
-double
-Tlb::missRatePct() const
-{
-    return pct(static_cast<double>(stats_.totalMisses()),
-               static_cast<double>(stats_.totalAccesses()));
 }
 
 int

@@ -70,14 +70,11 @@ class Tlb
 
     const InterferenceStats &stats() const { return stats_; }
     InterferenceStats &stats() { return stats_; }
-    double missRatePct() const;
 
     int size() const { return static_cast<int>(entries_.size()); }
     int validEntries() const;
 
     const std::string &name() const { return name_; }
-
-    void resetStats() { stats_.reset(); }
 
     static constexpr std::uint32_t snapVersion = 1;
     template <typename Ar> void snap(Ar &ar);

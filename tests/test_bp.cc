@@ -199,8 +199,8 @@ TEST(Btb, KernelMissRateSeparated)
     b.lookup(0x2000, user(2));
     b.update(0x2000, 5, user(2));
     b.lookup(0x2000, user(2));
-    EXPECT_DOUBLE_EQ(b.missRatePct(true), 100.0);
-    EXPECT_DOUBLE_EQ(b.missRatePct(false), 50.0);
+    EXPECT_DOUBLE_EQ(b.stats().missRatePct(true), 100.0);
+    EXPECT_DOUBLE_EQ(b.stats().missRatePct(false), 50.0);
 }
 
 TEST(Btb, WrongTargetCounter)

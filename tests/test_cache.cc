@@ -382,9 +382,9 @@ TEST(Cache, MissRatesByClass)
     c.access(0x1000, user(1), false); // user miss
     c.access(0x1000, user(1), false); // user hit
     c.access(0x2000, kern(2), false); // kernel miss
-    EXPECT_DOUBLE_EQ(c.missRatePct(false), 50.0);
-    EXPECT_DOUBLE_EQ(c.missRatePct(true), 100.0);
-    EXPECT_NEAR(c.missRatePct(), 100.0 * 2 / 3, 1e-9);
+    EXPECT_DOUBLE_EQ(c.stats().missRatePct(false), 50.0);
+    EXPECT_DOUBLE_EQ(c.stats().missRatePct(true), 100.0);
+    EXPECT_NEAR(c.stats().missRatePct(), 100.0 * 2 / 3, 1e-9);
 }
 
 TEST(Cache, StatsCausesSumToMisses)

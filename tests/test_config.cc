@@ -68,8 +68,7 @@ TEST(Table1, MemoryHierarchy)
     EXPECT_EQ(c.mem.l1l2BusLatency, 2u);
     EXPECT_EQ(c.mem.memBusBytesPerCycle, 16);  // 128 bits
     EXPECT_EQ(c.mem.memBusLatency, 4u);
-    EXPECT_EQ(c.mem.dramLatency, 90u);
-    EXPECT_EQ(c.mem.dramLatency, defaultMemLatency);
+    EXPECT_EQ(defaultMemLatency, 90u);
 }
 
 TEST(Table1, BankedDramDefaultsOffAndFlatEquivalent)

@@ -46,7 +46,7 @@ const AccessInfo who{};
 TEST(MemCtrl, FlatModeIsTheFixedLatencyDram)
 {
     EXPECT_EQ(defaultMemLatency, 90u);
-    MemCtrl mc(defaultMemLatency, DramParams{});
+    MemCtrl mc(DramParams{});
     EXPECT_FALSE(mc.banked());
     EXPECT_EQ(mc.access(0x1000, who, 500), 590u);
     EXPECT_EQ(mc.access(0x2000, who, 700), 790u);
@@ -61,7 +61,7 @@ TEST(MemCtrl, FlatModeIsTheFixedLatencyDram)
 // channels*ranks*banksPerRank*rowBytes bytes within one bank.
 TEST(MemCtrl, AddressMapSpreadsLinesAcrossChannelsAndBanks)
 {
-    MemCtrl mc(defaultMemLatency, [] {
+    MemCtrl mc([] {
         DramParams p;
         p.banked = true;
         return p;
@@ -82,7 +82,7 @@ TEST(MemCtrl, AddressMapSpreadsLinesAcrossChannelsAndBanks)
 // tRP+tRCD+tCAS+tBurst (90 — the flat model's Table-1 latency).
 TEST(MemCtrl, RowHitEmptyConflictLatencySpread)
 {
-    MemCtrl mc(defaultMemLatency, singleBank());
+    MemCtrl mc(singleBank());
     const Cycle empty = mc.access(0, who, 1000) - 1000;
     const Cycle hit = mc.access(64, who, 2000) - 2000;
     const Cycle conflict = mc.access(2048, who, 3000) - 3000;
@@ -106,7 +106,7 @@ TEST(MemCtrl, FrFcfsReadyRequestOvertakesQueuedConflict)
 {
     DramParams p = singleBank();
     p.banksPerRank = 2;
-    MemCtrl mc(defaultMemLatency, p);
+    MemCtrl mc(p);
     // bank0 row0 opens the row.
     const Cycle a = mc.access(0, who, 0);
     EXPECT_EQ(a, 60u);
@@ -129,8 +129,8 @@ TEST(MemCtrl, OpenVsClosedPagePolicy)
     DramParams open = singleBank();
     DramParams closed = singleBank();
     closed.closedPage = true;
-    MemCtrl mo(defaultMemLatency, open);
-    MemCtrl mcl(defaultMemLatency, closed);
+    MemCtrl mo(open);
+    MemCtrl mcl(closed);
     // Stream 16 lines of row 0, each issued at the previous finish.
     Cycle to = 0, tc = 0;
     for (int i = 0; i < 16; ++i) {
@@ -155,7 +155,7 @@ TEST(MemCtrl, QueueBackpressureStallsArrivals)
 {
     DramParams p = singleBank();
     p.queueDepth = 2;
-    MemCtrl mc(defaultMemLatency, p);
+    MemCtrl mc(p);
     for (int i = 0; i < 8; ++i)
         mc.access(static_cast<Addr>(i) * 64, who, 0);
     const DramStats s = mc.stats();
@@ -165,7 +165,7 @@ TEST(MemCtrl, QueueBackpressureStallsArrivals)
     // most accesses * queueDepth.
     EXPECT_LE(s.queueOccupancy, s.accesses * 2u);
     // Deep queue, same stream: no stalls.
-    MemCtrl deep(defaultMemLatency, singleBank());
+    MemCtrl deep(singleBank());
     for (int i = 0; i < 8; ++i)
         deep.access(static_cast<Addr>(i) * 64, who, 0);
     EXPECT_EQ(deep.stats().queueFullStalls, 0u);
@@ -178,7 +178,7 @@ TEST(MemCtrl, StreamingBandwidthCeiling)
 {
     DramParams p;
     p.banked = true; // default 2ch x 2rk x 8bk geometry
-    MemCtrl mc(defaultMemLatency, p);
+    MemCtrl mc(p);
     constexpr int lines = 512;
     Cycle last = 0;
     for (int i = 0; i < lines; ++i)
@@ -207,13 +207,13 @@ TEST(MemCtrl, InterleavedStreamsThrashTheRowBuffer)
 {
     constexpr int n = 32;
     // Solo: one stream inside row 0.
-    MemCtrl solo(defaultMemLatency, singleBank());
+    MemCtrl solo(singleBank());
     Cycle t = 0;
     for (int i = 0; i < n; ++i)
         t = solo.access(static_cast<Addr>(i % 32) * 64, who, t);
     // Interleaved: the same accesses riding with a second stream in
     // row 1 of the same bank.
-    MemCtrl mixed(defaultMemLatency, singleBank());
+    MemCtrl mixed(singleBank());
     t = 0;
     for (int i = 0; i < n; ++i) {
         t = mixed.access(static_cast<Addr>(i % 32) * 64, who, t);
@@ -246,7 +246,7 @@ TEST(MemCtrl, SnapshotRoundTripsMidFlightQueues)
                                     static_cast<Cycle>(i) * 3));
         return out;
     };
-    MemCtrl a(defaultMemLatency, p);
+    MemCtrl a(p);
     stream(a, 0, 20); // queues and bus reservations still in flight
     Snapshotter sa;
     sa.beginSection("DRAM", 1);
@@ -254,7 +254,7 @@ TEST(MemCtrl, SnapshotRoundTripsMidFlightQueues)
     sa.endSection();
     const std::vector<std::uint8_t> bytesA = sa.finish();
 
-    MemCtrl b(defaultMemLatency, p);
+    MemCtrl b(p);
     Restorer rb(bytesA);
     ASSERT_TRUE(rb.ok()) << rb.error();
     rb.beginSection("DRAM", 1);
@@ -285,8 +285,8 @@ TEST(MemCtrl, SnapshotRoundTripsMidFlightQueues)
 // unchanged.
 TEST(MemCtrl, FlatSnapshotMatchesPlainDramBytes)
 {
-    MemCtrl mc(defaultMemLatency, DramParams{});
-    Dram d(defaultMemLatency);
+    MemCtrl mc(DramParams{});
+    Dram d;
     for (Cycle t = 0; t < 5; ++t) {
         mc.access(0, who, t);
         d.access(t);

@@ -415,10 +415,10 @@ TEST(InvariantAuditor, AuditsEveryCore)
     InvariantAuditor auditor(chip.sys, 1000);
     EXPECT_EQ(auditor.checkNow(), "");
 
-    chip.sys.pipeline(1).ctx(0).inflight += 1;
+    chip.sys.pipeline(1).ctx(0).unissued += 1;
     const std::string report = auditor.checkNow();
-    chip.sys.pipeline(1).ctx(0).inflight -= 1;
-    EXPECT_NE(report.find("core 1: ctx0: inflight counter"),
+    chip.sys.pipeline(1).ctx(0).unissued -= 1;
+    EXPECT_NE(report.find("core 1: ctx0: unissued counter"),
               std::string::npos)
         << report;
     EXPECT_EQ(report.find("core 0:"), std::string::npos) << report;

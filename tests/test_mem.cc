@@ -131,7 +131,7 @@ TEST(Bus, IdleBusNoDelay)
 
 TEST(Dram, FixedLatencyPipelined)
 {
-    Dram d(90);
+    Dram d;
     EXPECT_EQ(d.access(10), 100u);
     EXPECT_EQ(d.access(11), 101u); // fully pipelined
     EXPECT_EQ(d.accesses(), 2u);
@@ -178,8 +178,7 @@ TEST(Hierarchy, ColdLoadGoesToDram)
     EXPECT_FALSE(r.l1Hit);
     EXPECT_FALSE(r.l2Hit);
     // At least L2 latency + DRAM latency.
-    EXPECT_GT(r.readyAt, h.params().l2Latency +
-                             h.params().dramLatency);
+    EXPECT_GT(r.readyAt, h.params().l2Latency + defaultMemLatency);
     EXPECT_EQ(m.uncore.dram().accesses(), 1u);
 }
 

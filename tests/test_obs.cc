@@ -207,8 +207,9 @@ TEST(ObsArtifacts, IntervalRowsAreWellFormed)
         ASSERT_NE(ce, std::string::npos);
         const std::int64_t c0 = std::stoll(line.substr(cs + 14));
         const std::int64_t c1 = std::stoll(line.substr(ce + 12));
-        if (prev_end >= 0)
+        if (prev_end >= 0) {
             EXPECT_EQ(c0, prev_end);
+        }
         EXPECT_GT(c1, c0);
         prev_end = c1;
         ++rows;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "core/pipeline.h"
@@ -540,4 +541,92 @@ TEST_F(Pipeline2, BtbMissBubbleIsChargedToBranchHold)
     EXPECT_GT(prof.fetchSlotsLost(SlotCause::IcacheMiss), 0u);
     EXPECT_EQ(prof.fetchSlotsLost(SlotCause::BranchHold),
               2u * static_cast<std::uint64_t>(cp.fetchWidth));
+}
+
+TEST_F(Pipeline2, FetchStopsChargeTheirCause)
+{
+    // Each fetch stop charges the cycle's unused slots to its own slot
+    // cause. Three programs, each run alone under a profiler:
+    //  - dependent multiplies behind a 4-entry int issue queue stop at
+    //    the full queue (iq-full);
+    //  - a syscall stops its fetch run, and its stuck cursor blocks
+    //    fetch until it commits (serialize);
+    //  - two-instruction loops end every run at a taken jump: with no
+    //    other candidate waiting that is fragmentation, with a third
+    //    fetchable context beyond the two fetch ports it is
+    //    fetch-port-limit.
+    const int iq = user->beginFunction("iq", -1);
+    user->beginBlock();
+    for (int i = 0; i < 16; ++i) {
+        Instr mul;
+        mul.op = Op::IntMul;
+        mul.srcA = 1;
+        mul.dest = 1;
+        user->emit(mul);
+    }
+    user->emit(gu.makeJump(0));
+    const int sys = user->beginFunction("sys", -1);
+    user->beginBlock();
+    user->emit(gu.makeSyscall(1));
+    for (int i = 0; i < 3; ++i)
+        user->emit(gu.makeAlu());
+    user->emit(gu.makeJump(0));
+    const int loop = user->beginFunction("loop", -1);
+    user->beginBlock();
+    user->emit(gu.makeAlu());
+    user->emit(gu.makeJump(0));
+    user->finalize();
+
+    // Charge every fetch slot of 2000 cycles of @p threads contexts
+    // running @p func; each cause in @p want is charged exactly that
+    // many slots and every other cause none. The counts are the
+    // start-up misses and traps plus the stop under test.
+    auto expectCharges = [&](CoreParams cp, int func, int threads,
+                             std::map<SlotCause, std::uint64_t> want) {
+        wire(cp);
+        CycleProfiler prof;
+        prof.configure(cp.fetchWidth, cp.intUnits + cp.fpUnits,
+                       cp.numContexts);
+        Probes probes;
+        probes.bind(&prof, nullptr);
+        probes.begin(cp.numContexts);
+        pipe->setProbes(&probes);
+        for (int c = 0; c < threads; ++c)
+            pipe->bindThread(c, &makeThread(func, c));
+        pipe->runCycles(2000);
+        pipe->setProbes(nullptr);
+        EXPECT_EQ(prof.fetchSlotsUsed() + prof.fetchSlotsLost(),
+                  2000u * static_cast<std::uint64_t>(cp.fetchWidth));
+        for (int k = 0; k < numSlotCauses; ++k) {
+            const SlotCause c = static_cast<SlotCause>(k);
+            EXPECT_EQ(prof.fetchSlotsLost(c), want[c])
+                << slotCauseName(c) << ", " << threads << " threads";
+        }
+    };
+
+    CoreParams one;
+    one.numContexts = 1;
+    CoreParams small_iq = one;
+    small_iq.intQueue = 4;
+    expectCharges(small_iq, iq, 1,
+                  {{SlotCause::IcacheMiss, 2063},
+                   {SlotCause::TlbRefill, 8},
+                   {SlotCause::BranchHold, 8},
+                   {SlotCause::IqFull, 13583},
+                   {SlotCause::Fragmentation, 98}});
+    expectCharges(one, sys, 1,
+                  {{SlotCause::IcacheMiss, 1032},
+                   {SlotCause::TlbRefill, 8},
+                   {SlotCause::Serialize, 12152},
+                   {SlotCause::BranchHold, 8},
+                   {SlotCause::Fragmentation, 1244}});
+    CoreParams three;
+    three.numContexts = 3;
+    expectCharges(three, loop, 2,
+                  {{SlotCause::IcacheMiss, 16},
+                   {SlotCause::Fragmentation, 8246}});
+    expectCharges(three, loop, 3,
+                  {{SlotCause::IcacheMiss, 8},
+                   {SlotCause::FetchPortLimit, 7484},
+                   {SlotCause::Fragmentation, 514}});
 }

@@ -434,7 +434,7 @@ TEST_P(SnapshotLayout, OneSectionSequenceAtEveryWidth)
               "SMTOSNP2");
     std::uint32_t format = 0;
     std::memcpy(&format, artifact.data() + 8, sizeof format);
-    EXPECT_EQ(format, 3u);
+    EXPECT_EQ(format, 4u);
     std::vector<std::string> want = {"CFG ", "PHYS", "KERN"};
     for (int c = 0; c < lc.cores; ++c) {
         want.push_back("PIPE");

@@ -285,7 +285,7 @@ TEST(Tlb, MissRatePct)
     t.lookup(1, 1, user(1));
     t.insert(1, 1, 10, user(1));
     t.lookup(1, 1, user(1));
-    EXPECT_DOUBLE_EQ(t.missRatePct(), 50.0);
+    EXPECT_DOUBLE_EQ(t.stats().missRatePct(), 50.0);
 }
 
 // Parameterized: capacity behavior across TLB sizes.
